@@ -20,27 +20,15 @@ import numpy as np
 
 from . import conformal, dynamics, jordan, realization, sternberg
 from .poisson import PhasePoint
-from .quat import QVector
+from .quat import norm
 
 SCHEMA = "1"
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("HAMILTON_SP1_THREADS")
-    if not cap:
-        return
-    try:
-        limit = max(1, int(cap))
-    except ValueError:
-        raise click.UsageError("HAMILTON_SP1_THREADS must be an integer")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(limit)
-    try:
-        import threadpoolctl
+class _RuntimeAbort(click.ClickException):
+    """A run that cannot proceed; exits 3."""
 
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        pass
+    exit_code = 3
 
 
 def _atomic_write(path, text):
@@ -67,7 +55,6 @@ def _finish(report, output, t0):
 @click.group()
 def main():
     """Verification and simulation for the quaternionic Kepler hierarchy."""
-    _apply_thread_cap()
 
 
 _common = [
@@ -188,10 +175,10 @@ def verify_pullback(n, samples, seed, tol, output):
     rng = np.random.default_rng(seed)
     r1 = r2 = 0.0
     for _ in range(samples):
-        z = QVector.from_array(rng.standard_normal((n, 4)))
-        while z.norm() < 0.3:
-            z = QVector.from_array(rng.standard_normal((n, 4)))
-        w = QVector.from_array(rng.standard_normal((n, 4)))
+        z = rng.standard_normal((n, 4))
+        while norm(z) < 0.3:
+            z = rng.standard_normal((n, 4))
+        w = rng.standard_normal((n, 4))
         a, b = sternberg.pullback_check(z, w)
         r1, r2 = max(r1, a), max(r2, b)
     residuals = {"moment_pullback": r1, "kinetic_pullback": r2}
@@ -213,7 +200,7 @@ def _bound_start(n, mu, rng):
         p = realization.sample_leaf(spec, rng)
         if dynamics.hamiltonian_upstairs(p) <= -0.1:
             return p
-    raise click.ClickException("failed to sample a bound start")
+    raise _RuntimeAbort("failed to sample a bound start")
 
 
 def _infall_start(n):
@@ -222,7 +209,7 @@ def _infall_start(n):
     z[0, 0] = 5e-9
     w = np.zeros((n, 4))
     w[0, 0] = -1.0
-    return PhasePoint(QVector.from_array(z), QVector.from_array(w))
+    return PhasePoint(z, w)
 
 
 @main.command("simulate")
@@ -248,7 +235,7 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     }
     try:
         tr = dynamics.integrate(p0, dt, t_end, method)
-    except dynamics.NearCollisionError as err:
+    except dynamics.IntegrationAbort as err:
         partial = getattr(err, "partial", None)
         if partial is not None and len(partial):
             partial.to_csv(output + ".csv")
@@ -257,7 +244,7 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
             "command": "simulate",
             "config": config,
             "initial_state": p0.flatten().tolist(),
-            "aborted": "near-collision: %s" % err,
+            "aborted": "%s: %s" % (err.kind, err),
             "passed": False,
         }
         _emit(report, output + ".json")

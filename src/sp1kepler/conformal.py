@@ -62,14 +62,15 @@ def span_residual(n, s):
 
 
 class ConformalElement:
-    """An element (x, S, y) of co; the s-part must lie in the S-span."""
+    """An element (x, S, y) of co; x and y are hermitian (n, n, 4) arrays
+    and the s-part must lie in the S-span."""
 
     __slots__ = ("n", "x", "s", "y")
 
     def __init__(self, x, s, y, check=True):
-        if x.n != y.n:
+        if x.shape != y.shape:
             raise ValueError("component order mismatch")
-        self.n = x.n
+        self.n = x.shape[0]
         d = jordan.dim_v(self.n)
         s = np.asarray(s, dtype=float)
         if s.shape != (d, d):
@@ -80,12 +81,6 @@ class ConformalElement:
         self.s = s
         self.y = y
 
-    @classmethod
-    def zero(cls, n):
-        d = jordan.dim_v(n)
-        z = jordan.HermElement._trusted(_zero_mat(n))
-        return cls(z, np.zeros((d, d)), jordan.HermElement._trusted(_zero_mat(n)), check=False)
-
     def __add__(self, other):
         self._check(other)
         return ConformalElement(self.x + other.x, self.s + other.s, self.y + other.y, check=False)
@@ -95,7 +90,7 @@ class ConformalElement:
         return ConformalElement(self.x - other.x, self.s - other.s, self.y - other.y, check=False)
 
     def scale(self, t):
-        return ConformalElement(self.x.scale(t), self.s * t, self.y.scale(t), check=False)
+        return ConformalElement(self.x * t, self.s * t, self.y * t, check=False)
 
     def _check(self, other):
         if self.n != other.n:
@@ -120,35 +115,32 @@ class ConformalElement:
         return "ConformalElement(n=%d, |.|=%.3g)" % (self.n, self.norm())
 
 
-def _zero_mat(n):
-    from .quat import QMatrix
-
-    return QMatrix.zeros(n)
-
-
 def x_element(u):
     """The generator X_u."""
-    d = jordan.dim_v(u.n)
-    return ConformalElement(u, np.zeros((d, d)), jordan.HermElement._trusted(_zero_mat(u.n)), check=False)
+    n = u.shape[0]
+    d = jordan.dim_v(n)
+    return ConformalElement(u, np.zeros((d, d)), np.zeros((n, n, 4)), check=False)
 
 
 def y_element(v):
     """The generator Y_v."""
-    d = jordan.dim_v(v.n)
-    return ConformalElement(jordan.HermElement._trusted(_zero_mat(v.n)), np.zeros((d, d)), v, check=False)
+    n = v.shape[0]
+    d = jordan.dim_v(n)
+    return ConformalElement(np.zeros((n, n, 4)), np.zeros((d, d)), v, check=False)
 
 
 def s_matrix(u, v):
     """Matrix of S_uv in the orthonormal basis, via the structure tensor."""
-    basis = jordan.orthonormal_basis(u.n)
-    t = jordan.s_tensor(u.n)
+    n = u.shape[0]
+    basis = jordan.orthonormal_basis(n)
+    t = jordan.s_tensor(n)
     return np.einsum("a,b,abij->ij", basis.coords(u), basis.coords(v), t)
 
 
 def s_element(u, v):
     """The generator S_uv as a conformal element."""
-    n = u.n
-    z = jordan.HermElement._trusted(_zero_mat(n))
+    n = u.shape[0]
+    z = np.zeros((n, n, 4))
     return ConformalElement(z, s_matrix(u, v), z, check=False)
 
 
@@ -191,7 +183,7 @@ def structure_constants(n):
     span = str_span(n)
     elems = [x_element(u) for u in basis]
     for k in range(span.shape[0]):
-        z = jordan.HermElement._trusted(_zero_mat(n))
+        z = np.zeros((n, n, 4))
         elems.append(ConformalElement(z, span[k].copy(), z, check=False))
     elems.extend(y_element(u) for u in basis)
     dim = len(elems)
@@ -230,19 +222,6 @@ def closure_residual(n):
         for j in range(mats.shape[0]):
             worst = max(worst, span_residual(n, comm[j]))
     return worst
-
-
-def generator_pool(n):
-    """The generators X_{e_a}, Y_{e_b}, S_{e_c e_d} as conformal elements."""
-    basis = jordan.orthonormal_basis(n)
-    pool = [x_element(u) for u in basis]
-    pool.extend(y_element(u) for u in basis)
-    t = jordan.s_tensor(n)
-    z = jordan.HermElement._trusted(_zero_mat(n))
-    for a in range(basis.dim):
-        for b in range(basis.dim):
-            pool.append(ConformalElement(z, t[a, b].copy(), z, check=False))
-    return pool
 
 
 def random_element(rng, n, scale=1.0):

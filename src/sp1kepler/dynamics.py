@@ -22,8 +22,24 @@ _COLLISION_RADIUS = 10.0 * DOMAIN_EPS
 _CHUNK = 20000
 
 
-class NearCollisionError(RuntimeError):
+class IntegrationAbort(RuntimeError):
+    """The integrator stopped before t_end.
+
+    ``integrate`` attaches the accepted samples as ``partial``; each
+    subclass names its cause in ``kind`` for reports.
+    """
+
+
+class NearCollisionError(IntegrationAbort):
     """Raised when the flow approaches Z = 0 beyond the guard radius."""
+
+    kind = "near-collision"
+
+
+class ConvergenceError(IntegrationAbort):
+    """Raised when the implicit midpoint iteration does not converge."""
+
+    kind = "no-convergence"
 
 
 def hamiltonian_upstairs(p):
@@ -85,10 +101,6 @@ class Trajectory:
     def point(self, i):
         return PhasePoint.unflatten(self.states[i], self.n)
 
-    def samples(self):
-        for t, s in zip(self.times, self.states):
-            yield float(t), PhasePoint.unflatten(s, self.n)
-
     def to_csv(self, path):
         """CSV export: header t,Z_0w,...,W_{n-1}z; 17 significant digits."""
         comps = "wxyz"
@@ -116,7 +128,7 @@ def _step_midpoint(y, dt, m, tol=1e-12, max_iter=50):
         if np.max(np.abs(k_new - k)) < tol:
             return y + dt * k_new
         k = k_new
-    raise RuntimeError("implicit midpoint failed to converge")
+    raise ConvergenceError("implicit midpoint failed to converge")
 
 
 def integrate(p0, dt, t_end, method="rk4"):
@@ -139,7 +151,7 @@ def integrate(p0, dt, t_end, method="rk4"):
     for i in range(1, steps + 1):
         try:
             y = stepper(y, dt, m)
-        except NearCollisionError as err:
+        except IntegrationAbort as err:
             # attach the accepted samples so callers can dump partial output
             err.partial = Trajectory(times[:i].copy(), states[:i].copy(), n, meta)
             raise
@@ -160,9 +172,7 @@ def _flow_values(tr):
         zs = s[:, :m].reshape(-1, n, 4)
         ws = s[:, m:].reshape(-1, n, 4)
         v = realization.family_values(n, zs, ws)
-        y_e = v["Y_e"]
-        h = 0.5 * v["X_e"] / y_e - 1.0 / y_e
-        a = 0.5 * (v["X"] - v["Y"] * (v["X_e"] / y_e)[:, None]) + v["Y"] / y_e[:, None]
+        h, a = realization.kepler_scalars(v["X"], v["Y"], v["X_e"], v["Y_e"])
         rows["H"].append(h)
         rows["rho"].append(v["rho"])
         rows["mu"].append(v["mu"])

@@ -1,8 +1,9 @@
 """The Euclidean Jordan algebra of quaternionic hermitian matrices.
 
-Elements are n x n quaternionic hermitian matrices with the symmetrized
-product u o v = (uv + vu)/2.  The inner product is normalized as
-<a|b> = Re tr(a b) / n, so that <e|e> = 1 for the identity e.
+Elements are n x n quaternionic hermitian matrices, stored as (n, n, 4)
+arrays, with the symmetrized product u o v = (uv + vu)/2.  The inner
+product is normalized as <a|b> = Re tr(a b) / n, so that <e|e> = 1 for
+the identity e.
 
 Structure operators S_{uv} = [L_u, L_v] + L_{u o v} act on the algebra;
 in an orthonormal basis they are plain real matrices, which is how the
@@ -19,99 +20,44 @@ from .quat import (
     QTAB,
     RE_SIGNS,
     UNITS,
-    QMatrix,
     conj,
     mat_dagger,
     mat_mul,
-    trace_re,
+    outer,
+    unit_matrix,
 )
-
-_HERM_SYMMETRIZE_TOL = 1e-12
-_HERM_REJECT_TOL = 1e-6
-
-
-class HermElement:
-    """An element of H_n(H); hermiticity is enforced at construction."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat):
-        if not isinstance(mat, QMatrix):
-            mat = QMatrix(mat)
-        drift = (mat - mat_dagger(mat)).norm()
-        scale = max(1.0, mat.norm())
-        if drift > _HERM_REJECT_TOL * scale:
-            raise ValueError("matrix is not hermitian (drift %.3e)" % drift)
-        if drift > _HERM_SYMMETRIZE_TOL * scale:
-            mat = (mat + mat_dagger(mat)).scale(0.5)
-        self.mat = mat
-
-    @classmethod
-    def _trusted(cls, mat):
-        obj = cls.__new__(cls)
-        obj.mat = mat
-        return obj
-
-    @property
-    def n(self):
-        return self.mat.n
-
-    def __add__(self, other):
-        return HermElement._trusted(self.mat + other.mat)
-
-    def __sub__(self, other):
-        return HermElement._trusted(self.mat - other.mat)
-
-    def __neg__(self):
-        return HermElement._trusted(-self.mat)
-
-    def scale(self, s):
-        return HermElement._trusted(self.mat.scale(s))
-
-    def norm(self):
-        return self.mat.norm()
-
-    def __repr__(self):
-        return "HermElement(%r)" % (self.mat,)
 
 
 def identity(n):
     """The Jordan identity element e."""
-    return HermElement._trusted(QMatrix.identity(n))
-
-
-def _check_order(u, v):
-    if u.n != v.n:
-        raise ValueError("order mismatch: %d vs %d" % (u.n, v.n))
+    data = np.zeros((n, n, 4))
+    data[np.arange(n), np.arange(n), 0] = 1.0
+    return data
 
 
 def jordan_product(u, v):
     """The Jordan product u o v = (uv + vu)/2."""
-    _check_order(u, v)
-    prod = mat_mul(u.mat, v.mat)
-    prod2 = mat_mul(v.mat, u.mat)
-    return HermElement._trusted((prod + prod2).scale(0.5))
+    prod = mat_mul(u, v)
+    prod2 = mat_mul(v, u)
+    return (prod + prod2) * 0.5
 
 
 def triple_product(u, v, z):
     """The Jordan triple product {uvz} = (u v z + z v u)/2."""
-    _check_order(u, v)
-    _check_order(u, z)
-    uvz = mat_mul(mat_mul(u.mat, v.mat), z.mat)
-    zvu = mat_mul(mat_mul(z.mat, v.mat), u.mat)
-    return HermElement._trusted((uvz + zvu).scale(0.5))
+    uvz = mat_mul(mat_mul(u, v), z)
+    zvu = mat_mul(mat_mul(z, v), u)
+    return (uvz + zvu) * 0.5
 
 
 def inner(u, v):
     """<u|v> = Re tr(u v) / n; positive definite, <e|e> = 1."""
-    _check_order(u, v)
     # Re tr(uv) = sum_{i,j,p} sign_p u[i,j,p] v[j,i,p]
-    val = np.einsum("ijp,jip,p->", u.mat.data, v.mat.data, RE_SIGNS)
-    return float(val) / u.n
+    val = np.einsum("ijp,jip,p->", u, v, RE_SIGNS)
+    return float(val) / u.shape[0]
 
 
 class JordanBasis:
-    """An orthonormal basis of H_n(H), with stacked array storage.
+    """An orthonormal basis of H_n(H), stored as a (dim, n, n, 4) stack.
 
     Diagonal generators sqrt(n) E_aa come first, then for each a < b the
     four off-diagonal generators sqrt(n/2) (E_ab q + E_ba conj(q)) with
@@ -122,38 +68,33 @@ class JordanBasis:
         self.n = n
         elements = []
         for a in range(n):
-            elements.append(
-                HermElement._trusted(QMatrix.unit(n, a, a).scale(np.sqrt(n)))
-            )
+            elements.append(unit_matrix(n, a, a) * np.sqrt(n))
         for a in range(n):
             for b in range(a + 1, n):
                 for q in UNITS:
-                    m = QMatrix.unit(n, a, b, q) + QMatrix.unit(n, b, a, conj(q))
-                    elements.append(HermElement._trusted(m.scale(np.sqrt(n / 2.0))))
-        self.elements = elements
+                    m = unit_matrix(n, a, b, q) + unit_matrix(n, b, a, conj(q))
+                    elements.append(m * np.sqrt(n / 2.0))
         self.dim = len(elements)
-        # stacked (dim, n, n, 4) view for vectorized sweeps
-        self.stack = np.array([el.mat.data for el in elements])
+        self.stack = np.array(elements)
         self.stack.setflags(write=False)
 
     def __len__(self):
         return self.dim
 
     def __getitem__(self, i):
-        return self.elements[i]
+        return self.stack[i]
 
     def __iter__(self):
-        return iter(self.elements)
+        return iter(self.stack)
 
     def coords(self, u):
         """Coordinates of u in this basis (orthonormal, so plain projections)."""
         return np.einsum(
-            "aijp,jip,p->a", self.stack, u.mat.data, RE_SIGNS
+            "aijp,jip,p->a", self.stack, u, RE_SIGNS
         ) / self.n
 
     def from_coords(self, c):
-        mat = QMatrix.from_array(np.einsum("a,aijp->ijp", np.asarray(c, float), self.stack))
-        return HermElement._trusted(mat)
+        return np.einsum("a,aijp->ijp", np.asarray(c, float), self.stack)
 
     def gram(self):
         g = np.einsum("aijp,bjip,p->ab", self.stack, self.stack, RE_SIGNS)
@@ -174,15 +115,14 @@ def dim_v(n):
 
 def L_operator(u, basis=None):
     """Matrix of Jordan multiplication L_u in the orthonormal basis."""
-    basis = basis or orthonormal_basis(u.n)
+    basis = basis or orthonormal_basis(u.shape[0])
     cols = [basis.coords(jordan_product(u, eb)) for eb in basis]
     return np.array(cols).T
 
 
 def S_operator(u, v, basis=None):
     """Matrix of S_{uv} = [L_u, L_v] + L_{u o v}; S_{uv}(w) = {uvw}."""
-    _check_order(u, v)
-    basis = basis or orthonormal_basis(u.n)
+    basis = basis or orthonormal_basis(u.shape[0])
     cols = [basis.coords(triple_product(u, v, eb)) for eb in basis]
     return np.array(cols).T
 
@@ -212,13 +152,11 @@ def s_tensor(n):
 
 
 def random_herm(rng, n, scale=1.0):
-    m = QMatrix.from_array(rng.standard_normal((n, n, 4)) * scale)
-    return HermElement._trusted((m + mat_dagger(m)).scale(0.5))
+    m = rng.standard_normal((n, n, 4)) * scale
+    return (m + mat_dagger(m)) * 0.5
 
 
 def herm_from_vector_pair(v, z):
     """The tangent-type element n (v z^dag + z v^dag)."""
-    from .quat import outer
-
     m = outer(v, z) + outer(z, v)
-    return HermElement._trusted(m.scale(float(v.n)))
+    return m * float(v.shape[0])

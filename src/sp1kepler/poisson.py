@@ -17,52 +17,46 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quat import QVector
+from .quat import mul, norm, random_qvector
 
 DOMAIN_EPS = 1e-9
 
 
 class PhasePoint:
-    """A point (Z, W) of the phase space with Z != 0."""
+    """A point (Z, W) of the phase space with Z != 0; Z, W are (n, 4) arrays."""
 
     __slots__ = ("Z", "W")
 
     def __init__(self, Z, W):
-        if Z.n != W.n:
-            raise ValueError("Z and W must have equal length")
-        if Z.norm() <= DOMAIN_EPS:
+        Z = np.asarray(Z, dtype=float)
+        W = np.asarray(W, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != 4 or Z.shape != W.shape:
+            raise ValueError("Z and W must both have shape (n, 4)")
+        if norm(Z) <= DOMAIN_EPS:
             raise ValueError("phase point requires |Z| > %g" % DOMAIN_EPS)
         self.Z = Z
         self.W = W
 
     @property
     def n(self):
-        return self.Z.n
+        return self.Z.shape[0]
 
     def flatten(self):
-        return np.concatenate([self.Z.flat(), self.W.flat()])
+        return np.concatenate([self.Z.reshape(-1), self.W.reshape(-1)])
 
     @classmethod
     def unflatten(cls, vec, n):
-        vec = np.asarray(vec, dtype=float)
+        vec = np.array(vec, dtype=float)
         if vec.size != 8 * n:
             raise ValueError("expected %d coordinates, got %d" % (8 * n, vec.size))
-        return cls(QVector.from_flat(vec[: 4 * n]), QVector.from_flat(vec[4 * n :]))
+        return cls(vec[: 4 * n].reshape(n, 4), vec[4 * n :].reshape(n, 4))
 
     def transformed(self, g):
         """The point (Z g, W g) for a unit quaternion g."""
-        return PhasePoint(self.Z.rmul(g), self.W.rmul(g))
+        return PhasePoint(mul(self.Z, g), mul(self.W, g))
 
     def __repr__(self):
         return "PhasePoint(Z=%r, W=%r)" % (self.Z, self.W)
-
-
-def flatten(p):
-    return p.flatten()
-
-
-def unflatten(vec, n):
-    return PhasePoint.unflatten(vec, n)
 
 
 @lru_cache(maxsize=16)
@@ -145,10 +139,6 @@ class QuadObservable:
         )
 
 
-def evaluate(f, p):
-    return f.evaluate(p)
-
-
 def bracket_exact(f, g):
     """Exact canonical bracket of two affine-quadratic observables."""
     if f.n != g.n:
@@ -200,7 +190,7 @@ def bracket_numeric(f, g, p, h=1e-5):
     if h <= 0 or h < 1e-12:
         raise ValueError("step underflow")
     if isinstance(p, PhasePoint):
-        if p.Z.norm() <= DOMAIN_EPS:
+        if norm(p.Z) <= DOMAIN_EPS:
             raise ValueError("evaluation too close to Z = 0")
         n = p.n
         z = p.flatten()
@@ -229,10 +219,8 @@ def random_quad_observable(rng, n, scale=1.0):
 
 
 def random_phase_point(rng, n, scale=1.0, min_z=0.3):
-    from .quat import random_qvector
-
     while True:
         z = random_qvector(rng, n, scale)
-        if z.norm() > min_z:
+        if norm(z) > min_z:
             break
     return PhasePoint(z, random_qvector(rng, n, scale))

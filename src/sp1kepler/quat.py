@@ -1,4 +1,4 @@
-"""Quaternion scalars, vectors and matrices.
+"""Quaternion arithmetic on float64 arrays.
 
 Conventions pinned here and used everywhere else:
 
@@ -7,8 +7,9 @@ Conventions pinned here and used everywhere else:
 * H^n is a right H-module: unit quaternions act on vectors by right
   multiplication, entry by entry.
 
-Vectors and matrices are backed by float64 arrays of shape (n, 4) and
-(n, n, 4); all quaternion products go through the structure tensor QTAB.
+A quaternion is an array of shape (4,), a vector in H^n one of shape
+(n, 4) and an n x n matrix one of shape (n, n, 4); all quaternion
+products go through the structure tensor QTAB.
 """
 
 from __future__ import annotations
@@ -34,343 +35,107 @@ QTAB.setflags(write=False)
 RE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 RE_SIGNS.setflags(write=False)
 
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-_CONJ.setflags(write=False)
+# Componentwise factor of quaternion conjugation.
+CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+CONJ.setflags(write=False)
+
+# The units 1, i, j, k as the rows of the identity.
+UNITS = np.eye(4)
+UNITS.setflags(write=False)
 
 
-def _comp_mul(a, b):
-    """Componentwise quaternion product of two (..., 4) arrays."""
+def mul(a, b):
+    """Componentwise quaternion product of two (..., 4) arrays.
+
+    With a vector Z of shape (n, 4) and a quaternion q this is the right
+    action Z -> Z q.
+    """
     return np.einsum("...p,...q,pqc->...c", a, b, QTAB)
 
 
-class Quaternion:
-    """A quaternion w + x*i + y*j + z*k over float64."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
-        self.data = np.array([w, x, y, z], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr):
-        q = cls.__new__(cls)
-        q.data = np.asarray(arr, dtype=float).reshape(4).copy()
-        return q
-
-    @property
-    def w(self):
-        return float(self.data[0])
-
-    @property
-    def x(self):
-        return float(self.data[1])
-
-    @property
-    def y(self):
-        return float(self.data[2])
-
-    @property
-    def z(self):
-        return float(self.data[3])
-
-    def __add__(self, other):
-        other = _as_quat(other)
-        return Quaternion.from_array(self.data + other.data)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_quat(other)
-        return Quaternion.from_array(self.data - other.data)
-
-    def __rsub__(self, other):
-        return _as_quat(other) - self
-
-    def __neg__(self):
-        return Quaternion.from_array(-self.data)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion.from_array(self.data * other)
-        return Quaternion.from_array(_comp_mul(self.data, _as_quat(other).data))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion.from_array(self.data * other)
-        return Quaternion.from_array(_comp_mul(_as_quat(other).data, self.data))
-
-    def __truediv__(self, s):
-        return Quaternion.from_array(self.data / float(s))
-
-    def conjugate(self):
-        return Quaternion.from_array(self.data * _CONJ)
-
-    def re(self):
-        return float(self.data[0])
-
-    def im(self):
-        out = self.data.copy()
-        out[0] = 0.0
-        return Quaternion.from_array(out)
-
-    def norm(self):
-        return float(np.linalg.norm(self.data))
-
-    def is_imaginary(self, tol=1e-12):
-        return abs(self.data[0]) <= tol * max(1.0, self.norm())
-
-    def __eq__(self, other):
-        try:
-            other = _as_quat(other)
-        except TypeError:
-            return NotImplemented
-        return bool(np.array_equal(self.data, other.data))
-
-    def allclose(self, other, tol=1e-12):
-        return bool(np.allclose(self.data, _as_quat(other).data, atol=tol, rtol=tol))
-
-    def __repr__(self):
-        return "Quaternion(%g, %g, %g, %g)" % tuple(self.data)
-
-
-def _as_quat(v):
-    if isinstance(v, Quaternion):
-        return v
-    if isinstance(v, (int, float)):
-        return Quaternion(float(v))
-    raise TypeError("cannot interpret %r as a quaternion" % (v,))
-
-
-ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0)
-J = Quaternion(0.0, 0.0, 1.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-UNITS = (ONE, I, J, K)
-
-
-def qmul(a, b):
-    return _as_quat(a) * _as_quat(b)
-
-
 def conj(q):
-    return _as_quat(q).conjugate()
-
-
-def re(q):
-    return _as_quat(q).re()
+    """Quaternion conjugate, componentwise on a (..., 4) array."""
+    return q * CONJ
 
 
 def im(q):
-    return _as_quat(q).im()
+    """Imaginary part of a quaternion: the copy with its real part zeroed."""
+    out = np.array(q, dtype=float)
+    out[..., 0] = 0.0
+    return out
 
 
 def norm(q):
-    return _as_quat(q).norm()
-
-
-class QVector:
-    """A column vector in H^n, stored as an (n, 4) float array."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, entries):
-        if isinstance(entries, np.ndarray) and entries.ndim == 2 and entries.shape[1] == 4:
-            self.data = np.array(entries, dtype=float)
-        else:
-            self.data = np.array([_as_quat(q).data for q in entries], dtype=float)
-        if self.data.shape[0] < 1:
-            raise ValueError("QVector needs length >= 1")
-
-    @classmethod
-    def from_array(cls, arr):
-        v = cls.__new__(cls)
-        v.data = np.asarray(arr, dtype=float).reshape(-1, 4).copy()
-        return v
-
-    @classmethod
-    def zeros(cls, n):
-        return cls.from_array(np.zeros((n, 4)))
-
-    @classmethod
-    def from_flat(cls, flat):
-        flat = np.asarray(flat, dtype=float)
-        if flat.size % 4:
-            raise ValueError("flat length must be a multiple of 4")
-        return cls.from_array(flat.reshape(-1, 4))
-
-    def __len__(self):
-        return self.data.shape[0]
-
-    @property
-    def n(self):
-        return self.data.shape[0]
-
-    def __getitem__(self, i):
-        return Quaternion.from_array(self.data[i])
-
-    def flat(self):
-        """Real coordinates in R^{4n}, entry-major, (w, x, y, z) per entry."""
-        return self.data.reshape(-1).copy()
-
-    def __add__(self, other):
-        return QVector.from_array(self.data + other.data)
-
-    def __sub__(self, other):
-        return QVector.from_array(self.data - other.data)
-
-    def __neg__(self):
-        return QVector.from_array(-self.data)
-
-    def scale(self, s):
-        return QVector.from_array(self.data * float(s))
-
-    def rmul(self, q):
-        """Right scalar action Z -> Z*q (each entry multiplied by q on the right)."""
-        return QVector.from_array(_comp_mul(self.data, _as_quat(q).data))
-
-    def norm(self):
-        return float(np.linalg.norm(self.data))
-
-    def conjugate(self):
-        return QVector.from_array(self.data * _CONJ)
-
-    def __repr__(self):
-        return "QVector(%r)" % (self.data,)
+    """Euclidean norm of a quaternion, vector or matrix, as a float."""
+    return float(np.linalg.norm(q))
 
 
 def vec_inner(u, v):
     """Standard real inner product on H^n: <U, V> = Re(U^dag V)."""
-    if u.n != v.n:
-        raise ValueError("length mismatch: %d vs %d" % (u.n, v.n))
-    return float(np.dot(u.data.reshape(-1), v.data.reshape(-1)))
+    return float(np.dot(u.reshape(-1), v.reshape(-1)))
+
+
+def _check_n(u, v):
+    if u.shape[0] != v.shape[0]:
+        raise ValueError("length mismatch: %d vs %d" % (u.shape[0], v.shape[0]))
 
 
 def dagger_product(w, z):
     """The quaternion W^dag Z = sum_i conj(W_i) Z_i."""
-    if w.n != z.n:
-        raise ValueError("length mismatch: %d vs %d" % (w.n, z.n))
-    prod = _comp_mul(w.data * _CONJ, z.data)
-    return Quaternion.from_array(prod.sum(axis=0))
+    _check_n(w, z)
+    return mul(w * CONJ, z).sum(axis=0)
 
 
-class QMatrix:
-    """An n x n quaternionic matrix, stored as an (n, n, 4) float array."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, entries):
-        arr = np.asarray(entries)
-        if arr.ndim == 3 and arr.shape[2] == 4 and arr.dtype != object:
-            self.data = np.array(arr, dtype=float)
-        else:
-            n = len(entries)
-            self.data = np.array(
-                [[_as_quat(entries[i][j]).data for j in range(n)] for i in range(n)],
-                dtype=float,
-            )
-        if self.data.shape[0] != self.data.shape[1]:
-            raise ValueError("QMatrix must be square")
-
-    @classmethod
-    def from_array(cls, arr):
-        m = cls.__new__(cls)
-        m.data = np.asarray(arr, dtype=float).copy()
-        return m
-
-    @classmethod
-    def zeros(cls, n):
-        return cls.from_array(np.zeros((n, n, 4)))
-
-    @classmethod
-    def identity(cls, n):
-        data = np.zeros((n, n, 4))
-        data[np.arange(n), np.arange(n), 0] = 1.0
-        return cls.from_array(data)
-
-    @classmethod
-    def unit(cls, n, i, j, q=ONE):
-        """E_ij * q: the matrix with quaternion q in slot (i, j)."""
-        data = np.zeros((n, n, 4))
-        data[i, j] = _as_quat(q).data
-        return cls.from_array(data)
-
-    @property
-    def n(self):
-        return self.data.shape[0]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return Quaternion.from_array(self.data[i, j])
-
-    def __add__(self, other):
-        return QMatrix.from_array(self.data + other.data)
-
-    def __sub__(self, other):
-        return QMatrix.from_array(self.data - other.data)
-
-    def __neg__(self):
-        return QMatrix.from_array(-self.data)
-
-    def scale(self, s):
-        return QMatrix.from_array(self.data * float(s))
-
-    def norm(self):
-        return float(np.linalg.norm(self.data))
-
-    def __repr__(self):
-        return "QMatrix(%r)" % (self.data,)
+def unit_matrix(n, i, j, q=UNITS[0]):
+    """E_ij * q: the n x n matrix with quaternion q in slot (i, j)."""
+    out = np.zeros((n, n, 4))
+    out[i, j] = q
+    return out
 
 
 def mat_apply(u, z):
     """Matrix-vector product u Z in H^n."""
-    if u.n != z.n:
-        raise ValueError("shape mismatch: %d vs %d" % (u.n, z.n))
-    out = np.einsum("ijp,jq,pqc->ic", u.data, z.data, QTAB)
-    return QVector.from_array(out)
+    return np.einsum("ijp,jq,pqc->ic", u, z, QTAB)
 
 
 def mat_mul(u, v):
     """Matrix product u v, quaternion entries multiplied left-to-right."""
-    if u.n != v.n:
-        raise ValueError("shape mismatch: %d vs %d" % (u.n, v.n))
-    out = np.einsum("ikp,kjq,pqc->ijc", u.data, v.data, QTAB)
-    return QMatrix.from_array(out)
+    return np.einsum("ikp,kjq,pqc->ijc", u, v, QTAB)
 
 
 def mat_dagger(u):
     """Conjugate transpose."""
-    return QMatrix.from_array(np.transpose(u.data, (1, 0, 2)) * _CONJ)
+    return np.transpose(u, (1, 0, 2)) * CONJ
 
 
 def trace_re(u):
     """Real part of the trace."""
-    return float(u.data[np.arange(u.n), np.arange(u.n), 0].sum())
+    n = u.shape[0]
+    return float(u[np.arange(n), np.arange(n), 0].sum())
 
 
 def outer(z, w):
     """The matrix Z W^dag."""
-    if z.n != w.n:
-        raise ValueError("shape mismatch: %d vs %d" % (z.n, w.n))
-    out = np.einsum("ip,jq,pqc->ijc", z.data, w.data * _CONJ, QTAB)
-    return QMatrix.from_array(out)
+    _check_n(z, w)
+    return np.einsum("ip,jq,pqc->ijc", z, w * CONJ, QTAB)
 
 
 def real_rep(m):
     """Real 4n x 4n matrix R with flat(m Z) = R @ flat(Z) for every Z."""
-    n = m.n
-    r = np.einsum("ijp,pqc->icjq", m.data, QTAB)
+    n = m.shape[0]
+    r = np.einsum("ijp,pqc->icjq", m, QTAB)
     return r.reshape(4 * n, 4 * n)
 
 
 def random_qvector(rng, n, scale=1.0):
-    return QVector.from_array(rng.standard_normal((n, 4)) * scale)
+    return rng.standard_normal((n, 4)) * scale
 
 
 def random_qmatrix(rng, n, scale=1.0):
-    return QMatrix.from_array(rng.standard_normal((n, n, 4)) * scale)
+    return rng.standard_normal((n, n, 4)) * scale
 
 
 def random_unit_quaternion(rng):
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    return Quaternion.from_array(v)
+    return v

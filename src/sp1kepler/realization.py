@@ -28,19 +28,19 @@ import numpy as np
 
 from . import jordan
 from .quat import (
+    CONJ,
     QTAB,
     UNITS,
-    QMatrix,
-    QVector,
-    Quaternion,
     dagger_product,
+    im,
     mat_dagger,
     mat_mul,
+    mul,
+    norm,
     real_rep,
+    unit_matrix,
 )
 from .poisson import PhasePoint, QuadObservable, bracket_exact, quad_residual
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _coupling_observable(n, b_matrix):
@@ -54,40 +54,40 @@ def _coupling_observable(n, b_matrix):
 
 def x_observable(u):
     """X_u = <W, uW>/4 for hermitian u."""
-    n = u.n
+    n = u.shape[0]
     m = 4 * n
     a = np.zeros((2 * m, 2 * m))
-    a[m:, m:] = 0.5 * real_rep(u.mat)
+    a[m:, m:] = 0.5 * real_rep(u)
     return QuadObservable(a, n=n)
 
 
 def y_observable(v):
     """Y_v = <Z, vZ> for hermitian v."""
-    n = v.n
+    n = v.shape[0]
     m = 4 * n
     a = np.zeros((2 * m, 2 * m))
-    a[:m, :m] = 2.0 * real_rep(v.mat)
+    a[:m, :m] = 2.0 * real_rep(v)
     return QuadObservable(a, n=n)
 
 
 def s_observable(m):
     """S_m = <W, mZ>/2 for an arbitrary quaternionic matrix m."""
-    return _coupling_observable(m.n, 0.5 * real_rep(m))
+    return _coupling_observable(m.shape[0], 0.5 * real_rep(m))
 
 
 def s_pair_observable(u, v):
     """S_uv for hermitian u, v, built from the matrix product u.v."""
-    return s_observable(mat_mul(u.mat, v.mat))
+    return s_observable(mat_mul(u, v))
 
 
 def l_observable(u):
     """L_u = S_eu = <W, uZ>/2."""
-    return s_observable(u.mat)
+    return s_observable(u)
 
 
 def _rright_block(q):
     """4x4 real matrix of right multiplication z -> z*q on one quaternion."""
-    return np.einsum("r,prc->cp", np.asarray(q.data, float), QTAB)
+    return np.einsum("r,prc->cp", np.asarray(q, float), QTAB)
 
 
 def xi_observables(n):
@@ -111,7 +111,7 @@ def matrix_basis(n):
     for a in range(n):
         for b in range(n):
             for q in UNITS:
-                out.append(QMatrix.unit(n, a, b, q))
+                out.append(unit_matrix(n, a, b, q))
     return out
 
 
@@ -138,26 +138,26 @@ class RealizationFamily:
 
     def l_pair_obs(self, alpha, beta):
         """L_{e_alpha, e_beta} = (S_ab - S_ba)/2, i.e. S of half the commutator."""
-        u = self.basis[alpha].mat
-        v = self.basis[beta].mat
-        return s_observable((mat_mul(u, v) - mat_mul(v, u)).scale(0.5))
+        u = self.basis[alpha]
+        v = self.basis[beta]
+        return s_observable((mat_mul(u, v) - mat_mul(v, u)) * 0.5)
 
 
 def moment_rho(p):
     """The Sp(1) moment map rho(Z, W) = -Im(W^dag Z)."""
-    return -dagger_product(p.W, p.Z).im()
+    return -im(dagger_product(p.W, p.Z))
 
 
 def moment_psi(p, xi):
     """psi(Z, W, xi) = Im(W^dag Z) + 2 xi for imaginary xi."""
-    if not xi.is_imaginary():
+    if abs(xi[0]) > 1e-12 * max(1.0, norm(xi)):
         raise ValueError("xi must be an imaginary quaternion")
-    return dagger_product(p.W, p.Z).im() + 2 * xi
+    return im(dagger_product(p.W, p.Z)) + 2 * xi
 
 
 def mu_of(p):
     """The magnetic charge of the leaf through p: |Im(W^dag Z)| / 2."""
-    return 0.5 * dagger_product(p.W, p.Z).im().norm()
+    return 0.5 * norm(im(dagger_product(p.W, p.Z)))
 
 
 @dataclass(frozen=True)
@@ -183,18 +183,17 @@ def sample_leaf(spec, rng):
     """
     n, mu = spec.n, spec.mu
     while True:
-        z = QVector.from_array(rng.standard_normal((n, 4)))
-        if z.norm() > 0.3:
+        z = rng.standard_normal((n, 4))
+        if norm(z) > 0.3:
             break
-    w = QVector.from_array(rng.standard_normal((n, 4)))
-    nu = dagger_product(w, z).im()
-    if nu.norm() > 1e-12:
-        target = nu * (2.0 * mu / nu.norm())
+    w = rng.standard_normal((n, 4))
+    nu = im(dagger_product(w, z))
+    if norm(nu) > 1e-12:
+        target = nu * (2.0 * mu / norm(nu))
     else:
-        target = Quaternion(0.0, 2.0 * mu)  # tie-break: direction i
-    alpha = (nu - target) / (z.norm() ** 2)
-    w2 = QVector.from_array(w.data + z.rmul(alpha).data)
-    return PhasePoint(z, w2)
+        target = np.array([0.0, 2.0 * mu, 0.0, 0.0])  # tie-break: direction i
+    alpha = (nu - target) / (norm(z) ** 2)
+    return PhasePoint(z, w + mul(z, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +202,8 @@ def sample_leaf(spec, rng):
 
 
 def _stack_points(points):
-    zs = np.array([p.Z.data for p in points])
-    ws = np.array([p.W.data for p in points])
+    zs = np.array([p.Z for p in points])
+    ws = np.array([p.W for p in points])
     return zs, ws
 
 
@@ -229,7 +228,7 @@ def family_values(n, zs, ws):
     y_e = np.einsum("Nx,Nx->N", zf, zf)
     x_e = 0.25 * np.einsum("Nx,Nx->N", wf, wf)
     l_e = 0.5 * np.einsum("Nx,Nx->N", wf, zf)
-    wz = np.einsum("Nip,Niq,pqc->Nc", ws * _CONJ, zs, QTAB)
+    wz = np.einsum("Nip,Niq,pqc->Nc", ws * CONJ, zs, QTAB)
     mu = 0.5 * np.linalg.norm(wz[:, 1:], axis=1)
     return {
         "X": x,
@@ -242,6 +241,18 @@ def family_values(n, zs, ws):
         "mu": mu,
         "rho": -wz[:, 1:],
     }
+
+
+def kepler_scalars(x, y, x_e, y_e):
+    """The Kepler energy H and LRL vector A from family values.
+
+    x, y: (N, d) values of X and Y over the basis; x_e, y_e: (N,) values
+    of X_e and Y_e.  Returns H = X_e/(2 Y_e) - 1/Y_e of shape (N,) and
+    A_u = (X_u - Y_u X_e/Y_e)/2 + Y_u/Y_e of shape (N, d).
+    """
+    h = 0.5 * x_e / y_e - 1.0 / y_e
+    a = 0.5 * (x - y * (x_e / y_e)[:, None]) + y / y_e[:, None]
+    return h, a
 
 
 def _rel(lhs, rhs):
@@ -305,9 +316,7 @@ def energy_formula_residuals(n, zs, ws, vals=None):
     family and A^2 = -1 + sum_a A_a^2.
     """
     v = vals or family_values(n, zs, ws)
-    y_e = v["Y_e"]
-    h = 0.5 * v["X_e"] / y_e - 1.0 / y_e
-    a_vec = 0.5 * (v["X"] - v["Y"] * (v["X_e"] / y_e)[:, None]) + v["Y"] / y_e[:, None]
+    h, a_vec = kepler_scalars(v["X"], v["Y"], v["X_e"], v["Y_e"])
     a_sq = -1.0 + np.einsum("Nd,Nd->N", a_vec, a_vec)
     l_sq = 0.5 * np.einsum("Nab,Nab->N", v["Lpair"], v["Lpair"])
     lhs = -2.0 * h * (l_sq - n**2 * (n - 1) * v["mu"] ** 2 / 2.0)
@@ -375,9 +384,7 @@ def verify_so_star_relations(n, tol=1e-12):
     for m, f in zip(mb, m_obs):
         for z in basis:
             # {S_m, X_z} = X_{(mz + z m^dag)/2}
-            h = jordan.HermElement._trusted(
-                (mat_mul(m, z.mat) + mat_mul(z.mat, mat_dagger(m))).scale(0.5)
-            )
+            h = (mat_mul(m, z) + mat_mul(z, mat_dagger(m))) * 0.5
             r = max(r, quad_residual(bracket_exact(f, x_observable(z)), x_observable(h)))
     res["SX_triple"] = r
 
@@ -385,9 +392,7 @@ def verify_so_star_relations(n, tol=1e-12):
     for m, f in zip(mb, m_obs):
         md = mat_dagger(m)
         for z in basis:
-            h = jordan.HermElement._trusted(
-                (mat_mul(md, z.mat) + mat_mul(z.mat, m)).scale(0.5)
-            )
+            h = (mat_mul(md, z) + mat_mul(z, m)) * 0.5
             r = max(
                 r,
                 quad_residual(

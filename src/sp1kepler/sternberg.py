@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import jordan
+from . import jordan, realization
 from .poisson import DOMAIN_EPS
-from .quat import QVector, dagger_product, mat_apply, trace_re, outer
+from .quat import dagger_product, im, mat_apply, norm, outer, trace_re, vec_inner
 
 _TANGENT_TOL = 1e-10
 
@@ -32,7 +32,7 @@ class ConePoint:
     def __init__(self, x, r):
         self.x = x
         self.r = float(r)
-        self.n = x.n
+        self.n = x.shape[0]
 
     def __repr__(self):
         return "ConePoint(n=%d, r=%.6g)" % (self.n, self.r)
@@ -40,22 +40,20 @@ class ConePoint:
 
 def cone_point(z):
     """The cone point n Z Z^dag for Z != 0."""
-    if z.norm() <= DOMAIN_EPS:
+    if norm(z) <= DOMAIN_EPS:
         raise ValueError("cone point requires Z != 0")
-    x = jordan.HermElement._trusted(outer(z, z).scale(float(z.n)))
-    return ConePoint(x, z.norm() ** 2)
+    x = outer(z, z) * float(z.shape[0])
+    return ConePoint(x, norm(z) ** 2)
 
 
 def _spanning_tangents(z):
     """The spanning set n(v Z^dag + Z v^dag) over coordinate directions v."""
-    n = z.n
+    n = z.shape[0]
     out = []
     for idx in range(4 * n):
-        flat = np.zeros(4 * n)
-        flat[idx] = 1.0
-        v = QVector.from_flat(flat)
-        m = (outer(v, z) + outer(z, v)).scale(float(n))
-        out.append(jordan.HermElement._trusted(m))
+        v = np.zeros(4 * n)
+        v[idx] = 1.0
+        out.append(jordan.herm_from_vector_pair(v.reshape(n, 4), z))
     return out
 
 def tangent_basis(z):
@@ -64,55 +62,57 @@ def tangent_basis(z):
     Gram-Schmidt over the coordinate spanning set, dropping directions whose
     residual norm falls below tolerance (the three fiber directions).
     """
-    if z.norm() <= DOMAIN_EPS:
+    if norm(z) <= DOMAIN_EPS:
         raise ValueError("tangent basis requires Z != 0")
     basis = []
     for cand in _spanning_tangents(z):
         v = cand
         for b in basis:
-            v = v - b.scale(jordan.inner(b, v))
+            v = v - b * jordan.inner(b, v)
         nrm = np.sqrt(max(jordan.inner(v, v), 0.0))
-        if nrm > _TANGENT_TOL * max(1.0, cand.norm()):
-            basis.append(v.scale(1.0 / nrm))
+        if nrm > _TANGENT_TOL * max(1.0, norm(cand)):
+            basis.append(v * (1.0 / nrm))
     return basis
 
 
 def _tangent_project(z, u, basis=None):
     basis = basis if basis is not None else tangent_basis(z)
     coeff = np.array([jordan.inner(b, u) for b in basis])
-    proj = jordan.HermElement._trusted(jordan.identity(z.n).mat.scale(0.0))
+    proj = np.zeros(u.shape)
     for c, b in zip(coeff, basis):
-        proj = proj + b.scale(c)
+        proj = proj + b * c
     return proj, coeff
 
 
 def horizontal_lift(z, xdot):
     """The horizontal lift Zdot of a tangent vector xdot at n Z Z^dag."""
-    if z.norm() <= DOMAIN_EPS:
+    if norm(z) <= DOMAIN_EPS:
         raise ValueError("horizontal lift requires Z != 0")
     proj, _ = _tangent_project(z, xdot)
-    if (proj - xdot).norm() > 1e-8 * max(1.0, xdot.norm()):
+    if norm(proj - xdot) > 1e-8 * max(1.0, norm(xdot)):
         raise ValueError("xdot is not tangent to the cone at this point")
     xdot = proj
-    scale = 1.0 / (z.n * z.norm() ** 2)
-    lead = mat_apply(xdot.mat, z)
-    shift = z.scale(0.5 * trace_re(xdot.mat))
-    return (lead - shift).scale(scale)
+    scale = 1.0 / (z.shape[0] * norm(z) ** 2)
+    lead = mat_apply(xdot, z)
+    shift = z * (0.5 * trace_re(xdot))
+    return (lead - shift) * scale
 
 
 class CotangentData:
     """A cone point with its tangent-space momentum pi.
 
     Built from an upstairs pair (Z, W), which is retained: the downstairs
-    X_u for u != e is evaluated through the upstairs identification.
+    X_u for u != e is evaluated through the upstairs identification.  Given
+    Z, pi is checked to be tangent, against ``basis`` when the caller
+    already holds the tangent basis at Z.
     """
 
     __slots__ = ("x", "pi", "z", "w")
 
-    def __init__(self, x, pi, z=None, w=None):
+    def __init__(self, x, pi, z=None, w=None, basis=None):
         if z is not None:
-            proj, _ = _tangent_project(z, pi)
-            if (proj - pi).norm() > _TANGENT_TOL * max(1.0, pi.norm()):
+            proj, _ = _tangent_project(z, pi, basis)
+            if norm(proj - pi) > _TANGENT_TOL * max(1.0, norm(pi)):
                 raise ValueError("pi is not tangent to the cone")
         self.x = x
         self.pi = pi
@@ -130,16 +130,16 @@ def pi_from_W(z, w):
     vector t equals <W, tZ - (Re tr t / 2) Z> / (n |Z|^2); assembled in an
     orthonormal tangent basis, so the linear system is diagonal.
     """
-    if z.norm() <= DOMAIN_EPS:
+    if norm(z) <= DOMAIN_EPS:
         raise ValueError("pi requires Z != 0")
     basis = tangent_basis(z)
-    scale = 1.0 / (z.n * z.norm() ** 2)
-    pi = jordan.HermElement._trusted(jordan.identity(z.n).mat.scale(0.0))
+    scale = 1.0 / (z.shape[0] * norm(z) ** 2)
+    pi = np.zeros((z.shape[0], z.shape[0], 4))
     for t in basis:
-        lifted = mat_apply(t.mat, z) - z.scale(0.5 * trace_re(t.mat))
-        pairing = scale * float(np.dot(w.data.reshape(-1), lifted.data.reshape(-1)))
-        pi = pi + t.scale(pairing)
-    return CotangentData(cone_point(z), pi, z, w)
+        lifted = mat_apply(t, z) - z * (0.5 * trace_re(t))
+        pairing = scale * vec_inner(w, lifted)
+        pi = pi + t * pairing
+    return CotangentData(cone_point(z), pi, z, w, basis)
 
 
 def sternberg_x_e(d, mu):
@@ -155,16 +155,15 @@ def pullback_check(z, w):
     residual 2: |cone-side X_e - |W|^2/4| with mu = |Im(W^dag Z)|/2.
     """
     d = pi_from_W(z, w)
-    basis = jordan.orthonormal_basis(z.n)
+    basis = jordan.orthonormal_basis(z.shape[0])
     r1 = 0.0
     for u in basis:
         lhs = jordan.inner(d.x.x, u)
-        uz = mat_apply(u.mat, z)
-        rhs = float(np.dot(z.data.reshape(-1), uz.data.reshape(-1)))
+        rhs = vec_inner(z, mat_apply(u, z))
         r1 = max(r1, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    mu = 0.5 * dagger_product(w, z).im().norm()
+    mu = 0.5 * norm(im(dagger_product(w, z)))
     lhs = sternberg_x_e(d, mu)
-    rhs = 0.25 * w.norm() ** 2
+    rhs = 0.25 * norm(w) ** 2
     r2 = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     return r1, r2
 
@@ -188,10 +187,11 @@ def lrl_downstairs(d, mu, u):
     if r <= 0:
         raise ValueError("cone radius must be positive")
     y_u = jordan.inner(d.x.x, u)
-    y_e = r
     x_e = sternberg_x_e(d, mu)
     if d.w is None:
         raise ValueError("X_u needs the upstairs pair; build via pi_from_W")
-    uw = mat_apply(u.mat, d.w)
-    x_u = 0.25 * float(np.dot(d.w.data.reshape(-1), uw.data.reshape(-1)))
-    return 0.5 * (x_u - y_u * x_e / y_e) + y_u / y_e
+    x_u = 0.25 * vec_inner(d.w, mat_apply(u, d.w))
+    _, a = realization.kepler_scalars(
+        np.array([[x_u]]), np.array([[y_u]]), np.array([x_e]), np.array([r])
+    )
+    return float(a[0, 0])

@@ -20,7 +20,7 @@ from sp1kepler.poisson import (
     random_phase_point,
     random_quad_observable,
 )
-from sp1kepler.quat import QVector, random_qvector
+from sp1kepler.quat import norm, random_qvector
 
 GRID_N = (2, 3, 4, 5)
 GRID_MU = (0.0, 0.5, 1.0, 3.0)
@@ -101,8 +101,8 @@ def test_criterion_5_secondary_and_energy(leaf_grid):
         worst = max(worst, float(realization.secondary_quadratic_residuals(n, zs, ws, vals).max()))
         worst = max(worst, float(realization.energy_formula_residuals(n, zs, ws, vals).max()))
     # hand-checkable point: Z = (1,0), W = (2k,0), n = 2
-    z = QVector(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
-    w = QVector(np.array([[0.0, 0, 0, 2], [0, 0, 0, 0]]))
+    z = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])
+    w = np.array([[0.0, 0, 0, 2], [0, 0, 0, 0]])
     p = PhasePoint(z, w)
     h = dynamics.hamiltonian_upstairs(p)
     zs, ws = realization._stack_points([p])
@@ -121,7 +121,7 @@ def test_criterion_6_pullback_identities():
     for n in (2, 3, 4):
         for _ in range(1000):
             z = random_qvector(rng, n)
-            while z.norm() < 0.3:
+            while norm(z) < 0.3:
                 z = random_qvector(rng, n)
             w = random_qvector(rng, n)
             r1, r2 = sternberg.pullback_check(z, w)
@@ -170,10 +170,9 @@ def test_criterion_8_dynamics():
     energy_resid = rep["max_energy_residual"]
     # time reversal
     end = tr.point(len(tr) - 1)
-    back = dynamics.integrate(PhasePoint(end.Z, end.W.scale(-1.0)), 1e-4, 10.0, "rk4")
+    back = dynamics.integrate(PhasePoint(end.Z, -end.W), 1e-4, 10.0, "rk4")
     final = back.point(len(back) - 1)
-    rev = max(np.abs(final.Z.flat() - p0.Z.flat()).max(),
-              np.abs(final.W.flat() + p0.W.flat()).max())
+    rev = max(np.abs(final.Z - p0.Z).max(), np.abs(final.W + p0.W).max())
     elapsed = time.time() - t0
     passed = worst_drift < 1e-8 and energy_resid < 1e-8 and rev < 1e-8 and elapsed < 60
     _report(8, passed, "H=%.4f drift %.2e, energy relation %.2e, reversal %.2e, %.1fs"

@@ -110,3 +110,22 @@ def test_simulate_infall_exits_3(tmp_path):
     rep = _load(str(base) + ".json")
     assert rep["passed"] is False
     assert "near-collision" in rep["aborted"]
+
+
+def test_simulate_bound_start_failure_exits_3(tmp_path):
+    base = tmp_path / "heavy"
+    res = _run(["simulate", "--mu", "40", "--t-end", "0.01", "--output", str(base)])
+    assert res.exit_code == 3
+    assert "failed to sample a bound start" in res.output
+
+
+def test_simulate_midpoint_nonconvergence_exits_3(tmp_path):
+    base = tmp_path / "coarse"
+    res = _run(["simulate", "--method", "midpoint", "--dt", "3", "--t-end", "20", "--mu", "0",
+                "--output", str(base)])
+    assert res.exit_code == 3
+    rep = _load(str(base) + ".json")
+    assert rep["passed"] is False
+    assert "no-convergence" in rep["aborted"]
+    csv_lines = (tmp_path / "coarse.csv").read_text().strip().split("\n")
+    assert len(csv_lines) >= 2  # header + at least the initial sample

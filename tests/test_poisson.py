@@ -11,7 +11,7 @@ from sp1kepler.poisson import (
     random_phase_point,
     random_quad_observable,
 )
-from sp1kepler.quat import QVector, random_qvector, vec_inner
+from sp1kepler.quat import conj, random_qvector, random_unit_quaternion, vec_inner
 
 rng = np.random.default_rng(4242)
 
@@ -23,9 +23,11 @@ def test_phase_point_round_trip():
 
 
 def test_phase_point_domain_guard():
-    z = QVector.zeros(2)
+    z = np.zeros((2, 4))
     with pytest.raises(ValueError):
         PhasePoint(z, random_qvector(rng, 2))
+    with pytest.raises(ValueError):
+        PhasePoint(random_qvector(rng, 2), random_qvector(rng, 3))
 
 
 def test_basic_bracket_relation():
@@ -35,10 +37,10 @@ def test_basic_bracket_relation():
         u = random_qvector(rng, n)
         v = random_qvector(rng, n)
         f = QuadObservable(
-            np.zeros((8 * n, 8 * n)), np.concatenate([u.flat(), np.zeros(4 * n)])
+            np.zeros((8 * n, 8 * n)), np.concatenate([u.reshape(-1), np.zeros(4 * n)])
         )
         g = QuadObservable(
-            np.zeros((8 * n, 8 * n)), np.concatenate([np.zeros(4 * n), v.flat()])
+            np.zeros((8 * n, 8 * n)), np.concatenate([np.zeros(4 * n), v.reshape(-1)])
         )
         br = bracket_exact(f, g)
         assert np.linalg.norm(br.A) == 0.0
@@ -118,8 +120,6 @@ def test_evaluate_batch_matches_pointwise():
 
 def test_gauge_transform_preserves_bracket_values():
     # the right Sp(1) action is canonical: bracket values match at moved points
-    from sp1kepler.quat import random_unit_quaternion
-
     n = 2
     g_unit = random_unit_quaternion(rng)
     f = random_quad_observable(rng, n)
@@ -128,12 +128,10 @@ def test_gauge_transform_preserves_bracket_values():
     p2 = p.transformed(g_unit)
     # evaluate the same geometric statement numerically: the bracket of the
     # transported observables at the transported point equals the original
-    from sp1kepler.quat import QVector
-
     def transport(obs):
         def fn(flat):
             q = PhasePoint.unflatten(flat, n)
-            back = q.transformed(g_unit.conjugate())
+            back = q.transformed(conj(g_unit))
             return obs.evaluate(back)
 
         return fn

@@ -3,7 +3,7 @@ import pytest
 
 from sp1kepler import jordan, realization
 from sp1kepler.poisson import PhasePoint, bracket_exact, quad_residual
-from sp1kepler.quat import QVector, dagger_product, random_unit_quaternion
+from sp1kepler.quat import UNITS, dagger_product, im, norm, random_unit_quaternion
 
 rng = np.random.default_rng(99)
 
@@ -45,11 +45,14 @@ def test_xi_norm_is_mu():
 def test_moment_maps():
     p = realization.sample_leaf(realization.LeafSpec(2, 0.8), rng)
     rho = realization.moment_rho(p)
-    assert rho.is_imaginary()
-    assert abs(0.5 * rho.norm() - realization.mu_of(p)) < 1e-13
+    assert rho[0] == 0.0
+    assert abs(0.5 * norm(rho) - realization.mu_of(p)) < 1e-13
     # psi vanishes at xi = rho/2
     psi = realization.moment_psi(p, rho * 0.5)
-    assert psi.norm() < 1e-12
+    assert norm(psi) < 1e-12
+    # psi is only defined for imaginary xi
+    with pytest.raises(ValueError):
+        realization.moment_psi(p, UNITS[0])
 
 
 def test_leaf_sampling_hits_target():
@@ -61,7 +64,7 @@ def test_leaf_sampling_hits_target():
 
 def test_leaf_sampling_mu_zero_real_pairing():
     p = realization.sample_leaf(realization.LeafSpec(2, 0.0), rng)
-    assert dagger_product(p.W, p.Z).im().norm() < 1e-10
+    assert norm(im(dagger_product(p.W, p.Z))) < 1e-10
 
 
 def test_family_values_match_observables():
@@ -109,8 +112,8 @@ def test_secondary_and_energy_relations():
 
 def test_hand_point():
     # Z = (1, 0), W = (2k, 0) at n = 2: H = -1/2 and relation (v) gives 2 = 2
-    z = QVector(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
-    w = QVector(np.array([[0.0, 0, 0, 2], [0, 0, 0, 0]]))
+    z = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])
+    w = np.array([[0.0, 0, 0, 2], [0, 0, 0, 0]])
     p = PhasePoint(z, w)
     zs, ws = realization._stack_points([p])
     v = realization.family_values(2, zs, ws)
