@@ -50,15 +50,21 @@ def co_dimension(n):
 
 def _project_span(n, s):
     span = str_span(n)
-    coeff = np.einsum("rij,ij->r", span, s)
-    proj = np.einsum("r,rij->ij", coeff, span)
+    coeff = np.einsum("rij,...ij->...r", span, s)
+    proj = np.einsum("...r,rij->...ij", coeff, span)
     return coeff, proj
 
 
 def span_residual(n, s):
-    """Distance of a matrix from the structure-operator span, relative."""
+    """Distance of a matrix from the structure-operator span, relative.
+
+    s may be one (d, d) matrix or a stack (..., d, d); the result has the
+    stack's shape.
+    """
     _, proj = _project_span(n, s)
-    return float(np.linalg.norm(s - proj) / max(1.0, np.linalg.norm(s)))
+    return np.linalg.norm(s - proj, axis=(-2, -1)) / np.maximum(
+        1.0, np.linalg.norm(s, axis=(-2, -1))
+    )
 
 
 class ConformalElement:
@@ -205,9 +211,14 @@ def jacobi_tensor_residual(n):
     with O(1) coefficients).
     """
     c = structure_constants(n)
-    cyc = np.einsum("bcd,ade->abce", c, c)
-    total = cyc + np.einsum("cad,bde->abce", c, c) + np.einsum("abd,cde->abce", c, c)
-    return float(np.abs(total).max())
+    worst = 0.0
+    # one first index a at a time, so the peak is dim^3 rather than dim^4;
+    # the cyclic terms, indexed [b, c, e], sum over d of
+    # C[b,c,d] C[a,d,e], C[c,a,d] C[b,d,e] and C[a,b,d] C[c,d,e]
+    for a in range(c.shape[0]):
+        total = c @ c[a] + c[:, a] @ c + np.swapaxes(c[a] @ c, 0, 1)
+        worst = max(worst, float(np.abs(total).max()))
+    return worst
 
 
 def closure_residual(n):
@@ -216,11 +227,9 @@ def closure_residual(n):
     d = jordan.dim_v(n)
     mats = t.reshape(d * d, d, d)
     worst = 0.0
-    for i in range(mats.shape[0]):
-        si = mats[i]
+    for si in mats:
         comm = si @ mats - mats @ si  # (d*d, d, d)
-        for j in range(mats.shape[0]):
-            worst = max(worst, span_residual(n, comm[j]))
+        worst = max(worst, float(span_residual(n, comm).max()))
     return worst
 
 

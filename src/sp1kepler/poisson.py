@@ -75,26 +75,16 @@ class QuadObservable:
 
     __slots__ = ("A", "b", "c", "n")
 
-    def __init__(self, A, b=None, c=0.0, n=None):
+    def __init__(self, A, b=None, c=0.0):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if A.shape[0] % 8:
             raise ValueError("A must be (8n) x (8n)")
-        self.n = n if n is not None else A.shape[0] // 8
-        if A.shape[0] != 8 * self.n:
-            raise ValueError("A size inconsistent with order n")
+        self.n = A.shape[0] // 8
         self.A = 0.5 * (A + A.T)
         self.b = np.zeros(8 * self.n) if b is None else np.asarray(b, dtype=float).copy()
         self.c = float(c)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(np.zeros((8 * n, 8 * n)), n=n)
-
-    @classmethod
-    def constant(cls, n, c):
-        return cls(np.zeros((8 * n, 8 * n)), c=c, n=n)
 
     def evaluate(self, p):
         z = p.flatten() if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
@@ -108,9 +98,6 @@ class QuadObservable:
         """Evaluate at stacked flat coordinates of shape (N, 8n)."""
         zs = np.asarray(zs, dtype=float)
         return 0.5 * np.einsum("ni,ij,nj->n", zs, self.A, zs) + zs @ self.b + self.c
-
-    def gradient(self, z):
-        return self.A @ np.asarray(z, dtype=float) + self.b
 
     def __add__(self, other):
         self._check(other)
@@ -139,16 +126,24 @@ class QuadObservable:
         )
 
 
+def quad_bracket(a, b):
+    """Quadratic part A J B - B J A of the bracket of quadratic parts A, B.
+
+    A and B are (8n, 8n) or stacks (..., 8n, 8n) that broadcast together.
+    """
+    j = poisson_j(a.shape[-1] // 8)
+    return a @ j @ b - b @ j @ a
+
+
 def bracket_exact(f, g):
     """Exact canonical bracket of two affine-quadratic observables."""
     if f.n != g.n:
         raise ValueError("dimension mismatch")
     j = poisson_j(f.n)
-    aj = f.A @ j
-    a_new = aj @ g.A - g.A @ j @ f.A
-    b_new = aj @ g.b - g.A @ j @ f.b
+    a_new = quad_bracket(f.A, g.A)
+    b_new = f.A @ j @ g.b - g.A @ j @ f.b
     c_new = float(f.b @ j @ g.b)
-    return QuadObservable(a_new, b_new, c_new, n=f.n)
+    return QuadObservable(a_new, b_new, c_new)
 
 
 def quad_residual(lhs, rhs):
@@ -215,7 +210,7 @@ def bracket_numeric(f, g, p, h=1e-5):
 def random_quad_observable(rng, n, scale=1.0):
     m = 8 * n
     a = rng.standard_normal((m, m)) * scale
-    return QuadObservable(a + a.T, rng.standard_normal(m) * scale, float(rng.standard_normal()) * scale, n=n)
+    return QuadObservable(a + a.T, rng.standard_normal(m) * scale, float(rng.standard_normal()) * scale)
 
 
 def random_phase_point(rng, n, scale=1.0, min_z=0.3):

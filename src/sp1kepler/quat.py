@@ -121,10 +121,14 @@ def outer(z, w):
 
 
 def real_rep(m):
-    """Real 4n x 4n matrix R with flat(m Z) = R @ flat(Z) for every Z."""
-    n = m.shape[0]
-    r = np.einsum("ijp,pqc->icjq", m, QTAB)
-    return r.reshape(4 * n, 4 * n)
+    """Real 4n x 4n matrix R with flat(m Z) = R @ flat(Z) for every Z.
+
+    Takes one matrix (n, n, 4) or a stack (..., n, n, 4) and returns
+    (..., 4n, 4n).  R(uv) = R(u) R(v) and R(u^dag) = R(u)^T.
+    """
+    n = m.shape[-2]
+    r = np.einsum("...ijp,pqc->...icjq", m, QTAB)
+    return r.reshape(m.shape[:-3] + (4 * n, 4 * n))
 
 
 def random_qvector(rng, n, scale=1.0):

@@ -33,46 +33,55 @@ from .quat import (
     UNITS,
     dagger_product,
     im,
-    mat_dagger,
     mat_mul,
     mul,
     norm,
     real_rep,
-    unit_matrix,
 )
-from .poisson import PhasePoint, QuadObservable, bracket_exact, quad_residual
+from .poisson import PhasePoint, QuadObservable, bracket_exact, quad_bracket, quad_residual
 
 
-def _coupling_observable(n, b_matrix):
-    """The observable f(Z, W) = w'^T B q' as a QuadObservable."""
-    m = 4 * n
-    a = np.zeros((2 * m, 2 * m))
-    a[:m, m:] = b_matrix.T
-    a[m:, :m] = b_matrix
-    return QuadObservable(a, n=n)
+def _embed(r, row, col):
+    """The (..., 8n, 8n) matrix with r in block (row, col); block 0 is Z, 1 is W."""
+    m = r.shape[-1]
+    a = np.zeros(r.shape[:-2] + (2 * m, 2 * m))
+    a[..., row * m : (row + 1) * m, col * m : (col + 1) * m] = r
+    return a
+
+
+def _coupling(b):
+    """Quadratic part of f(Z, W) = w'^T B q' for a real (4n, 4n) B or a stack."""
+    return _embed(b, 1, 0) + _embed(np.swapaxes(b, -1, -2), 0, 1)
+
+
+def x_quad(r):
+    """Quadratic part of X_u = <W, uW>/4, from r = real_rep(u) (or a stack)."""
+    return _embed(0.5 * r, 1, 1)
+
+
+def y_quad(r):
+    """Quadratic part of Y_v = <Z, vZ>, from r = real_rep(v) (or a stack)."""
+    return _embed(2.0 * r, 0, 0)
+
+
+def s_quad(r):
+    """Quadratic part of S_m = <W, mZ>/2, from r = real_rep(m) (or a stack)."""
+    return _coupling(0.5 * r)
 
 
 def x_observable(u):
     """X_u = <W, uW>/4 for hermitian u."""
-    n = u.shape[0]
-    m = 4 * n
-    a = np.zeros((2 * m, 2 * m))
-    a[m:, m:] = 0.5 * real_rep(u)
-    return QuadObservable(a, n=n)
+    return QuadObservable(x_quad(real_rep(u)))
 
 
 def y_observable(v):
     """Y_v = <Z, vZ> for hermitian v."""
-    n = v.shape[0]
-    m = 4 * n
-    a = np.zeros((2 * m, 2 * m))
-    a[:m, :m] = 2.0 * real_rep(v)
-    return QuadObservable(a, n=n)
+    return QuadObservable(y_quad(real_rep(v)))
 
 
 def s_observable(m):
     """S_m = <W, mZ>/2 for an arbitrary quaternionic matrix m."""
-    return _coupling_observable(m.shape[0], 0.5 * real_rep(m))
+    return QuadObservable(s_quad(real_rep(m)))
 
 
 def s_pair_observable(u, v):
@@ -85,9 +94,9 @@ def l_observable(u):
     return s_observable(u)
 
 
-def _rright_block(q):
-    """4x4 real matrix of right multiplication z -> z*q on one quaternion."""
-    return np.einsum("r,prc->cp", np.asarray(q, float), QTAB)
+def l_pair_observable(u, v):
+    """L_{u,v} = (S_uv - S_vu)/2, i.e. S of half the commutator."""
+    return s_observable((mat_mul(u, v) - mat_mul(v, u)) * 0.5)
 
 
 def xi_observables(n):
@@ -98,49 +107,19 @@ def xi_observables(n):
     """
     obs = []
     for unit in UNITS[1:]:
-        blk = _rright_block(unit)
-        b = np.kron(np.eye(n), blk)  # flat(W * i_a) = b @ flat(W)
-        obs.append(_coupling_observable(n, 0.5 * b.T))
+        # row k is flat(e_k i_a): the transpose of the map flat(W) -> flat(W i_a)
+        right_t = mul(np.eye(4 * n).reshape(4 * n, n, 4), unit).reshape(4 * n, 4 * n)
+        obs.append(QuadObservable(_coupling(0.5 * right_t)))
     return obs
 
 
 @lru_cache(maxsize=8)
 def matrix_basis(n):
-    """A real basis of M_n(H): E_ab * q over entries and quaternion units."""
-    out = []
-    for a in range(n):
-        for b in range(n):
-            for q in UNITS:
-                out.append(unit_matrix(n, a, b, q))
+    """A real basis of M_n(H), E_ab * q over entries and quaternion units,
+    as a read-only (4n^2, n, n, 4) stack."""
+    out = np.eye(4 * n * n).reshape(4 * n * n, n, n, 4)
+    out.setflags(write=False)
     return out
-
-
-class RealizationFamily:
-    """Indexed observable families over the orthonormal Jordan basis."""
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("order must be >= 1")
-        self.n = n
-        self.basis = jordan.orthonormal_basis(n)
-        self.e = jordan.identity(n)
-        self.x_obs = [x_observable(u) for u in self.basis]
-        self.y_obs = [y_observable(u) for u in self.basis]
-        self.l_obs = [l_observable(u) for u in self.basis]
-        self.x_e = x_observable(self.e)
-        self.y_e = y_observable(self.e)
-        self.l_e = l_observable(self.e)
-        self.xi = xi_observables(n)
-
-    def s_obs(self, alpha, beta):
-        """S_{e_alpha e_beta} as a QuadObservable."""
-        return s_pair_observable(self.basis[alpha], self.basis[beta])
-
-    def l_pair_obs(self, alpha, beta):
-        """L_{e_alpha, e_beta} = (S_ab - S_ba)/2, i.e. S of half the commutator."""
-        u = self.basis[alpha]
-        v = self.basis[beta]
-        return s_observable((mat_mul(u, v) - mat_mul(v, u)) * 0.5)
 
 
 def moment_rho(p):
@@ -212,14 +191,13 @@ def family_values(n, zs, ws):
 
     zs, ws: arrays (N, n, 4).  Returns a dict of arrays keyed by family.
     """
-    basis = jordan.orthonormal_basis(n)
-    e = basis.stack  # (d, n, n, 4)
+    rep = real_rep(jordan.orthonormal_basis(n).stack)  # (d, 4n, 4n)
     nn = zs.shape[0]
-    d = basis.dim
-    az = np.einsum("dijp,Njq,pqc->Ndic", e, zs, QTAB).reshape(nn, d, -1)
-    bw = np.einsum("dijp,Njq,pqc->Ndic", e, ws, QTAB).reshape(nn, d, -1)
     zf = zs.reshape(nn, -1)
     wf = ws.reshape(nn, -1)
+    az = np.einsum("dxy,Ny->Ndx", rep, zf)  # flat(e_d Z)
+    bw = np.einsum("dxy,Ny->Ndx", rep, wf)
+    del rep  # freed before the (N, d, d) Gram below sets the peak
     y = np.einsum("Nx,Ndx->Nd", zf, az)
     x = 0.25 * np.einsum("Nx,Ndx->Nd", wf, bw)
     lv = 0.5 * np.einsum("Nx,Ndx->Nd", wf, az)
@@ -324,27 +302,30 @@ def energy_formula_residuals(n, zs, ws, vals=None):
     return _rel(lhs, rhs)
 
 
-def primary_quadratic_residual(p):
-    """Single-point form of the primary quadratic relation residual."""
-    zs, ws = _stack_points([p])
-    return float(primary_quadratic_residuals(p.n, zs, ws)[0])
-
-
-def secondary_quadratic_residual(p):
-    """Single-point residuals of relations (i)-(vi); returns six floats."""
-    zs, ws = _stack_points([p])
-    return secondary_quadratic_residuals(p.n, zs, ws)[:, 0].tolist()
-
-
-def energy_formula_residual(p):
-    """Single-point residual of the energy formula."""
-    zs, ws = _stack_points([p])
-    return float(energy_formula_residuals(p.n, zs, ws)[0])
-
-
 # ---------------------------------------------------------------------------
 # exact relation verification
 # ---------------------------------------------------------------------------
+
+
+def _relation_residual(rows, cols, predicted):
+    """Max relative distance of the brackets {rows[i], cols[j]} from their
+    predicted quadratic parts, over all i, j.
+
+    rows, cols: stacks of quadratic parts; predicted(i) gives the stack of
+    predicted brackets of row i with every column.  One stacked bracket per
+    row keeps the peak at one (len(cols), 8n, 8n) array.
+    """
+    worst = 0.0
+    for i, a in enumerate(rows):
+        lhs = quad_bracket(a, cols)
+        rhs = predicted(i)
+        num = np.linalg.norm(lhs - rhs, axis=(-2, -1))
+        den = np.maximum(
+            1.0,
+            np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1))),
+        )
+        worst = max(worst, float((num / den).max()))
+    return worst
 
 
 def verify_so_star_relations(n, tol=1e-12):
@@ -353,62 +334,32 @@ def verify_so_star_relations(n, tol=1e-12):
     Binary families run over all orthonormal-basis pairs.  Families with an
     S argument run over a basis of M_n(H) in the product slot, which covers
     all hermitian basis pairs/quadruples exactly by bilinearity of
-    (u, v) -> S_{u.v}.  Returns a report dict with per-family max residuals.
+    (u, v) -> S_{u.v}.  Predicted brackets are assembled from real_rep
+    blocks through R(uv) = R(u) R(v) and R(u^dag) = R(u)^T.  Returns a
+    report dict with per-family max residuals.
     """
-    basis = jordan.orthonormal_basis(n)
-    fam = RealizationFamily(n)
-    mb = matrix_basis(n)
-    m_obs = [s_observable(m) for m in mb]
-    res = {}
-
-    r = 0.0
-    for i, f in enumerate(fam.x_obs):
-        for g in fam.x_obs[i:]:
-            r = max(r, bracket_exact(f, g).norm() / max(1.0, f.norm() * g.norm()))
-    res["XX_zero"] = r
-
-    r = 0.0
-    for i, f in enumerate(fam.y_obs):
-        for g in fam.y_obs[i:]:
-            r = max(r, bracket_exact(f, g).norm() / max(1.0, f.norm() * g.norm()))
-    res["YY_zero"] = r
-
-    r = 0.0
-    for a, f in enumerate(fam.x_obs):
-        for b, g in enumerate(fam.y_obs):
-            rhs = fam.s_obs(a, b).scale(-2.0)
-            r = max(r, quad_residual(bracket_exact(f, g), rhs))
-    res["XY_is_minus_2S"] = r
-
-    r = 0.0
-    for m, f in zip(mb, m_obs):
-        for z in basis:
-            # {S_m, X_z} = X_{(mz + z m^dag)/2}
-            h = (mat_mul(m, z) + mat_mul(z, mat_dagger(m))) * 0.5
-            r = max(r, quad_residual(bracket_exact(f, x_observable(z)), x_observable(h)))
-    res["SX_triple"] = r
-
-    r = 0.0
-    for m, f in zip(mb, m_obs):
-        md = mat_dagger(m)
-        for z in basis:
-            h = (mat_mul(md, z) + mat_mul(z, m)) * 0.5
-            r = max(
-                r,
-                quad_residual(
-                    bracket_exact(f, y_observable(z)), y_observable(h).scale(-1.0)
-                ),
-            )
-    res["SY_triple"] = r
-
-    r = 0.0
-    for i, (m1, f) in enumerate(zip(mb, m_obs)):
-        for m2, g in zip(mb[i:], m_obs[i:]):
-            comm = mat_mul(m1, m2) - mat_mul(m2, m1)
-            rhs = s_observable(comm).scale(0.5)
-            r = max(r, quad_residual(bracket_exact(f, g), rhs))
-    res["SS_structure"] = r
-
+    rb = real_rep(jordan.orthonormal_basis(n).stack)  # (d, 4n, 4n)
+    rm = real_rep(matrix_basis(n))  # (4n^2, 4n, 4n)
+    xs, ys, ss = x_quad(rb), y_quad(rb), s_quad(rm)
+    zero = np.zeros_like(xs)
+    res = {
+        "XX_zero": _relation_residual(xs, xs, lambda i: zero),
+        "YY_zero": _relation_residual(ys, ys, lambda i: zero),
+        # {X_u, Y_v} = -2 S_uv
+        "XY_is_minus_2S": _relation_residual(xs, ys, lambda i: -2.0 * s_quad(rb[i] @ rb)),
+        # {S_m, X_z} = X_{(mz + z m^dag)/2}
+        "SX_triple": _relation_residual(
+            ss, xs, lambda i: x_quad((rm[i] @ rb + rb @ rm[i].T) * 0.5)
+        ),
+        # {S_m, Y_z} = -Y_{(m^dag z + z m)/2}
+        "SY_triple": _relation_residual(
+            ss, ys, lambda i: -y_quad((rm[i].T @ rb + rb @ rm[i]) * 0.5)
+        ),
+        # {S_m, S_m'} = S_{[m, m']}/2
+        "SS_structure": _relation_residual(
+            ss, ss, lambda i: s_quad(rm[i] @ rm - rm @ rm[i]) * 0.5
+        ),
+    }
     report = {
         "n": n,
         "tol": tol,

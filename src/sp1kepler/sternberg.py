@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jordan, realization
 from .poisson import DOMAIN_EPS
-from .quat import dagger_product, im, mat_apply, norm, outer, trace_re, vec_inner
+from .quat import dagger_product, im, mat_apply, mul, norm, outer, real_rep, trace_re, vec_inner
 
 _TANGENT_TOL = 1e-10
 
@@ -46,49 +46,43 @@ def cone_point(z):
     return ConePoint(x, norm(z) ** 2)
 
 
-def _spanning_tangents(z):
-    """The spanning set n(v Z^dag + Z v^dag) over coordinate directions v."""
+def _tangent_from_image(z, y):
+    """The tangent element t at n Z Z^dag with t Z = y, for y with Im(Z^dag y) = 0.
+
+    t = n(a Z^dag + Z a^dag) with a = y/(n|Z|^2) - Z <y, Z>/(2n|Z|^4).  A
+    tangent t is fixed by t Z, since <t | n(v Z^dag + Z v^dag)> = 2<tZ, v>.
+    """
     n = z.shape[0]
-    out = []
-    for idx in range(4 * n):
-        v = np.zeros(4 * n)
-        v[idx] = 1.0
-        out.append(jordan.herm_from_vector_pair(v.reshape(n, 4), z))
-    return out
+    r = norm(z) ** 2
+    a = y / (n * r) - z * (vec_inner(y, z) / (2.0 * n * r * r))
+    return jordan.herm_from_vector_pair(a, z)
+
+
+def _tangent_project(z, u):
+    """Orthogonal projection of hermitian u onto the tangent space at n Z Z^dag:
+    the tangent t with t Z = u Z."""
+    return _tangent_from_image(z, mat_apply(u, z))
+
 
 def tangent_basis(z):
     """Orthonormal basis of the cone tangent space at n Z Z^dag; 4n-3 elements.
 
-    Gram-Schmidt over the coordinate spanning set, dropping directions whose
-    residual norm falls below tolerance (the three fiber directions).
+    The left singular vectors, with singular value 1, of the tangent
+    projector written in the orthonormal Jordan basis.
     """
     if norm(z) <= DOMAIN_EPS:
         raise ValueError("tangent basis requires Z != 0")
-    basis = []
-    for cand in _spanning_tangents(z):
-        v = cand
-        for b in basis:
-            v = v - b * jordan.inner(b, v)
-        nrm = np.sqrt(max(jordan.inner(v, v), 0.0))
-        if nrm > _TANGENT_TOL * max(1.0, norm(cand)):
-            basis.append(v * (1.0 / nrm))
-    return basis
-
-
-def _tangent_project(z, u, basis=None):
-    basis = basis if basis is not None else tangent_basis(z)
-    coeff = np.array([jordan.inner(b, u) for b in basis])
-    proj = np.zeros(u.shape)
-    for c, b in zip(coeff, basis):
-        proj = proj + b * c
-    return proj, coeff
+    basis = jordan.orthonormal_basis(z.shape[0])
+    proj = np.array([basis.coords(_tangent_project(z, e)) for e in basis]).T
+    u, s, _ = np.linalg.svd(proj)
+    return [basis.from_coords(c) for c in u[:, s > 0.5].T]
 
 
 def horizontal_lift(z, xdot):
     """The horizontal lift Zdot of a tangent vector xdot at n Z Z^dag."""
     if norm(z) <= DOMAIN_EPS:
         raise ValueError("horizontal lift requires Z != 0")
-    proj, _ = _tangent_project(z, xdot)
+    proj = _tangent_project(z, xdot)
     if norm(proj - xdot) > 1e-8 * max(1.0, norm(xdot)):
         raise ValueError("xdot is not tangent to the cone at this point")
     xdot = proj
@@ -103,15 +97,14 @@ class CotangentData:
 
     Built from an upstairs pair (Z, W), which is retained: the downstairs
     X_u for u != e is evaluated through the upstairs identification.  Given
-    Z, pi is checked to be tangent, against ``basis`` when the caller
-    already holds the tangent basis at Z.
+    Z, pi is checked to be tangent.
     """
 
     __slots__ = ("x", "pi", "z", "w")
 
-    def __init__(self, x, pi, z=None, w=None, basis=None):
+    def __init__(self, x, pi, z=None, w=None):
         if z is not None:
-            proj, _ = _tangent_project(z, pi, basis)
+            proj = _tangent_project(z, pi)
             if norm(proj - pi) > _TANGENT_TOL * max(1.0, norm(pi)):
                 raise ValueError("pi is not tangent to the cone")
         self.x = x
@@ -127,19 +120,15 @@ def pi_from_W(z, w):
     """The momentum pi at n Z Z^dag induced by the upstairs pair (Z, W).
 
     pi is the unique tangent element whose pairing with every tangent
-    vector t equals <W, tZ - (Re tr t / 2) Z> / (n |Z|^2); assembled in an
-    orthonormal tangent basis, so the linear system is diagonal.
+    vector t equals <W, tZ - (Re tr t / 2) Z> / (n |Z|^2).  For
+    t = n(v Z^dag + Z v^dag) the pairing is <hor W, v> with the horizontal
+    part hor W = W + Z Im(W^dag Z)/|Z|^2, and <pi | t> = 2<pi Z, v>, so pi
+    is the tangent element with pi Z = hor(W)/2.
     """
     if norm(z) <= DOMAIN_EPS:
         raise ValueError("pi requires Z != 0")
-    basis = tangent_basis(z)
-    scale = 1.0 / (z.shape[0] * norm(z) ** 2)
-    pi = np.zeros((z.shape[0], z.shape[0], 4))
-    for t in basis:
-        lifted = mat_apply(t, z) - z * (0.5 * trace_re(t))
-        pairing = scale * vec_inner(w, lifted)
-        pi = pi + t * pairing
-    return CotangentData(cone_point(z), pi, z, w, basis)
+    hor = w + mul(z, im(dagger_product(w, z))) * (1.0 / norm(z) ** 2)
+    return CotangentData(cone_point(z), _tangent_from_image(z, 0.5 * hor), z, w)
 
 
 def sternberg_x_e(d, mu):
@@ -156,11 +145,10 @@ def pullback_check(z, w):
     """
     d = pi_from_W(z, w)
     basis = jordan.orthonormal_basis(z.shape[0])
-    r1 = 0.0
-    for u in basis:
-        lhs = jordan.inner(d.x.x, u)
-        rhs = vec_inner(z, mat_apply(u, z))
-        r1 = max(r1, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    lhs = basis.coords(d.x.x)
+    zf = z.reshape(-1)
+    rhs = real_rep(basis.stack) @ zf @ zf
+    r1 = float(realization._rel(lhs, rhs).max())
     mu = 0.5 * norm(im(dagger_product(w, z)))
     lhs = sternberg_x_e(d, mu)
     rhs = 0.25 * norm(w) ** 2

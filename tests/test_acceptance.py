@@ -183,12 +183,14 @@ def test_criterion_9_conservation_brackets():
     rng = np.random.default_rng(9)
     worst = 0.0
     for n in (2, 3):
-        fam = realization.RealizationFamily(n)
-        d = fam.basis.dim
+        basis = jordan.orthonormal_basis(n)
+        d = basis.dim
+        e = jordan.identity(n)
 
         def a_fn(alpha):
-            xo, yo = fam.x_obs[alpha], fam.y_obs[alpha]
-            xe, ye = fam.x_e, fam.y_e
+            xo = realization.x_observable(basis[alpha])
+            yo = realization.y_observable(basis[alpha])
+            xe, ye = realization.x_observable(e), realization.y_observable(e)
 
             def fn(flat):
                 y_e = ye.evaluate(flat)
@@ -201,7 +203,7 @@ def test_criterion_9_conservation_brackets():
         for _ in range(100):
             p = realization.sample_leaf(realization.LeafSpec(n, 1.0), rng)
             a, b = rng.integers(0, d, size=2)
-            lab = fam.l_pair_obs(a, b)
+            lab = realization.l_pair_observable(basis[a], basis[b])
             val = bracket_numeric(dynamics.hamiltonian_upstairs, lab, p, h=1e-5)
             worst = max(worst, abs(val))
             alpha = int(rng.integers(0, d))

@@ -122,6 +122,15 @@ def test_real_rep():
         # representation property
         m2 = random_qmatrix(rng, n)
         assert np.allclose(real_rep(mat_mul(m, m2)), r @ real_rep(m2), atol=1e-10)
+        # the conjugate transpose is represented by the transpose
+        assert np.array_equal(real_rep(mat_dagger(m)), r.T)
+        # a stack maps to the stack of representations
+        stack = np.array([m, m2, mat_mul(m, m2)])
+        reps = real_rep(stack)
+        assert reps.shape == (3, 4 * n, 4 * n)
+        for got, one in zip(reps, stack):
+            assert np.array_equal(got, real_rep(one))
+        assert real_rep(stack.reshape(3, 1, n, n, 4)).shape == (3, 1, 4 * n, 4 * n)
 
 
 def test_unit_matrix_and_identity():

@@ -14,6 +14,23 @@ def test_exact_relation_families_small():
     assert rep["max_residual"] < 1e-12
 
 
+def test_relation_sweep_detects_a_wrong_bracket(monkeypatch):
+    # a bracket off by a fixed symmetric matrix must fail every family
+    n = 2
+    real = realization.quad_bracket
+    shift = np.eye(8 * n) + np.ones((8 * n, 8 * n))
+
+    def wrong(a, b):
+        return real(a, b) + shift
+
+    monkeypatch.setattr(realization, "quad_bracket", wrong)
+    rep = realization.verify_so_star_relations(n, tol=1e-12)
+    assert len(rep["residuals"]) == 6
+    for name, r in rep["residuals"].items():
+        assert r > rep["tol"], name
+    assert not rep["passed"]
+
+
 def test_ss_quadruple_spot_check():
     assert realization.verify_ss_quadruples(2, np.random.default_rng(1), count=50) < 1e-12
 
@@ -69,25 +86,29 @@ def test_leaf_sampling_mu_zero_real_pairing():
 
 def test_family_values_match_observables():
     n = 2
-    fam = realization.RealizationFamily(n)
+    basis = jordan.orthonormal_basis(n)
+    e = jordan.identity(n)
     p = realization.sample_leaf(realization.LeafSpec(n, 1.0), rng)
     zs, ws = realization._stack_points([p])
     v = realization.family_values(n, zs, ws)
-    for a in range(fam.basis.dim):
-        assert abs(fam.x_obs[a].evaluate(p) - v["X"][0, a]) < 1e-12
-        assert abs(fam.y_obs[a].evaluate(p) - v["Y"][0, a]) < 1e-12
-        assert abs(fam.l_obs[a].evaluate(p) - v["L"][0, a]) < 1e-12
-        for b in range(fam.basis.dim):
-            assert abs(fam.l_pair_obs(a, b).evaluate(p) - v["Lpair"][0, a, b]) < 1e-12
-    assert abs(fam.x_e.evaluate(p) - v["X_e"][0]) < 1e-12
-    assert abs(fam.y_e.evaluate(p) - v["Y_e"][0]) < 1e-12
+    for a, u in enumerate(basis):
+        assert abs(realization.x_observable(u).evaluate(p) - v["X"][0, a]) < 1e-12
+        assert abs(realization.y_observable(u).evaluate(p) - v["Y"][0, a]) < 1e-12
+        assert abs(realization.l_observable(u).evaluate(p) - v["L"][0, a]) < 1e-12
+        for b, w in enumerate(basis):
+            lab = realization.l_pair_observable(u, w)
+            assert abs(lab.evaluate(p) - v["Lpair"][0, a, b]) < 1e-12
+    assert abs(realization.x_observable(e).evaluate(p) - v["X_e"][0]) < 1e-12
+    assert abs(realization.y_observable(e).evaluate(p) - v["Y_e"][0]) < 1e-12
 
 
 def test_l_pair_antisymmetric():
-    fam = realization.RealizationFamily(2)
+    basis = jordan.orthonormal_basis(2)
     for _ in range(5):
-        a, b = rng.integers(0, fam.basis.dim, size=2)
-        s = fam.l_pair_obs(a, b) + fam.l_pair_obs(b, a)
+        a, b = rng.integers(0, basis.dim, size=2)
+        s = realization.l_pair_observable(basis[a], basis[b]) + realization.l_pair_observable(
+            basis[b], basis[a]
+        )
         assert s.norm() < 1e-13
 
 

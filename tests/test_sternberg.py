@@ -154,8 +154,8 @@ def test_lrl_matches_upstairs_formula():
         assert abs(sternberg.lrl_downstairs(d, mu, u) - upstairs) < 1e-11
 
 
-def test_pullback_builds_tangent_basis_once(monkeypatch):
-    # pi_from_W hands its tangent basis to the tangency check
+def test_pullback_builds_no_tangent_basis(monkeypatch):
+    # pi and the tangency check use the closed-form projection
     calls = []
     real = sternberg.tangent_basis
 
@@ -166,7 +166,7 @@ def test_pullback_builds_tangent_basis_once(monkeypatch):
     monkeypatch.setattr(sternberg, "tangent_basis", counted)
     z, w = _pair(3)
     r1, r2 = sternberg.pullback_check(z, w)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert r1 < 1e-10 and r2 < 1e-10
 
 
@@ -174,3 +174,21 @@ def test_cotangent_rejects_non_tangent_pi():
     z, _ = _pair(2)
     with pytest.raises(ValueError):
         sternberg.CotangentData(sternberg.cone_point(z), jordan.random_herm(rng, 2), z)
+
+
+def test_closed_form_projection_matches_tangent_basis():
+    for n in (2, 3, 4):
+        z, _ = _pair(n)
+        basis = sternberg.tangent_basis(z)
+        # independent reference: least squares on the spanning tangents
+        # n(v Z^dag + Z v^dag) over the coordinate directions v
+        jb = jordan.orthonormal_basis(n)
+        span = np.array(
+            [jb.coords(jordan.herm_from_vector_pair(v.reshape(n, 4), z)) for v in np.eye(4 * n)]
+        ).T
+        for _ in range(5):
+            u = jordan.random_herm(rng, n)
+            via_basis = sum(b * jordan.inner(b, u) for b in basis)
+            assert norm(sternberg._tangent_project(z, u) - via_basis) < 1e-12
+            coeff = np.linalg.lstsq(span, jb.coords(u), rcond=None)[0]
+            assert norm(jb.from_coords(span @ coeff) - via_basis) < 1e-12
