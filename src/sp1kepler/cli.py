@@ -235,6 +235,8 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     }
     try:
         tr = dynamics.integrate(p0, dt, t_end, method)
+    except MemoryError as err:
+        raise _RuntimeAbort(str(err)) from err
     except dynamics.IntegrationAbort as err:
         partial = getattr(err, "partial", None)
         if partial is not None and len(partial):

@@ -11,6 +11,7 @@ relation tying them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import realization
 from .poisson import DOMAIN_EPS, PhasePoint
 
 _COLLISION_RADIUS = 10.0 * DOMAIN_EPS
-_CHUNK = 20000
+_CHUNK = 4096
 
 
 class IntegrationAbort(RuntimeError):
@@ -102,15 +103,20 @@ class Trajectory:
         return PhasePoint.unflatten(self.states[i], self.n)
 
     def to_csv(self, path):
-        """CSV export: header t,Z_0w,...,W_{n-1}z; 17 significant digits."""
+        """CSV export: header t,Z_0w,...,W_{n-1}z; 17 significant digits.
+
+        Rows are formatted _CHUNK at a time, so no full copy is made.
+        """
         comps = "wxyz"
         cols = ["t"]
         cols += ["Z_%d%s" % (i, c) for i in range(self.n) for c in comps]
         cols += ["W_%d%s" % (i, c) for i in range(self.n) for c in comps]
-        data = np.column_stack([self.times, self.states])
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            np.savetxt(fh, data, fmt="%.17g", delimiter=",")
+            for lo in range(0, len(self), _CHUNK):
+                hi = lo + _CHUNK
+                block = np.column_stack([self.times[lo:hi], self.states[lo:hi]])
+                np.savetxt(fh, block, fmt="%.17g", delimiter=",")
 
 
 def _step_rk4(y, dt, m):
@@ -132,7 +138,11 @@ def _step_midpoint(y, dt, m, tol=1e-12, max_iter=50):
 
 
 def integrate(p0, dt, t_end, method="rk4"):
-    """Integrate Hamilton's equations from p0 up to t_end with fixed step dt."""
+    """Integrate Hamilton's equations from p0 up to t_end with fixed step dt.
+
+    Raises MemoryError, before allocating, when the sampled trajectory
+    would not fit in physical memory.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
@@ -142,6 +152,13 @@ def integrate(p0, dt, t_end, method="rk4"):
     n = p0.n
     m = 4 * n
     steps = int(round(t_end / dt))
+    need = (steps + 1) * (8 * n + 1) * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(
+            "a trajectory of %d samples needs %.1f GiB; physical memory is %.1f GiB"
+            % (steps + 1, need / 2**30, have / 2**30)
+        )
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, 8 * n))
     y = p0.flatten()
@@ -159,56 +176,51 @@ def integrate(p0, dt, t_end, method="rk4"):
     return Trajectory(times, states, n, meta)
 
 
-def _flow_values(tr):
-    """Chunked realization values and derived scalars along a trajectory."""
-    n = tr.n
+def _chunk_series(n, s):
+    """Predicted constants on a block of flat states, and the energy
+    relation residual there."""
     m = 4 * n
-    rows = {
-        "H": [], "rho": [], "mu": [], "Lpair": [], "A": [],
-        "L2": [], "A2": [], "energy_residual": [],
+    zs = s[:, :m].reshape(-1, n, 4)
+    ws = s[:, m:].reshape(-1, n, 4)
+    v = realization.family_values(n, zs, ws)
+    h, a = realization.kepler_scalars(v["X"], v["Y"], v["X_e"], v["Y_e"])
+    series = {
+        "drift_H": h,
+        "drift_rho": v["rho"],
+        "drift_mu": v["mu"],
+        "drift_L_pairs": v["Lpair"],
+        "drift_A": a,
+        "drift_L_squared": 0.5 * np.einsum("Nab,Nab->N", v["Lpair"], v["Lpair"]),
+        "drift_A_squared": -1.0 + np.einsum("Nd,Nd->N", a, a),
     }
-    for lo in range(0, len(tr), _CHUNK):
-        s = tr.states[lo : lo + _CHUNK]
-        zs = s[:, :m].reshape(-1, n, 4)
-        ws = s[:, m:].reshape(-1, n, 4)
-        v = realization.family_values(n, zs, ws)
-        h, a = realization.kepler_scalars(v["X"], v["Y"], v["X_e"], v["Y_e"])
-        rows["H"].append(h)
-        rows["rho"].append(v["rho"])
-        rows["mu"].append(v["mu"])
-        rows["Lpair"].append(v["Lpair"])
-        rows["A"].append(a)
-        rows["L2"].append(0.5 * np.einsum("Nab,Nab->N", v["Lpair"], v["Lpair"]))
-        rows["A2"].append(-1.0 + np.einsum("Nd,Nd->N", a, a))
-        rows["energy_residual"].append(
-            realization.energy_formula_residuals(n, zs, ws, v)
-        )
-    return {k: np.concatenate(vals) for k, vals in rows.items()}
-
-
-def _drift(series):
-    """Max relative drift of a (N,) or (N, ...) series vs its initial value."""
-    arr = np.asarray(series)
-    flat = arr.reshape(arr.shape[0], -1)
-    den = np.maximum(1.0, np.abs(flat[0]))
-    return float(np.max(np.abs(flat - flat[0]) / den))
+    return series, realization.energy_formula_residuals(n, zs, ws, v)
 
 
 def conserved_report(tr):
     """Max relative drifts of every predicted constant, plus the energy
-    relation residual, along a trajectory."""
+    relation residual, along a trajectory.
+
+    The drift of a series x is max |x - x[0]| / max(1, |x[0]|) over
+    samples and components.  One pass over _CHUNK-sample blocks folds
+    each block into running maxima, so memory beyond the trajectory is
+    one block whatever its length.
+    """
     if len(tr) == 0:
         raise ValueError("empty trajectory")
-    v = _flow_values(tr)
-    return {
-        "H": float(v["H"][0]),
-        "mu": float(v["mu"][0]),
-        "drift_H": _drift(v["H"]),
-        "drift_rho": _drift(v["rho"]),
-        "drift_mu": _drift(v["mu"]),
-        "drift_L_pairs": _drift(v["Lpair"]),
-        "drift_A": _drift(v["A"]),
-        "drift_L_squared": _drift(v["L2"]),
-        "drift_A_squared": _drift(v["A2"]),
-        "max_energy_residual": float(np.max(v["energy_residual"])),
-    }
+    worst = -np.inf
+    for lo in range(0, len(tr), _CHUNK):
+        series, residual = _chunk_series(tr.n, tr.states[lo : lo + _CHUNK])
+        if lo == 0:
+            # copied rows, so the first block is freed after its fold
+            x0 = {k: x[0].ravel().copy() for k, x in series.items()}
+            den = {k: np.maximum(1.0, np.abs(v)) for k, v in x0.items()}
+            drift = dict.fromkeys(series, -np.inf)
+        for k, x in series.items():
+            flat = x.reshape(x.shape[0], -1)
+            drift[k] = np.maximum(drift[k], np.max(np.abs(flat - x0[k]) / den[k]))
+        worst = np.maximum(worst, np.max(residual))
+        del series, residual  # freed before the next block is computed
+    rep = {"H": float(x0["drift_H"][0]), "mu": float(x0["drift_mu"][0])}
+    rep.update((k, float(v)) for k, v in drift.items())
+    rep["max_energy_residual"] = float(worst)
+    return rep

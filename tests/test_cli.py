@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 from click.testing import CliRunner
@@ -129,3 +130,18 @@ def test_simulate_midpoint_nonconvergence_exits_3(tmp_path):
     assert "no-convergence" in rep["aborted"]
     csv_lines = (tmp_path / "coarse.csv").read_text().strip().split("\n")
     assert len(csv_lines) >= 2  # header + at least the initial sample
+
+
+def test_simulate_oversized_run_exits_3(tmp_path):
+    # 1e11 samples: refused before any trajectory array is allocated
+    base = tmp_path / "huge"
+    tracemalloc.start()
+    try:
+        res = _run(["simulate", "--t-end", "1e7", "--output", str(base)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 3
+    assert "100000000001 samples" in res.output
+    assert peak < 16 * 2**20
+    assert not (tmp_path / "huge.csv").exists()

@@ -1,3 +1,6 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,7 +136,15 @@ def test_near_collision_abort_with_partial():
     assert np.allclose(partial.states[0], p.flatten())
 
 
-def test_csv_export(tmp_path):
+def _csv_reference(tr):
+    """The CSV body below the header: one np.savetxt of the whole trajectory."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([tr.times, tr.states]), fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def test_csv_export(tmp_path, monkeypatch):
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)  # 11 samples: one full block, one partial
     tr = dynamics.integrate(_hand_point(), 1e-3, 0.01)
     path = tmp_path / "traj.csv"
     tr.to_csv(str(path))
@@ -144,3 +155,70 @@ def test_csv_export(tmp_path):
     # round-trip the first state at full precision
     vals = np.array([float(v) for v in lines[1].split(",")])
     assert np.allclose(vals[1:], tr.states[0], rtol=0, atol=0)
+    header, body = path.read_text().split("\n", 1)
+    assert body == _csv_reference(tr)
+    # an aborted run exports its accepted samples the same way
+    with pytest.raises(dynamics.ConvergenceError) as exc:
+        dynamics.integrate(_hand_point(), 1.0, 60.0, "midpoint")
+    partial = exc.value.partial
+    assert len(partial) == 2
+    part_path = tmp_path / "partial.csv"
+    partial.to_csv(str(part_path))
+    part_header, part_body = part_path.read_text().split("\n", 1)
+    assert part_header == header
+    assert part_body == _csv_reference(partial)
+
+
+def test_conserved_report_exact_across_chunks(monkeypatch):
+    """Chunked folds equal one whole-array pass, bit for bit."""
+    tr = dynamics.integrate(_bound_start(np.random.default_rng(11)), 1e-2, 0.5)
+    assert len(tr) == 51  # 7 blocks of 7 and a tail of 2
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    rep = dynamics.conserved_report(tr)
+
+    n = tr.n
+    zs = tr.states[:, : 4 * n].reshape(-1, n, 4)
+    ws = tr.states[:, 4 * n :].reshape(-1, n, 4)
+    v = realization.family_values(n, zs, ws)
+    h, a = realization.kepler_scalars(v["X"], v["Y"], v["X_e"], v["Y_e"])
+
+    def drift(series):
+        flat = series.reshape(series.shape[0], -1)
+        den = np.maximum(1.0, np.abs(flat[0]))
+        return float(np.max(np.abs(flat - flat[0]) / den))
+
+    expected = {
+        "H": float(h[0]),
+        "mu": float(v["mu"][0]),
+        "drift_H": drift(h),
+        "drift_rho": drift(v["rho"]),
+        "drift_mu": drift(v["mu"]),
+        "drift_L_pairs": drift(v["Lpair"]),
+        "drift_A": drift(a),
+        "drift_L_squared": drift(0.5 * np.einsum("Nab,Nab->N", v["Lpair"], v["Lpair"])),
+        "drift_A_squared": drift(-1.0 + np.einsum("Nd,Nd->N", a, a)),
+        "max_energy_residual": float(
+            np.max(realization.energy_formula_residuals(n, zs, ws, v))
+        ),
+    }
+    assert rep == expected
+    assert rep["drift_H"] > 0.0
+
+
+def _report_peak(tr):
+    tracemalloc.start()
+    try:
+        dynamics.conserved_report(tr)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conserved_report_memory_does_not_grow(monkeypatch):
+    chunk = 1000
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    tr = dynamics.integrate(_hand_point(), 1e-3, (4 * chunk - 1) * 1e-3)
+    assert len(tr) == 4 * chunk
+    one = dynamics.Trajectory(tr.times[:chunk], tr.states[:chunk], tr.n)
+    dynamics.conserved_report(one)  # warm the cached basis outside the measurement
+    assert _report_peak(tr) <= 1.5 * _report_peak(one)
