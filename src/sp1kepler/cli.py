@@ -11,6 +11,7 @@ stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -52,6 +53,24 @@ def _finish(report, output, t0):
     sys.exit(0 if report["passed"] else 1)
 
 
+class _FiniteFloat(click.FloatRange):
+    """A float option, bounded or not, that also refuses nan and inf (exit 2)."""
+
+    def __init__(self, **bounds):
+        super().__init__(**bounds)
+        if not bounds:
+            self.name = click.FLOAT.name
+
+    def _describe_range(self):
+        return super()._describe_range() if self.min is not None or self.max is not None else ""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail("%r is not a finite number." % rv, param, ctx)
+        return rv
+
+
 @click.group()
 def main():
     """Verification and simulation for the quaternionic Kepler hierarchy."""
@@ -59,7 +78,7 @@ def main():
 
 _common = [
     click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True),
-    click.option("--tol", type=float, default=None, help="Pass threshold."),
+    click.option("--tol", type=_FiniteFloat(), default=None, help="Pass threshold."),
     click.option("--output", type=click.Path(dir_okay=False), default=None,
                  help="Write the JSON report here instead of stdout."),
 ]
@@ -86,7 +105,7 @@ def verify_algebra(n, triples, seed, tol, output):
     jac_random = 0.0
     for _ in range(triples):
         a, b, c = (conformal.random_element(rng, n) for _ in range(3))
-        jac_random = max(jac_random, conformal.jacobi_residual(a, b, c))
+        jac_random = max(jac_random, conformal.jacobi_residual(n, a, b, c))
     jac_generators = conformal.jacobi_tensor_residual(n)
     closure = conformal.closure_residual(n)
     dim = conformal.co_dimension(n)
@@ -136,7 +155,7 @@ def verify_realization(n, seed, tol, output):
 
 @main.command("verify-quadratic")
 @click.option("--n", type=click.IntRange(min=2), default=2, show_default=True)
-@click.option("--mu", type=click.FloatRange(min=0), default=1.0, show_default=True)
+@click.option("--mu", type=_FiniteFloat(min=0), default=1.0, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
 @_with(_common)
 def verify_quadratic(n, mu, samples, seed, tol, output):
@@ -214,14 +233,14 @@ def _infall_start(n):
 
 @main.command("simulate")
 @click.option("--n", type=click.IntRange(min=2), default=2, show_default=True)
-@click.option("--mu", type=click.FloatRange(min=0), default=1.0, show_default=True)
-@click.option("--dt", type=click.FloatRange(min=0, min_open=True), default=1e-4, show_default=True)
-@click.option("--t-end", type=click.FloatRange(min=0), default=10.0, show_default=True)
+@click.option("--mu", type=_FiniteFloat(min=0), default=1.0, show_default=True)
+@click.option("--dt", type=_FiniteFloat(min=0, min_open=True), default=1e-4, show_default=True)
+@click.option("--t-end", type=_FiniteFloat(min=0), default=10.0, show_default=True)
 @click.option("--method", type=click.Choice(["rk4", "midpoint"]), default="rk4", show_default=True)
 @click.option("--initial", type=click.Choice(["bound", "infall"]), default="bound",
               show_default=True, help="bound: seeded H<0 leaf point; infall: aimed at Z=0.")
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=_FiniteFloat(), default=1e-8, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default="trajectory",
               show_default=True, help="Base path; writes <base>.csv and <base>.json.")
 def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):

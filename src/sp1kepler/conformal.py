@@ -1,17 +1,16 @@
 """The conformal algebra co = V + str + V* as a real Lie algebra.
 
-Elements carry an x-part and a y-part in the Jordan algebra V (V* is
-identified with V through the inner product) and an s-part which is a
-real operator on V constrained to the span of the structure operators
-S_uv.  Bracket rules:
+An element is its coordinate vector in the basis (X_{e_a}), then an
+orthonormal (Frobenius) basis S_k of the span of the structure operators
+S_uv, then (Y_{e_a}); V* is identified with V through the inner product.
+The bracket is one structure-constant tensor, written block by block from
 
     [S, X_z] = X_{S(z)},   [S, Y_w] = -Y_{S^T w},   [S, S'] = SS' - S'S,
     [X_u, Y_v] = -2 S_uv,  [X, X] = [Y, Y] = 0.
 
 The transpose rule reproduces [S_uv, Y_w] = -Y_{vuw} because S_uv^T = S_vu
-in the orthonormal basis.  Everything is finite-dimensional linear
-algebra, so closure, dimension and the Jacobi identity are all checked by
-rank computations and dense sweeps.
+in the orthonormal basis.  Closure, dimension and the Jacobi identity are
+rank computations and dense contractions.
 """
 
 from __future__ import annotations
@@ -22,16 +21,12 @@ import numpy as np
 
 from . import jordan
 
-_SPAN_TOL = 1e-10
-
 
 @lru_cache(maxsize=8)
 def str_span(n):
     """Orthonormal (Frobenius) basis of span{S_{e_a e_b}}, shape (r, d, d)."""
-    t = jordan.s_tensor(n)
     d = jordan.dim_v(n)
-    flat = t.reshape(d * d, d * d)
-    u, s, vt = np.linalg.svd(flat, full_matrices=False)
+    u, s, vt = np.linalg.svd(jordan.s_tensor(n).reshape(d * d, d * d), full_matrices=False)
     rank = int((s > 1e-9 * s[0]).sum())
     out = vt[:rank].reshape(rank, d, d)
     out.setflags(write=False)
@@ -48,91 +43,29 @@ def co_dimension(n):
     return 2 * jordan.dim_v(n) + str_dimension(n)
 
 
-def _project_span(n, s):
-    span = str_span(n)
-    coeff = np.einsum("rij,...ij->...r", span, s)
-    proj = np.einsum("...r,rij->...ij", coeff, span)
-    return coeff, proj
-
-
 def span_residual(n, s):
-    """Distance of a matrix from the structure-operator span, relative.
-
-    s may be one (d, d) matrix or a stack (..., d, d); the result has the
-    stack's shape.
-    """
-    _, proj = _project_span(n, s)
-    return np.linalg.norm(s - proj, axis=(-2, -1)) / np.maximum(
-        1.0, np.linalg.norm(s, axis=(-2, -1))
-    )
+    """Distance of a (d, d) matrix, or of each in a stack (..., d, d), from
+    the structure-operator span, relative to max(1, |s|)."""
+    span = str_span(n)
+    proj = np.einsum("...r,rij->...ij", np.einsum("rij,...ij->...r", span, s), span)
+    size = np.linalg.norm(s, axis=(-2, -1))
+    return np.linalg.norm(s - proj, axis=(-2, -1)) / np.maximum(1.0, size)
 
 
-class ConformalElement:
-    """An element (x, S, y) of co; x and y are hermitian (n, n, 4) arrays
-    and the s-part must lie in the S-span."""
-
-    __slots__ = ("n", "x", "s", "y")
-
-    def __init__(self, x, s, y, check=True):
-        if x.shape != y.shape:
-            raise ValueError("component order mismatch")
-        self.n = x.shape[0]
-        d = jordan.dim_v(self.n)
-        s = np.asarray(s, dtype=float)
-        if s.shape != (d, d):
-            raise ValueError("s-part must be %d x %d" % (d, d))
-        if check and span_residual(self.n, s) > _SPAN_TOL:
-            raise ValueError("s-part is not in the structure-operator span")
-        self.x = x
-        self.s = s
-        self.y = y
-
-    def __add__(self, other):
-        self._check(other)
-        return ConformalElement(self.x + other.x, self.s + other.s, self.y + other.y, check=False)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ConformalElement(self.x - other.x, self.s - other.s, self.y - other.y, check=False)
-
-    def scale(self, t):
-        return ConformalElement(self.x * t, self.s * t, self.y * t, check=False)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("order mismatch")
-
-    def norm(self):
-        return float(
-            np.sqrt(
-                jordan.inner(self.x, self.x)
-                + np.sum(self.s * self.s)
-                + jordan.inner(self.y, self.y)
-            )
-        )
-
-    def coords(self):
-        """Coordinates in the basis (X_{e_a}, S-span basis, Y_{e_a})."""
-        basis = jordan.orthonormal_basis(self.n)
-        cs, _ = _project_span(self.n, self.s)
-        return np.concatenate([basis.coords(self.x), cs, basis.coords(self.y)])
-
-    def __repr__(self):
-        return "ConformalElement(n=%d, |.|=%.3g)" % (self.n, self.norm())
+def element(x, coeff, y):
+    """Coordinates of X_x + sum_k coeff[k] S_k + Y_y, for hermitian x and y."""
+    basis = jordan.orthonormal_basis(x.shape[0])
+    return np.concatenate([basis.coords(x), coeff, basis.coords(y)])
 
 
 def x_element(u):
     """The generator X_u."""
-    n = u.shape[0]
-    d = jordan.dim_v(n)
-    return ConformalElement(u, np.zeros((d, d)), np.zeros((n, n, 4)), check=False)
+    return element(u, np.zeros(str_dimension(u.shape[0])), np.zeros_like(u))
 
 
 def y_element(v):
     """The generator Y_v."""
-    n = v.shape[0]
-    d = jordan.dim_v(n)
-    return ConformalElement(np.zeros((n, n, 4)), np.zeros((d, d)), v, check=False)
+    return element(np.zeros_like(v), np.zeros(str_dimension(v.shape[0])), v)
 
 
 def s_matrix(u, v):
@@ -144,72 +77,59 @@ def s_matrix(u, v):
 
 
 def s_element(u, v):
-    """The generator S_uv as a conformal element."""
-    n = u.shape[0]
-    z = np.zeros((n, n, 4))
-    return ConformalElement(z, s_matrix(u, v), z, check=False)
+    """The generator S_uv, projected onto the span basis."""
+    coeff = np.einsum("rij,ij->r", str_span(u.shape[0]), s_matrix(u, v))
+    return element(np.zeros_like(u), coeff, np.zeros_like(u))
 
 
-def co_bracket(a, b):
-    """The Lie bracket on co, assembled from the component rules."""
-    if a.n != b.n:
-        raise ValueError("order mismatch")
-    n = a.n
-    basis = jordan.orthonormal_basis(n)
-    x_new = basis.from_coords(a.s @ basis.coords(b.x) - b.s @ basis.coords(a.x))
-    y_new = basis.from_coords(-(a.s.T @ basis.coords(b.y)) + b.s.T @ basis.coords(a.y))
-    s_new = (
-        a.s @ b.s
-        - b.s @ a.s
-        - 2.0 * s_matrix(a.x, b.y)
-        + 2.0 * s_matrix(b.x, a.y)
-    )
-    return ConformalElement(x_new, s_new, y_new, check=False)
-
-
-def jacobi_residual(a, b, c):
-    """Component-wise norm of [a,[b,c]] + [b,[c,a]] + [c,[a,b]]."""
-    total = (
-        co_bracket(a, co_bracket(b, c))
-        + co_bracket(b, co_bracket(c, a))
-        + co_bracket(c, co_bracket(a, b))
-    )
-    return total.norm()
+def _span_commutators(span):
+    """[S_k, S_l] for every l, one row k at a time, as (r, d, d) stacks."""
+    for sk in span:
+        yield sk @ span - span @ sk
 
 
 @lru_cache(maxsize=8)
 def structure_constants(n):
-    """Structure constants C[a, b, c] with [e_a, e_b] = sum_c C[a,b,c] e_c.
-
-    The basis is (X_{e_a}), the orthonormal S-span basis, (Y_{e_a});
-    dimension 2n(4n-1).  Coordinates come from orthonormal projections,
-    so the constants are exact up to rounding.
-    """
-    basis = jordan.orthonormal_basis(n)
+    """C[i, j, k] with [e_i, e_j] = sum_k C[i, j, k] e_k, block by block in
+    closed form from s_tensor and the span basis; the s-parts are orthonormal
+    projections, so the constants are exact up to rounding."""
+    t = jordan.s_tensor(n)
     span = str_span(n)
-    elems = [x_element(u) for u in basis]
-    for k in range(span.shape[0]):
-        z = np.zeros((n, n, 4))
-        elems.append(ConformalElement(z, span[k].copy(), z, check=False))
-    elems.extend(y_element(u) for u in basis)
-    dim = len(elems)
-    c = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coords = co_bracket(elems[i], elems[j]).coords()
-            c[i, j] = coords
-            c[j, i] = -coords
+    d, r = t.shape[0], span.shape[0]
+    x, s, y = slice(0, d), slice(d, d + r), slice(d + r, 2 * d + r)
+    c = np.zeros((2 * d + r,) * 3)
+    c[x, y, s] = -2.0 * np.einsum("kij,abij->abk", span, t)  # [X_a, Y_b] = -2 S_ab
+    c[s, x, x] = np.swapaxes(span, 1, 2)  # [S_k, X_b] = X_{S_k e_b}
+    c[s, y, y] = -span  # [S_k, Y_b] = -Y_{S_k^T e_b}
+    for i, j, k in ((x, y, s), (s, x, x), (s, y, y)):
+        c[j, i, k] = -np.swapaxes(c[i, j, k], 0, 1)
+    for k, comm in enumerate(_span_commutators(span)):
+        c[d + k, s, s] = np.einsum("mij,lij->lm", span, comm)
     c.setflags(write=False)
     return c
 
 
-def jacobi_tensor_residual(n):
-    """Max Jacobi residual over ALL basis triples, via structure constants.
+def _ad(n, a):
+    """The matrix M with [a, b] = b @ M."""
+    return np.tensordot(a, structure_constants(n), 1)
 
-    By trilinearity this bounds the residual for every generator triple
-    (each X_{e_a}, Y_{e_b}, S_{e_c e_d} is a combination of basis elements
-    with O(1) coefficients).
-    """
+
+def co_bracket(n, a, b):
+    """The Lie bracket [a, b] of two coordinate vectors."""
+    return b @ _ad(n, a)
+
+
+def jacobi_residual(n, a, b, c):
+    """Norm of [a,[b,c]] + [b,[c,a]] + [c,[a,b]] in coordinates."""
+    ad_a, ad_b, ad_c = (_ad(n, v) for v in (a, b, c))
+    total = (c @ ad_b) @ ad_a + (a @ ad_c) @ ad_b + (b @ ad_a) @ ad_c
+    return float(np.linalg.norm(total))
+
+
+def jacobi_tensor_residual(n):
+    """Max Jacobi residual over ALL basis triples, via structure constants;
+    by trilinearity it bounds the residual of every generator triple (each
+    is a combination of basis elements with O(1) coefficients)."""
     c = structure_constants(n)
     worst = 0.0
     # one first index a at a time, so the peak is dim^3 rather than dim^4;
@@ -222,22 +142,12 @@ def jacobi_tensor_residual(n):
 
 
 def closure_residual(n):
-    """Max distance of [S_ab, S_cd] from the S-span, over all basis pairs."""
-    t = jordan.s_tensor(n)
-    d = jordan.dim_v(n)
-    mats = t.reshape(d * d, d, d)
-    worst = 0.0
-    for si in mats:
-        comm = si @ mats - mats @ si  # (d*d, d, d)
-        worst = max(worst, float(span_residual(n, comm).max()))
-    return worst
+    """Max distance of [S_k, S_l] from the S-span over all span basis pairs;
+    the S_k span the S_{e_a e_b}, so by bilinearity this is closure of str."""
+    return max(float(span_residual(n, comm).max()) for comm in _span_commutators(str_span(n)))
 
 
 def random_element(rng, n, scale=1.0):
-    """A random conformal element with s-part drawn inside the S-span."""
-    span = str_span(n)
-    coeff = rng.standard_normal(span.shape[0]) * scale
-    s = np.einsum("r,rij->ij", coeff, span)
-    return ConformalElement(
-        jordan.random_herm(rng, n, scale), s, jordan.random_herm(rng, n, scale), check=False
-    )
+    """A random element: span coefficients first, then the x- and y-parts."""
+    coeff = rng.standard_normal(str_dimension(n)) * scale
+    return element(jordan.random_herm(rng, n, scale), coeff, jordan.random_herm(rng, n, scale))

@@ -2,6 +2,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from sp1kepler.cli import main
@@ -50,6 +51,22 @@ def test_verify_realization(tmp_path):
 def test_verify_realization_bad_tol():
     res = _run(["verify-realization", "--tol", "abc"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--t-end", "inf"],
+    ["simulate", "--t-end", "nan"],
+    ["simulate", "--dt", "nan"],
+    ["simulate", "--mu", "nan"],
+    ["verify-quadratic", "--mu", "nan"],
+    ["verify-quadratic", "--mu", "inf"],
+    ["verify-algebra", "--tol", "nan"],
+])
+def test_non_finite_float_is_usage_error(tmp_path, args):
+    res = _run(args + ["--output", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "is not a finite number" in res.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_quadratic(tmp_path):

@@ -1,9 +1,16 @@
 import numpy as np
-import pytest
 
 from sp1kepler import conformal, jordan
 
 rng = np.random.default_rng(31)
+
+
+def _parts(n, c):
+    """The hermitian x-part, the (d, d) operator s-part and the y-part of c."""
+    basis = jordan.orthonormal_basis(n)
+    d = basis.dim
+    s = np.einsum("r,rij->ij", c[d:-d], conformal.str_span(n))
+    return basis.from_coords(c[:d]), s, basis.from_coords(c[-d:])
 
 
 def test_dimensions():
@@ -16,44 +23,52 @@ def test_dimensions():
 def test_bracket_examples():
     e = jordan.identity(2)
     # [S_ee, X_e] = X_{eee} = X_e
-    br = conformal.co_bracket(conformal.s_element(e, e), conformal.x_element(e))
-    assert (br - conformal.x_element(e)).norm() < 1e-12
-    # [X_e, Y_e] = -2 S_ee = -2 L_e (the identity operator on V)
-    br = conformal.co_bracket(conformal.x_element(e), conformal.y_element(e))
-    assert np.abs(br.s + 2 * jordan.L_operator(e)).max() < 1e-12
-    assert jordan.inner(br.x, br.x) < 1e-24
-    assert jordan.inner(br.y, br.y) < 1e-24
+    br = conformal.co_bracket(2, conformal.s_element(e, e), conformal.x_element(e))
+    assert np.linalg.norm(br - conformal.x_element(e)) < 1e-12
+    # [X_e, Y_e] = -2 S_ee = -2 L_e (the identity operator on V), checked
+    # against Jordan multiplication rather than the structure tensor
+    br = conformal.co_bracket(2, conformal.x_element(e), conformal.y_element(e))
+    x, s, y = _parts(2, br)
+    assert np.abs(s + 2 * jordan.L_operator(e)).max() < 1e-12
+    assert jordan.inner(x, x) < 1e-24
+    assert jordan.inner(y, y) < 1e-24
 
 
 def test_xx_yy_vanish():
     u, v = jordan.random_herm(rng, 2), jordan.random_herm(rng, 2)
-    assert conformal.co_bracket(conformal.x_element(u), conformal.x_element(v)).norm() < 1e-12
-    assert conformal.co_bracket(conformal.y_element(u), conformal.y_element(v)).norm() < 1e-12
+    xx = conformal.co_bracket(2, conformal.x_element(u), conformal.x_element(v))
+    yy = conformal.co_bracket(2, conformal.y_element(u), conformal.y_element(v))
+    assert np.linalg.norm(xx) < 1e-12
+    assert np.linalg.norm(yy) < 1e-12
 
 
 def test_s_y_rule_matches_triple_product():
     # [S_uv, Y_w] = -Y_{vuw} via the transpose rule
     u, v, w = (jordan.random_herm(rng, 2) for _ in range(3))
-    br = conformal.co_bracket(conformal.s_element(u, v), conformal.y_element(w))
+    br = conformal.co_bracket(2, conformal.s_element(u, v), conformal.y_element(w))
+    x, s, y = _parts(2, br)
     expected = jordan.triple_product(v, u, w) * -1.0
-    assert np.linalg.norm(br.y - expected) < 1e-10
+    assert np.linalg.norm(y - expected) < 1e-10
+    assert np.linalg.norm(x) < 1e-10 and np.linalg.norm(s) < 1e-10
 
 
 def test_s_x_rule_matches_triple_product():
     u, v, z = (jordan.random_herm(rng, 2) for _ in range(3))
-    br = conformal.co_bracket(conformal.s_element(u, v), conformal.x_element(z))
+    br = conformal.co_bracket(2, conformal.s_element(u, v), conformal.x_element(z))
+    x, s, y = _parts(2, br)
     expected = jordan.triple_product(u, v, z)
-    assert np.linalg.norm(br.x - expected) < 1e-10
+    assert np.linalg.norm(x - expected) < 1e-10
+    assert np.linalg.norm(s) < 1e-10 and np.linalg.norm(y) < 1e-10
 
 
 def test_antisymmetry_and_bilinearity():
     a = conformal.random_element(rng, 2)
     b = conformal.random_element(rng, 2)
-    assert (conformal.co_bracket(a, b) + conformal.co_bracket(b, a)).norm() < 1e-11
+    assert np.linalg.norm(conformal.co_bracket(2, a, b) + conformal.co_bracket(2, b, a)) < 1e-11
     c = conformal.random_element(rng, 2)
-    lhs = conformal.co_bracket(a + b, c)
-    rhs = conformal.co_bracket(a, c) + conformal.co_bracket(b, c)
-    assert (lhs - rhs).norm() < 1e-10
+    lhs = conformal.co_bracket(2, a + b, c)
+    rhs = conformal.co_bracket(2, a, c) + conformal.co_bracket(2, b, c)
+    assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
 def test_jacobi_random():
@@ -61,14 +76,14 @@ def test_jacobi_random():
         worst = 0.0
         for _ in range(60):
             a, b, c = (conformal.random_element(rng, n) for _ in range(3))
-            worst = max(worst, conformal.jacobi_residual(a, b, c))
+            worst = max(worst, conformal.jacobi_residual(n, a, b, c))
         assert worst < 1e-10
 
 
 def test_jacobi_degenerate():
     a = conformal.random_element(rng, 2)
     c = conformal.random_element(rng, 2)
-    assert conformal.jacobi_residual(a, a, c) < 1e-11
+    assert conformal.jacobi_residual(2, a, a, c) < 1e-11
 
 
 def test_jacobi_all_basis_triples():
@@ -85,14 +100,49 @@ def test_span_invariant_rejects_outsiders():
     s = rng.standard_normal((d, d))
     # a generic matrix is far from the 16-dimensional span inside 36 dims
     assert conformal.span_residual(2, s) > 1e-3
-    with pytest.raises(ValueError):
-        conformal.ConformalElement(
-            jordan.random_herm(rng, 2), s, jordan.random_herm(rng, 2)
-        )
 
 
 def test_bracket_lands_in_span():
+    # the component rules, applied to the parts of two random elements,
+    # give an s-part inside the span and agree with the tensor bracket
     a = conformal.random_element(rng, 2)
     b = conformal.random_element(rng, 2)
-    br = conformal.co_bracket(a, b)
-    assert conformal.span_residual(2, br.s) < 1e-10
+    (xa, sa, ya), (xb, sb, yb) = _parts(2, a), _parts(2, b)
+    basis = jordan.orthonormal_basis(2)
+    x_new = basis.from_coords(sa @ basis.coords(xb) - sb @ basis.coords(xa))
+    y_new = basis.from_coords(-(sa.T @ basis.coords(yb)) + sb.T @ basis.coords(ya))
+    s_new = (sa @ sb - sb @ sa - 2.0 * conformal.s_matrix(xa, yb)
+             + 2.0 * conformal.s_matrix(xb, ya))
+    assert conformal.span_residual(2, s_new) < 1e-10
+    x, s, y = _parts(2, conformal.co_bracket(2, a, b))
+    assert np.linalg.norm(x - x_new) < 1e-10
+    assert np.abs(s - s_new).max() < 1e-10
+    assert np.linalg.norm(y - y_new) < 1e-10
+
+
+def test_s_s_rule_matches_structure_operators():
+    # [S_uv, S_zw] = S_{{uvz}w} - S_{z{vuw}}, with the right-hand side built
+    # by jordan.S_operator from triple products, not from the structure tensor
+    u, v, z, w = (jordan.random_herm(rng, 2) for _ in range(4))
+    br = conformal.co_bracket(2, conformal.s_element(u, v), conformal.s_element(z, w))
+    x, s, y = _parts(2, br)
+    expected = (jordan.S_operator(jordan.triple_product(u, v, z), w)
+                - jordan.S_operator(z, jordan.triple_product(v, u, w)))
+    assert np.abs(s - expected).max() < 1e-10
+    assert np.linalg.norm(x) < 1e-10 and np.linalg.norm(y) < 1e-10
+
+
+def test_jacobi_detects_a_wrong_sign(monkeypatch):
+    # negating the [S, Y] or the [S, X] block (with its antisymmetric
+    # partner) breaks the Jacobi identity; the [X, Y] block is left out,
+    # since negating it is the automorphism Y -> -Y
+    n = 2
+    good = conformal.structure_constants(n)
+    d, r = jordan.dim_v(n), conformal.str_dimension(n)
+    s = slice(d, d + r)
+    for v in (slice(d + r, None), slice(0, d)):
+        bad = good.copy()
+        bad[s, v, v] *= -1.0
+        bad[v, s, v] *= -1.0
+        monkeypatch.setattr(conformal, "structure_constants", lambda m, bad=bad: bad)
+        assert conformal.jacobi_tensor_residual(n) > 1e-10
