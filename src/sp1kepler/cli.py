@@ -162,16 +162,9 @@ def verify_quadratic(n, mu, samples, seed, tol, output):
     """Primary, secondary, and energy identities on sampled leaf points."""
     t0 = time.time()
     tol = 1e-9 if tol is None else tol
-    rng = np.random.default_rng(seed)
-    spec = realization.LeafSpec(n, mu)
-    pts = [realization.sample_leaf(spec, rng) for _ in range(samples)]
-    zs, ws = realization._stack_points(pts)
-    vals = realization.family_values(n, zs, ws)
-    residuals = {"primary": float(realization.primary_quadratic_residuals(n, zs, ws, vals).max())}
-    sec = realization.secondary_quadratic_residuals(n, zs, ws, vals)
-    for i, name in enumerate(("i", "ii", "iii", "iv", "v", "vi")):
-        residuals["secondary_%s" % name] = float(sec[i].max())
-    residuals["energy"] = float(realization.energy_formula_residuals(n, zs, ws, vals).max())
+    residuals = realization.leaf_residual_maxima(
+        realization.LeafSpec(n, mu), np.random.default_rng(seed), samples
+    )
     passed = all(v < tol for v in residuals.values())
     report = {
         "schema": SCHEMA,

@@ -201,15 +201,16 @@ def conserved_report(tr):
     relation residual, along a trajectory.
 
     The drift of a series x is max |x - x[0]| / max(1, |x[0]|) over
-    samples and components.  One pass over _CHUNK-sample blocks folds
-    each block into running maxima, so memory beyond the trajectory is
-    one block whatever its length.
+    samples and components.  One pass over blocks of min(_CHUNK,
+    realization.block_points(n)) samples folds each into running maxima,
+    so memory beyond the trajectory is one block, bounded in bytes.
     """
     if len(tr) == 0:
         raise ValueError("empty trajectory")
     worst = -np.inf
-    for lo in range(0, len(tr), _CHUNK):
-        series, residual = _chunk_series(tr.n, tr.states[lo : lo + _CHUNK])
+    step = min(_CHUNK, realization.block_points(tr.n))
+    for lo in range(0, len(tr), step):
+        series, residual = _chunk_series(tr.n, tr.states[lo : lo + step])
         if lo == 0:
             # copied rows, so the first block is freed after its fold
             x0 = {k: x[0].ravel().copy() for k, x in series.items()}

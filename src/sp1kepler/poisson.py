@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quat import mul, norm, random_qvector
+from .quat import norm, random_qvector
 
 DOMAIN_EPS = 1e-9
 
@@ -50,10 +50,6 @@ class PhasePoint:
         if vec.size != 8 * n:
             raise ValueError("expected %d coordinates, got %d" % (8 * n, vec.size))
         return cls(vec[: 4 * n].reshape(n, 4), vec[4 * n :].reshape(n, 4))
-
-    def transformed(self, g):
-        """The point (Z g, W g) for a unit quaternion g."""
-        return PhasePoint(mul(self.Z, g), mul(self.W, g))
 
     def __repr__(self):
         return "PhasePoint(Z=%r, W=%r)" % (self.Z, self.W)
@@ -93,11 +89,6 @@ class QuadObservable:
         return float(0.5 * z @ self.A @ z + self.b @ z + self.c)
 
     __call__ = evaluate
-
-    def evaluate_batch(self, zs):
-        """Evaluate at stacked flat coordinates of shape (N, 8n)."""
-        zs = np.asarray(zs, dtype=float)
-        return 0.5 * np.einsum("ni,ij,nj->n", zs, self.A, zs) + zs @ self.b + self.c
 
     def __add__(self, other):
         self._check(other)

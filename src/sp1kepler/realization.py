@@ -122,23 +122,6 @@ def matrix_basis(n):
     return out
 
 
-def moment_rho(p):
-    """The Sp(1) moment map rho(Z, W) = -Im(W^dag Z)."""
-    return -im(dagger_product(p.W, p.Z))
-
-
-def moment_psi(p, xi):
-    """psi(Z, W, xi) = Im(W^dag Z) + 2 xi for imaginary xi."""
-    if abs(xi[0]) > 1e-12 * max(1.0, norm(xi)):
-        raise ValueError("xi must be an imaginary quaternion")
-    return im(dagger_product(p.W, p.Z)) + 2 * xi
-
-
-def mu_of(p):
-    """The magnetic charge of the leaf through p: |Im(W^dag Z)| / 2."""
-    return 0.5 * norm(im(dagger_product(p.W, p.Z)))
-
-
 @dataclass(frozen=True)
 class LeafSpec:
     """A symplectic leaf: order n and magnetic charge mu >= 0."""
@@ -178,6 +161,15 @@ def sample_leaf(spec, rng):
 # ---------------------------------------------------------------------------
 # batched scalar evaluation of the family and the quadratic identities
 # ---------------------------------------------------------------------------
+
+
+_BLOCK_BYTES = 2**20
+
+
+def block_points(n):
+    """Points per block: one (k, d, d) float64 stack, d = n(2n - 1), fits in _BLOCK_BYTES."""
+    d = n * (2 * n - 1)
+    return max(1, _BLOCK_BYTES // (8 * d * d))
 
 
 def _stack_points(points):
@@ -300,6 +292,28 @@ def energy_formula_residuals(n, zs, ws, vals=None):
     lhs = -2.0 * h * (l_sq - n**2 * (n - 1) * v["mu"] ** 2 / 2.0)
     rhs = n * (n - 1) / 2.0 * (n - 1 - a_sq)
     return _rel(lhs, rhs)
+
+
+def leaf_residual_maxima(spec, rng, samples):
+    """Max over `samples` seeded leaf points of each quadratic-identity residual.
+
+    Points are drawn in order and checked block_points(n) at a time; each
+    residual is per point and a maximum folds exactly, so the result does
+    not depend on the block size and memory does not grow with `samples`.
+    """
+    n = spec.n
+    step = block_points(n)
+    worst = np.full(8, -np.inf)
+    for lo in range(0, samples, step):
+        zs, ws = _stack_points([sample_leaf(spec, rng) for _ in range(min(step, samples - lo))])
+        v = family_values(n, zs, ws)
+        block = np.vstack([primary_quadratic_residuals(n, zs, ws, v),
+                           secondary_quadratic_residuals(n, zs, ws, v),
+                           energy_formula_residuals(n, zs, ws, v)])
+        worst = np.maximum(worst, block.max(axis=1))
+        del v, block  # freed before the next block is computed
+    names = ["primary"] + ["secondary_" + r for r in ("i", "ii", "iii", "iv", "v", "vi")]
+    return dict(zip(names + ["energy"], worst.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,16 @@ def test_conserved_report_memory_does_not_grow(monkeypatch):
     one = dynamics.Trajectory(tr.times[:chunk], tr.states[:chunk], tr.n)
     dynamics.conserved_report(one)  # warm the cached basis outside the measurement
     assert _report_peak(tr) <= 1.5 * _report_peak(one)
+
+
+def test_conserved_report_blocks_are_bounded_in_bytes():
+    # at n = 3 the default _CHUNK is capped by the byte budget of a block
+    n = 3
+    block = min(dynamics._CHUNK, realization.block_points(n))
+    assert block < dynamics._CHUNK
+    p0 = realization.sample_leaf(realization.LeafSpec(n, 1.0), np.random.default_rng(13))
+    tr = dynamics.integrate(p0, 1e-4, (4 * block - 1) * 1e-4)
+    assert len(tr) == 4 * block
+    one = dynamics.Trajectory(tr.times[:block], tr.states[:block], n)
+    dynamics.conserved_report(one)  # warm the cached basis outside the measurement
+    assert _report_peak(tr) <= 1.5 * _report_peak(one)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from helpers import moment_psi, moment_rho, mu_of, transformed
 
 from sp1kepler import jordan, realization
 from sp1kepler.poisson import PhasePoint, bracket_exact, quad_residual
@@ -56,27 +59,27 @@ def test_xi_norm_is_mu():
     p = realization.sample_leaf(realization.LeafSpec(2, 1.3), rng)
     xi = realization.xi_observables(2)
     vals = np.array([o.evaluate(p) for o in xi])
-    assert abs(np.linalg.norm(vals) - realization.mu_of(p)) < 1e-12
+    assert abs(np.linalg.norm(vals) - mu_of(p)) < 1e-12
 
 
 def test_moment_maps():
     p = realization.sample_leaf(realization.LeafSpec(2, 0.8), rng)
-    rho = realization.moment_rho(p)
+    rho = moment_rho(p)
     assert rho[0] == 0.0
-    assert abs(0.5 * norm(rho) - realization.mu_of(p)) < 1e-13
+    assert abs(0.5 * norm(rho) - mu_of(p)) < 1e-13
     # psi vanishes at xi = rho/2
-    psi = realization.moment_psi(p, rho * 0.5)
+    psi = moment_psi(p, rho * 0.5)
     assert norm(psi) < 1e-12
     # psi is only defined for imaginary xi
     with pytest.raises(ValueError):
-        realization.moment_psi(p, UNITS[0])
+        moment_psi(p, UNITS[0])
 
 
 def test_leaf_sampling_hits_target():
     for mu in (0.0, 0.5, 2.0):
         for _ in range(10):
             p = realization.sample_leaf(realization.LeafSpec(3, mu), rng)
-            assert abs(realization.mu_of(p) - mu) < 1e-10
+            assert abs(mu_of(p) - mu) < 1e-10
 
 
 def test_leaf_sampling_mu_zero_real_pairing():
@@ -153,7 +156,7 @@ def test_fiber_invariance_of_family():
     n = 2
     p = realization.sample_leaf(realization.LeafSpec(n, 1.0), rng)
     g = random_unit_quaternion(rng)
-    q = p.transformed(g)
+    q = transformed(p, g)
     v1 = realization.family_values(n, *realization._stack_points([p]))
     v2 = realization.family_values(n, *realization._stack_points([q]))
     for key in ("X", "Y", "L", "Lpair", "X_e", "Y_e", "L_e", "mu"):
@@ -165,3 +168,45 @@ def test_leaf_spec_validation():
         realization.LeafSpec(2, -1.0)
     with pytest.raises(ValueError):
         realization.LeafSpec(0, 1.0)
+
+
+def test_leaf_residual_maxima_exact_across_blocks(monkeypatch):
+    """Blocked folds equal one whole-stack pass, bit for bit."""
+    n = 3
+    d = n * (2 * n - 1)
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", 7 * 8 * d * d)
+    assert realization.block_points(n) == 7  # 51 samples: 7 blocks of 7 and a tail of 2
+    spec = realization.LeafSpec(n, 1.0)
+    used = np.random.default_rng(5)
+    got = realization.leaf_residual_maxima(spec, used, 51)
+
+    gen = np.random.default_rng(5)
+    zs, ws = realization._stack_points([realization.sample_leaf(spec, gen) for _ in range(51)])
+    v = realization.family_values(n, zs, ws)
+    sec = realization.secondary_quadratic_residuals(n, zs, ws, v).max(axis=1)
+    expected = {"primary": float(realization.primary_quadratic_residuals(n, zs, ws, v).max())}
+    expected.update(
+        ("secondary_" + r, float(x)) for r, x in zip(("i", "ii", "iii", "iv", "v", "vi"), sec)
+    )
+    expected["energy"] = float(realization.energy_formula_residuals(n, zs, ws, v).max())
+    assert got == expected
+    assert max(got.values()) > 0.0
+    assert used.random() == gen.random()  # the same draws, in the same order
+
+
+def _maxima_peak(spec, samples):
+    tracemalloc.start()
+    try:
+        realization.leaf_residual_maxima(spec, np.random.default_rng(3), samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_leaf_residual_maxima_memory_does_not_grow(monkeypatch):
+    n, block = 3, 1000
+    d = n * (2 * n - 1)
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", block * 8 * d * d)
+    spec = realization.LeafSpec(n, 1.0)
+    realization.leaf_residual_maxima(spec, np.random.default_rng(3), 1)  # warm the cached basis
+    assert _maxima_peak(spec, 4 * block) <= 1.5 * _maxima_peak(spec, block)
