@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import sys
 import time
 
@@ -245,14 +246,22 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
         "n": n, "mu": mu, "dt": dt, "t_end": t_end, "method": method,
         "initial": initial, "seed": seed, "tol": tol,
     }
+    # refused before the CSV is opened: each of the 8n + 1 values of a row
+    # takes at least one character and one separator
+    samples = dynamics.sample_count(dt, t_end)
+    need = samples * 2 * (8 * n + 1)
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(output))).free
+    if need > free:
+        raise _RuntimeAbort("a trajectory CSV of %d samples needs at least %.1f GiB; %.1f GiB free"
+                            % (samples, need / 2**30, free / 2**30))
+    fold = dynamics.DriftFold(n)
     try:
-        tr = dynamics.integrate(p0, dt, t_end, method)
-    except MemoryError as err:
-        raise _RuntimeAbort(str(err)) from err
+        with open(output + ".csv", "w") as fh:
+            dynamics.write_csv_header(fh, n)
+            for times, states in dynamics.flow_blocks(p0, dt, t_end, method):
+                dynamics.write_csv_block(fh, times, states)
+                fold.add(states)
     except dynamics.IntegrationAbort as err:
-        partial = getattr(err, "partial", None)
-        if partial is not None and len(partial):
-            partial.to_csv(output + ".csv")
         report = {
             "schema": SCHEMA,
             "command": "simulate",
@@ -264,8 +273,7 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
         _emit(report, output + ".json")
         click.echo("aborted: %s" % err, err=True)
         sys.exit(3)
-    tr.to_csv(output + ".csv")
-    rep = dynamics.conserved_report(tr)
+    rep = fold.report()
     drift_keys = [k for k in rep if k.startswith("drift_")]
     passed = all(rep[k] < tol for k in drift_keys) and rep["max_energy_residual"] < tol
     report = {

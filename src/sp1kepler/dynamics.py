@@ -3,16 +3,21 @@
 The Hamiltonian H = |W|^2/(8|Z|^2) - 1/|Z|^2 generates the flow in the
 canonical coordinates of the poisson module; the cone-side dynamics is
 recovered through the sternberg module when needed.  The integrators are
-classical RK4 and implicit midpoint; conserved_report monitors every
-quantity the realization predicts to be constant (H, the moment map, the
-angular momenta, the LRL components) together with the closed quadratic
-relation tying them.
+classical RK4 and implicit midpoint.  flow_blocks steps the flow and
+yields it in blocks of min(_CHUNK, realization.block_points(n)) samples;
+write_csv_block exports a block, and DriftFold folds it into the running
+drifts of every quantity the realization predicts to be constant (H, the
+moment map, the angular momenta, the LRL components) and the residual of
+the closed quadratic relation tying them.  The CLI drives the three one
+block at a time, so a simulation holds one block whatever its length;
+integrate, Trajectory.to_csv and conserved_report are the same
+primitives over a whole trajectory held in memory.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,12 +94,11 @@ def _rhs(flat, m):
 
 @dataclass
 class Trajectory:
-    """Sampled flow: times (N,), flat states (N, 8n), and run metadata."""
+    """Sampled flow: times (N,) and flat states (N, 8n)."""
 
     times: np.ndarray
     states: np.ndarray
     n: int
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return self.times.size
@@ -102,21 +106,31 @@ class Trajectory:
     def point(self, i):
         return PhasePoint.unflatten(self.states[i], self.n)
 
-    def to_csv(self, path):
-        """CSV export: header t,Z_0w,...,W_{n-1}z; 17 significant digits.
+    def blocks(self):
+        """(times, states) views in the blocks that flow_blocks yields."""
+        step = _block_size(self.n)
+        for lo in range(0, len(self), step):
+            yield self.times[lo : lo + step], self.states[lo : lo + step]
 
-        Rows are formatted _CHUNK at a time, so no full copy is made.
-        """
-        comps = "wxyz"
-        cols = ["t"]
-        cols += ["Z_%d%s" % (i, c) for i in range(self.n) for c in comps]
-        cols += ["W_%d%s" % (i, c) for i in range(self.n) for c in comps]
+    def to_csv(self, path):
+        """CSV export: header t,Z_0w,...,W_{n-1}z; 17 significant digits."""
         with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for lo in range(0, len(self), _CHUNK):
-                hi = lo + _CHUNK
-                block = np.column_stack([self.times[lo:hi], self.states[lo:hi]])
-                np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+            write_csv_header(fh, self.n)
+            for times, states in self.blocks():
+                write_csv_block(fh, times, states)
+
+
+def write_csv_header(fh, n):
+    comps = "wxyz"
+    cols = ["t"]
+    cols += ["Z_%d%s" % (i, c) for i in range(n) for c in comps]
+    cols += ["W_%d%s" % (i, c) for i in range(n) for c in comps]
+    fh.write(",".join(cols) + "\n")
+
+
+def write_csv_block(fh, times, states):
+    """One CSV row per sample, %.17g, so floats round-trip exactly."""
+    np.savetxt(fh, np.column_stack([times, states]), fmt="%.17g", delimiter=",")
 
 
 def _step_rk4(y, dt, m):
@@ -137,43 +151,86 @@ def _step_midpoint(y, dt, m, tol=1e-12, max_iter=50):
     raise ConvergenceError("implicit midpoint failed to converge")
 
 
-def integrate(p0, dt, t_end, method="rk4"):
-    """Integrate Hamilton's equations from p0 up to t_end with fixed step dt.
+_STEPPERS = {"rk4": _step_rk4, "midpoint": _step_midpoint}
 
-    Raises MemoryError, before allocating, when the sampled trajectory
-    would not fit in physical memory.
-    """
+
+def _block_size(n):
+    """Samples per block, bounded in bytes like the leaf check."""
+    return min(_CHUNK, realization.block_points(n))
+
+
+def sample_count(dt, t_end):
+    """Samples of a run with step dt from t = 0 to t_end, both ends included."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    if method not in ("rk4", "midpoint"):
+    return int(round(t_end / dt)) + 1
+
+
+def flow_blocks(p0, dt, t_end, method="rk4"):
+    """Integrate Hamilton's equations from p0 up to t_end with fixed step dt,
+    yielding (times, states) blocks of min(_CHUNK, realization.block_points(n))
+    samples.
+
+    The arguments are checked on call.  A block is a fresh array, so a
+    consumer may keep it.  When a step fails, the accepted samples of the
+    unfinished block are yielded first and the IntegrationAbort is raised
+    on the next request, so a consumer that handles every block has seen
+    every accepted sample, from t = 0 on.
+    """
+    if method not in _STEPPERS:
         raise ValueError("unknown method %r" % (method,))
-    n = p0.n
+    return _flow(p0.flatten(), p0.n, dt, sample_count(dt, t_end), _STEPPERS[method])
+
+
+def _flow(y, n, dt, total, stepper):
     m = 4 * n
-    steps = int(round(t_end / dt))
-    need = (steps + 1) * (8 * n + 1) * 8
+    step = _block_size(n)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        states = np.empty((hi - lo, 8 * n))
+        for i in range(lo, hi):
+            if i:
+                try:
+                    y = stepper(y, dt, m)
+                except IntegrationAbort:
+                    if i > lo:
+                        yield np.arange(lo, i) * dt, states[: i - lo]
+                    raise
+            states[i - lo] = y
+        yield np.arange(lo, hi) * dt, states
+
+
+def integrate(p0, dt, t_end, method="rk4"):
+    """The whole sampled flow of flow_blocks as one Trajectory.
+
+    Raises MemoryError, before allocating, when the sampled trajectory
+    would not fit in physical memory.  An IntegrationAbort carries the
+    accepted samples from t = 0 as ``partial``.
+    """
+    blocks = flow_blocks(p0, dt, t_end, method)
+    total = sample_count(dt, t_end)
+    n = p0.n
+    need = total * (8 * n + 1) * 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise MemoryError(
             "a trajectory of %d samples needs %.1f GiB; physical memory is %.1f GiB"
-            % (steps + 1, need / 2**30, have / 2**30)
+            % (total, need / 2**30, have / 2**30)
         )
-    times = np.arange(steps + 1) * dt
-    states = np.empty((steps + 1, 8 * n))
-    y = p0.flatten()
-    states[0] = y
-    stepper = _step_rk4 if method == "rk4" else _step_midpoint
-    meta = {"method": method, "dt": dt, "t_end": t_end, "n": n}
-    for i in range(1, steps + 1):
-        try:
-            y = stepper(y, dt, m)
-        except IntegrationAbort as err:
-            # attach the accepted samples so callers can dump partial output
-            err.partial = Trajectory(times[:i].copy(), states[:i].copy(), n, meta)
-            raise
-        states[i] = y
-    return Trajectory(times, states, n, meta)
+    times = np.empty(total)
+    states = np.empty((total, 8 * n))
+    done = 0
+    try:
+        for t, s in blocks:
+            times[done : done + len(t)] = t
+            states[done : done + len(t)] = s
+            done += len(t)
+    except IntegrationAbort as err:
+        err.partial = Trajectory(times[:done].copy(), states[:done].copy(), n)
+        raise
+    return Trajectory(times, states, n)
 
 
 def _chunk_series(n, s):
@@ -196,32 +253,48 @@ def _chunk_series(n, s):
     return series, realization.energy_formula_residuals(n, zs, ws, v)
 
 
-def conserved_report(tr):
-    """Max relative drifts of every predicted constant, plus the energy
-    relation residual, along a trajectory.
+class DriftFold:
+    """Running maxima behind conserved_report, fed one block of flat states
+    at a time, so its memory is one block whatever the run length.
 
     The drift of a series x is max |x - x[0]| / max(1, |x[0]|) over
-    samples and components.  One pass over blocks of min(_CHUNK,
-    realization.block_points(n)) samples folds each into running maxima,
-    so memory beyond the trajectory is one block, bounded in bytes.
+    samples and components, x[0] taken from the first block added.
     """
-    if len(tr) == 0:
-        raise ValueError("empty trajectory")
-    worst = -np.inf
-    step = min(_CHUNK, realization.block_points(tr.n))
-    for lo in range(0, len(tr), step):
-        series, residual = _chunk_series(tr.n, tr.states[lo : lo + step])
-        if lo == 0:
+
+    def __init__(self, n):
+        self.n = n
+        self.x0 = self.den = self.drift = None
+        self.worst = -np.inf
+
+    def add(self, states):
+        series, residual = _chunk_series(self.n, states)
+        if self.x0 is None:
             # copied rows, so the first block is freed after its fold
-            x0 = {k: x[0].ravel().copy() for k, x in series.items()}
-            den = {k: np.maximum(1.0, np.abs(v)) for k, v in x0.items()}
-            drift = dict.fromkeys(series, -np.inf)
+            self.x0 = {k: x[0].ravel().copy() for k, x in series.items()}
+            self.den = {k: np.maximum(1.0, np.abs(v)) for k, v in self.x0.items()}
+            self.drift = dict.fromkeys(series, -np.inf)
         for k, x in series.items():
             flat = x.reshape(x.shape[0], -1)
-            drift[k] = np.maximum(drift[k], np.max(np.abs(flat - x0[k]) / den[k]))
-        worst = np.maximum(worst, np.max(residual))
-        del series, residual  # freed before the next block is computed
-    rep = {"H": float(x0["drift_H"][0]), "mu": float(x0["drift_mu"][0])}
-    rep.update((k, float(v)) for k, v in drift.items())
-    rep["max_energy_residual"] = float(worst)
-    return rep
+            self.drift[k] = np.maximum(
+                self.drift[k], np.max(np.abs(flat - self.x0[k]) / self.den[k])
+            )
+        self.worst = np.maximum(self.worst, np.max(residual))
+
+    def report(self):
+        if self.x0 is None:
+            raise ValueError("empty trajectory")
+        rep = {"H": float(self.x0["drift_H"][0]), "mu": float(self.x0["drift_mu"][0])}
+        rep.update((k, float(v)) for k, v in self.drift.items())
+        rep["max_energy_residual"] = float(self.worst)
+        return rep
+
+
+def conserved_report(tr):
+    """Max relative drifts of every predicted constant, plus the energy
+    relation residual, along a trajectory: a DriftFold over its blocks,
+    so memory beyond the trajectory is one block, bounded in bytes.
+    """
+    fold = DriftFold(tr.n)
+    for _, states in tr.blocks():
+        fold.add(states)
+    return fold.report()

@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sp1kepler import dynamics
 from sp1kepler.cli import main
+from sp1kepler.poisson import PhasePoint
 
 
 def _run(args):
@@ -162,3 +165,67 @@ def test_simulate_oversized_run_exits_3(tmp_path):
     assert "100000000001 samples" in res.output
     assert peak < 16 * 2**20
     assert not (tmp_path / "huge.csv").exists()
+
+
+@pytest.mark.parametrize("chunk, args, rows", [
+    # 51 samples: seven full blocks and a tail of two
+    (7, ["--dt", "1e-2", "--t-end", "0.5"], 51),
+    # nine accepted samples, the midpoint step fails at the start of a block
+    (3, ["--method", "midpoint", "--dt", "2", "--t-end", "40", "--mu", "0"], 9),
+    # the same abort inside a block: two full blocks and one accepted row
+    (4, ["--method", "midpoint", "--dt", "2", "--t-end", "40", "--mu", "0"], 9),
+    # the near-collision guard stops the first step
+    (7, ["--initial", "infall"], 1),
+])
+def test_simulate_stream_equals_whole_trajectory(tmp_path, monkeypatch, chunk, args, rows):
+    """The streamed run writes and reports what integrate -> to_csv ->
+    conserved_report gives on the whole trajectory, bit for bit."""
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    base = tmp_path / "run"
+    res = _run(["simulate"] + args + ["--output", str(base)])
+    rep = _load(str(base) + ".json")
+    cfg = rep["config"]
+    p0 = PhasePoint.unflatten(np.array(rep["initial_state"]), cfg["n"])
+    ref = tmp_path / "ref.csv"
+    try:
+        tr = dynamics.integrate(p0, cfg["dt"], cfg["t_end"], cfg["method"])
+    except dynamics.IntegrationAbort as err:
+        tr = err.partial
+        assert res.exit_code == 3
+        assert rep["aborted"] == "%s: %s" % (err.kind, err)
+    else:
+        assert res.exit_code == 0
+        assert rep["conserved"] == dynamics.conserved_report(tr)
+    assert len(tr) == rows
+    tr.to_csv(str(ref))
+    streamed = (tmp_path / "run.csv").read_text()
+    assert streamed == ref.read_text()
+    # one header, then every accepted row in order, as one savetxt of the whole
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([tr.times, tr.states]), fmt="%.17g", delimiter=",")
+    assert streamed.split("\n", 1)[1] == buf.getvalue()
+
+
+def _simulate_peak(base, samples):
+    args = ["simulate", "--dt", "1e-3", "--t-end", repr((samples - 1) * 1e-3),
+            "--output", str(base)]
+    tracemalloc.start()
+    try:
+        res = _run(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0
+    assert len((base.parent / (base.name + ".csv")).read_text().splitlines()) == samples + 1
+    return peak
+
+
+def test_simulate_memory_does_not_grow_with_t_end(tmp_path, monkeypatch):
+    # A block's drift fold needs about twelve times the memory of its
+    # samples at n = 2, so a run that held its whole trajectory would pass
+    # a 1.5x bound at 4 blocks (1.23x measured); at 16 blocks it reads 2.1x.
+    chunk = 250
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    base = tmp_path / "run"
+    _simulate_peak(base, chunk)  # warm the cached basis outside the measurement
+    assert _simulate_peak(base, 16 * chunk) <= 1.5 * _simulate_peak(base, chunk)

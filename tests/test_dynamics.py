@@ -68,6 +68,18 @@ def test_integrate_validation():
         dynamics.integrate(p, 1e-4, 1.0, method="leapfrog")
 
 
+def test_integrate_refuses_a_trajectory_beyond_physical_memory():
+    # 1e11 samples: refused before the arrays are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="100000000001 samples"):
+            dynamics.integrate(_hand_point(), 1e-4, 1e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_zero_t_end_single_sample():
     tr = dynamics.integrate(_hand_point(), 1e-4, 0.0)
     assert len(tr) == 1
