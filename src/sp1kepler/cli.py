@@ -48,10 +48,23 @@ def _emit(report, output):
         click.echo(text, nl=False)
 
 
-def _finish(report, output, t0):
-    _emit(report, output)
+def _finish(config, residuals, output, t0, **extra):
+    """Emit a verify report and exit: 0 when every residual is below
+    config["tol"] (and, for verify-algebra, dim == dim_expected), else 1."""
+    passed = all(v < config["tol"] for v in residuals.values())
+    passed = passed and extra.get("dim") == extra.get("dim_expected")
+    command = click.get_current_context().command.name
+    _emit(dict(extra, schema=SCHEMA, command=command, config=config,
+               residuals=residuals, passed=passed), output)
     click.echo("runtime: %.2f s" % (time.time() - t0), err=True)
-    sys.exit(0 if report["passed"] else 1)
+    sys.exit(0 if passed else 1)
+
+
+def _output_dir(ctx, param, value):
+    """Refuse, at parsing (exit 2), an output path whose directory is missing."""
+    if value is not None and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+        raise click.BadParameter("directory %r does not exist" % os.path.dirname(value))
+    return value
 
 
 class _FiniteFloat(click.FloatRange):
@@ -81,7 +94,7 @@ _common = [
     click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True),
     click.option("--tol", type=_FiniteFloat(), default=None, help="Pass threshold."),
     click.option("--output", type=click.Path(dir_okay=False), default=None,
-                 help="Write the JSON report here instead of stdout."),
+                 callback=_output_dir, help="Write the JSON report here instead of stdout."),
 ]
 
 
@@ -118,17 +131,8 @@ def verify_algebra(n, triples, seed, tol, output):
         "jacobi_generators_max": jac_generators,
         "closure_max": closure,
     }
-    passed = all(v < tol for v in checks.values()) and dim == dim_expected
-    report = {
-        "schema": SCHEMA,
-        "command": "verify-algebra",
-        "config": {"n": n, "seed": seed, "tol": tol, "triples": triples},
-        "dim": dim,
-        "dim_expected": dim_expected,
-        "residuals": checks,
-        "passed": passed,
-    }
-    _finish(report, output, t0)
+    config = {"n": n, "seed": seed, "tol": tol, "triples": triples}
+    _finish(config, checks, output, t0, dim=dim, dim_expected=dim_expected)
 
 
 @main.command("verify-realization")
@@ -138,20 +142,10 @@ def verify_realization(n, seed, tol, output):
     """The six bracket relation families as exact quadratic identities."""
     t0 = time.time()
     tol = 1e-12 if tol is None else tol
-    rep = realization.verify_so_star_relations(n, tol)
+    residuals = realization.verify_so_star_relations(n)
     rng = np.random.default_rng(seed)
-    quad = realization.verify_ss_quadruples(n, rng, count=100, tol=tol)
-    residuals = dict(rep["residuals"])
-    residuals["SS_quadruple_spot"] = quad
-    passed = all(v < tol for v in residuals.values())
-    report = {
-        "schema": SCHEMA,
-        "command": "verify-realization",
-        "config": {"n": n, "seed": seed, "tol": tol},
-        "residuals": residuals,
-        "passed": passed,
-    }
-    _finish(report, output, t0)
+    residuals["SS_quadruple_spot"] = realization.verify_ss_quadruples(n, rng, count=100)
+    _finish({"n": n, "seed": seed, "tol": tol}, residuals, output, t0)
 
 
 @main.command("verify-quadratic")
@@ -166,15 +160,8 @@ def verify_quadratic(n, mu, samples, seed, tol, output):
     residuals = realization.leaf_residual_maxima(
         realization.LeafSpec(n, mu), np.random.default_rng(seed), samples
     )
-    passed = all(v < tol for v in residuals.values())
-    report = {
-        "schema": SCHEMA,
-        "command": "verify-quadratic",
-        "config": {"n": n, "mu": mu, "samples": samples, "seed": seed, "tol": tol},
-        "residuals": residuals,
-        "passed": passed,
-    }
-    _finish(report, output, t0)
+    config = {"n": n, "mu": mu, "samples": samples, "seed": seed, "tol": tol}
+    _finish(config, residuals, output, t0)
 
 
 @main.command("verify-pullback")
@@ -195,15 +182,7 @@ def verify_pullback(n, samples, seed, tol, output):
         a, b = sternberg.pullback_check(z, w)
         r1, r2 = max(r1, a), max(r2, b)
     residuals = {"moment_pullback": r1, "kinetic_pullback": r2}
-    passed = all(v < tol for v in residuals.values())
-    report = {
-        "schema": SCHEMA,
-        "command": "verify-pullback",
-        "config": {"n": n, "samples": samples, "seed": seed, "tol": tol},
-        "residuals": residuals,
-        "passed": passed,
-    }
-    _finish(report, output, t0)
+    _finish({"n": n, "samples": samples, "seed": seed, "tol": tol}, residuals, output, t0)
 
 
 def _bound_start(n, mu, rng):
@@ -236,7 +215,8 @@ def _infall_start(n):
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--tol", type=_FiniteFloat(), default=1e-8, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default="trajectory",
-              show_default=True, help="Base path; writes <base>.csv and <base>.json.")
+              show_default=True, callback=_output_dir,
+              help="Base path; writes <base>.csv and <base>.json.")
 def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     """Integrate the Kepler flow and report conserved-quantity drifts."""
     t0 = time.time()
@@ -246,6 +226,8 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
         "n": n, "mu": mu, "dt": dt, "t_end": t_end, "method": method,
         "initial": initial, "seed": seed, "tol": tol,
     }
+    base = {"schema": SCHEMA, "command": "simulate", "config": config,
+            "initial_state": p0.flatten().tolist()}
     # refused before the CSV is opened: each of the 8n + 1 values of a row
     # takes at least one character and one separator
     samples = dynamics.sample_count(dt, t_end)
@@ -262,29 +244,13 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
                 dynamics.write_csv_block(fh, times, states)
                 fold.add(states)
     except dynamics.IntegrationAbort as err:
-        report = {
-            "schema": SCHEMA,
-            "command": "simulate",
-            "config": config,
-            "initial_state": p0.flatten().tolist(),
-            "aborted": "%s: %s" % (err.kind, err),
-            "passed": False,
-        }
-        _emit(report, output + ".json")
+        _emit(dict(base, aborted="%s: %s" % (err.kind, err), passed=False), output + ".json")
         click.echo("aborted: %s" % err, err=True)
         sys.exit(3)
     rep = fold.report()
     drift_keys = [k for k in rep if k.startswith("drift_")]
     passed = all(rep[k] < tol for k in drift_keys) and rep["max_energy_residual"] < tol
-    report = {
-        "schema": SCHEMA,
-        "command": "simulate",
-        "config": config,
-        "initial_state": p0.flatten().tolist(),
-        "conserved": rep,
-        "passed": passed,
-    }
-    _emit(report, output + ".json")
+    _emit(dict(base, conserved=rep, passed=passed), output + ".json")
     click.echo("runtime: %.2f s" % (time.time() - t0), err=True)
     sys.exit(0 if passed else 1)
 

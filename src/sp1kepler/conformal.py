@@ -54,8 +54,7 @@ def span_residual(n, s):
 
 def element(x, coeff, y):
     """Coordinates of X_x + sum_k coeff[k] S_k + Y_y, for hermitian x and y."""
-    basis = jordan.orthonormal_basis(x.shape[0])
-    return np.concatenate([basis.coords(x), coeff, basis.coords(y)])
+    return np.concatenate([jordan.coords(x), coeff, jordan.coords(y)])
 
 
 def x_element(u):
@@ -70,10 +69,8 @@ def y_element(v):
 
 def s_matrix(u, v):
     """Matrix of S_uv in the orthonormal basis, via the structure tensor."""
-    n = u.shape[0]
-    basis = jordan.orthonormal_basis(n)
-    t = jordan.s_tensor(n)
-    return np.einsum("a,b,abij->ij", basis.coords(u), basis.coords(v), t)
+    t = jordan.s_tensor(u.shape[0])
+    return np.einsum("a,b,abij->ij", jordan.coords(u), jordan.coords(v), t)
 
 
 def s_element(u, v):

@@ -4,14 +4,15 @@ The Hamiltonian H = |W|^2/(8|Z|^2) - 1/|Z|^2 generates the flow in the
 canonical coordinates of the poisson module; the cone-side dynamics is
 recovered through the sternberg module when needed.  The integrators are
 classical RK4 and implicit midpoint.  flow_blocks steps the flow and
-yields it in blocks of min(_CHUNK, realization.block_points(n)) samples;
-write_csv_block exports a block, and DriftFold folds it into the running
-drifts of every quantity the realization predicts to be constant (H, the
-moment map, the angular momenta, the LRL components) and the residual of
-the closed quadratic relation tying them.  The CLI drives the three one
-block at a time, so a simulation holds one block whatever its length;
-integrate, Trajectory.to_csv and conserved_report are the same
-primitives over a whole trajectory held in memory.
+yields it in blocks of realization.block_points(n) samples, the byte
+budget of the leaf check; write_csv_block exports a block, and DriftFold
+folds it into the running drifts of every quantity the realization
+predicts to be constant (H, the moment map, the angular momenta, the LRL
+components) and the residual of the closed quadratic relation tying
+them.  The CLI drives the three one block at a time, so a simulation
+holds one block whatever its length; integrate, Trajectory.to_csv and
+conserved_report are the same primitives over a whole trajectory held in
+memory.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from . import realization
 from .poisson import DOMAIN_EPS, PhasePoint
 
 _COLLISION_RADIUS = 10.0 * DOMAIN_EPS
-_CHUNK = 4096
 
 
 class IntegrationAbort(RuntimeError):
@@ -108,7 +108,7 @@ class Trajectory:
 
     def blocks(self):
         """(times, states) views in the blocks that flow_blocks yields."""
-        step = _block_size(self.n)
+        step = realization.block_points(self.n)
         for lo in range(0, len(self), step):
             yield self.times[lo : lo + step], self.states[lo : lo + step]
 
@@ -154,11 +154,6 @@ def _step_midpoint(y, dt, m, tol=1e-12, max_iter=50):
 _STEPPERS = {"rk4": _step_rk4, "midpoint": _step_midpoint}
 
 
-def _block_size(n):
-    """Samples per block, bounded in bytes like the leaf check."""
-    return min(_CHUNK, realization.block_points(n))
-
-
 def sample_count(dt, t_end):
     """Samples of a run with step dt from t = 0 to t_end, both ends included."""
     if dt <= 0:
@@ -170,8 +165,7 @@ def sample_count(dt, t_end):
 
 def flow_blocks(p0, dt, t_end, method="rk4"):
     """Integrate Hamilton's equations from p0 up to t_end with fixed step dt,
-    yielding (times, states) blocks of min(_CHUNK, realization.block_points(n))
-    samples.
+    yielding (times, states) blocks of realization.block_points(n) samples.
 
     The arguments are checked on call.  A block is a fresh array, so a
     consumer may keep it.  When a step fails, the accepted samples of the
@@ -186,7 +180,7 @@ def flow_blocks(p0, dt, t_end, method="rk4"):
 
 def _flow(y, n, dt, total, stepper):
     m = 4 * n
-    step = _block_size(n)
+    step = realization.block_points(n)
     for lo in range(0, total, step):
         hi = min(lo + step, total)
         states = np.empty((hi - lo, 8 * n))

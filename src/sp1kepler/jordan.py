@@ -7,7 +7,9 @@ the identity e.
 
 Structure operators S_{uv} = [L_u, L_v] + L_{u o v} act on the algebra;
 in an orthonormal basis they are plain real matrices, which is how the
-conformal algebra consumes them.
+conformal algebra consumes them.  The basis is itself an array, a
+read-only (d, n, n, 4) stack, and coords / from_coords map an element to
+its d coordinates and back.
 """
 
 from __future__ import annotations
@@ -56,74 +58,54 @@ def inner(u, v):
     return float(val) / u.shape[0]
 
 
-class JordanBasis:
-    """An orthonormal basis of H_n(H), stored as a (dim, n, n, 4) stack.
+@lru_cache(maxsize=8)
+def orthonormal_basis(n):
+    """The standard orthonormal basis of H_n(H), as a read-only (d, n, n, 4)
+    stack of its d = n(2n-1) elements.
 
     Diagonal generators sqrt(n) E_aa come first, then for each a < b the
     four off-diagonal generators sqrt(n/2) (E_ab q + E_ba conj(q)) with
     q running over 1, i, j, k.
     """
-
-    def __init__(self, n):
-        self.n = n
-        elements = []
-        for a in range(n):
-            elements.append(unit_matrix(n, a, a) * np.sqrt(n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                for q in UNITS:
-                    m = unit_matrix(n, a, b, q) + unit_matrix(n, b, a, conj(q))
-                    elements.append(m * np.sqrt(n / 2.0))
-        self.dim = len(elements)
-        self.stack = np.array(elements)
-        self.stack.setflags(write=False)
-
-    def __len__(self):
-        return self.dim
-
-    def __getitem__(self, i):
-        return self.stack[i]
-
-    def __iter__(self):
-        return iter(self.stack)
-
-    def coords(self, u):
-        """Coordinates of u in this basis (orthonormal, so plain projections)."""
-        return np.einsum(
-            "aijp,jip,p->a", self.stack, u, RE_SIGNS
-        ) / self.n
-
-    def from_coords(self, c):
-        return np.einsum("a,aijp->ijp", np.asarray(c, float), self.stack)
-
-    def gram(self):
-        g = np.einsum("aijp,bjip,p->ab", self.stack, self.stack, RE_SIGNS)
-        return g / self.n
-
-
-@lru_cache(maxsize=8)
-def orthonormal_basis(n):
-    """The standard orthonormal basis of H_n(H); n(2n-1) elements."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    return JordanBasis(n)
+    elements = []
+    for a in range(n):
+        elements.append(unit_matrix(n, a, a) * np.sqrt(n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            for q in UNITS:
+                m = unit_matrix(n, a, b, q) + unit_matrix(n, b, a, conj(q))
+                elements.append(m * np.sqrt(n / 2.0))
+    stack = np.array(elements)
+    stack.setflags(write=False)
+    return stack
+
+
+def coords(u):
+    """Coordinates of u in the orthonormal basis (plain projections)."""
+    n = u.shape[0]
+    return np.einsum("aijp,jip,p->a", orthonormal_basis(n), u, RE_SIGNS) / n
+
+
+def from_coords(c, n):
+    """The element of H_n(H) with coordinates c in the orthonormal basis."""
+    return np.einsum("a,aijp->ijp", np.asarray(c, float), orthonormal_basis(n))
 
 
 def dim_v(n):
     return n * (2 * n - 1)
 
 
-def L_operator(u, basis=None):
+def L_operator(u):
     """Matrix of Jordan multiplication L_u in the orthonormal basis."""
-    basis = basis or orthonormal_basis(u.shape[0])
-    cols = [basis.coords(jordan_product(u, eb)) for eb in basis]
+    cols = [coords(jordan_product(u, eb)) for eb in orthonormal_basis(u.shape[0])]
     return np.array(cols).T
 
 
-def S_operator(u, v, basis=None):
+def S_operator(u, v):
     """Matrix of S_{uv} = [L_u, L_v] + L_{u o v}; S_{uv}(w) = {uvw}."""
-    basis = basis or orthonormal_basis(u.shape[0])
-    cols = [basis.coords(triple_product(u, v, eb)) for eb in basis]
+    cols = [coords(triple_product(u, v, eb)) for eb in orthonormal_basis(u.shape[0])]
     return np.array(cols).T
 
 
@@ -134,8 +116,7 @@ def s_tensor(n):
     Shape (d, d, d, d) with d = n(2n-1); used by the conformal algebra.
     Built vectorized: {e_a e_b e_c} for all triples, then projected.
     """
-    basis = orthonormal_basis(n)
-    e = basis.stack  # (d, n, n, 4)
+    e = orthonormal_basis(n)  # (d, n, n, 4)
     # pairwise matrix products P[a, b] = e_a e_b
     p = np.einsum("aikp,bkjq,pqc->abijc", e, e, QTAB)
     # T1[a, b, c] = (e_a e_b) e_c,  T2[a, b, c] = e_c (e_b e_a)

@@ -1,11 +1,13 @@
 """Helpers used only by the tests: single-point formulas for the moment
 maps and the magnetic charge, batched evaluation of a quadratic
-observable, and the right Sp(1) action on a phase point."""
+observable, the right Sp(1) action on a phase point, the cone-side LRL
+component, and the block byte budget that gives blocks of k points."""
 
 import numpy as np
 
+from sp1kepler import jordan, realization, sternberg
 from sp1kepler.poisson import PhasePoint
-from sp1kepler.quat import dagger_product, im, mul, norm
+from sp1kepler.quat import dagger_product, im, mat_apply, mul, norm, vec_inner
 
 
 def moment_rho(p):
@@ -34,3 +36,24 @@ def evaluate_batch(f, zs):
 def transformed(p, g):
     """The point (Z g, W g) for a unit quaternion g."""
     return PhasePoint(mul(p.Z, g), mul(p.W, g))
+
+
+def block_bytes(k, n):
+    """A realization._BLOCK_BYTES for which block_points(n) is k."""
+    return k * 8 * (n * (2 * n - 1)) ** 2
+
+
+def lrl_downstairs(z, w, mu, u):
+    """The LRL component A_u = (X_u - Y_u X_e / Y_e)/2 + Y_u / Y_e.
+
+    Y-values come from the cone point, X_e from the cone-side formula,
+    X_u through the upstairs pair (Z, W): not an independent route.
+    """
+    x, r = sternberg.cone_point(z), norm(z) ** 2
+    y_u = jordan.inner(x, u)
+    x_e = sternberg.sternberg_x_e(x, sternberg.pi_from_W(z, w), r, mu)
+    x_u = 0.25 * vec_inner(w, mat_apply(u, w))
+    _, a = realization.kepler_scalars(
+        np.array([[x_u]]), np.array([[y_u]]), np.array([x_e]), np.array([r])
+    )
+    return float(a[0, 0])

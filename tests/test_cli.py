@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from helpers import block_bytes
 
-from sp1kepler import dynamics
+from sp1kepler import dynamics, realization
 from sp1kepler.cli import main
 from sp1kepler.poisson import PhasePoint
 
@@ -69,6 +70,20 @@ def test_non_finite_float_is_usage_error(tmp_path, args):
     res = _run(args + ["--output", str(tmp_path / "out")])
     assert res.exit_code == 2
     assert "is not a finite number" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-algebra", "--n", "1", "--triples", "1"],
+    ["verify-realization", "--n", "1"],
+    ["verify-quadratic", "--samples", "1"],
+    ["verify-pullback", "--samples", "1"],
+    ["simulate", "--t-end", "0"],
+])
+def test_output_in_missing_directory_is_usage_error(tmp_path, args):
+    res = CliRunner().invoke(main, args + ["--output", str(tmp_path / "nodir" / "r")])
+    assert res.exit_code == 2, res.output
+    assert "does not exist" in res.output
     assert list(tmp_path.iterdir()) == []
 
 
@@ -180,7 +195,7 @@ def test_simulate_oversized_run_exits_3(tmp_path):
 def test_simulate_stream_equals_whole_trajectory(tmp_path, monkeypatch, chunk, args, rows):
     """The streamed run writes and reports what integrate -> to_csv ->
     conserved_report gives on the whole trajectory, bit for bit."""
-    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(chunk, 2))
     base = tmp_path / "run"
     res = _run(["simulate"] + args + ["--output", str(base)])
     rep = _load(str(base) + ".json")
@@ -225,7 +240,7 @@ def test_simulate_memory_does_not_grow_with_t_end(tmp_path, monkeypatch):
     # samples at n = 2, so a run that held its whole trajectory would pass
     # a 1.5x bound at 4 blocks (1.23x measured); at 16 blocks it reads 2.1x.
     chunk = 250
-    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(chunk, 2))
     base = tmp_path / "run"
     _simulate_peak(base, chunk)  # warm the cached basis outside the measurement
     assert _simulate_peak(base, 16 * chunk) <= 1.5 * _simulate_peak(base, chunk)

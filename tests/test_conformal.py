@@ -7,10 +7,9 @@ rng = np.random.default_rng(31)
 
 def _parts(n, c):
     """The hermitian x-part, the (d, d) operator s-part and the y-part of c."""
-    basis = jordan.orthonormal_basis(n)
-    d = basis.dim
+    d = jordan.dim_v(n)
     s = np.einsum("r,rij->ij", c[d:-d], conformal.str_span(n))
-    return basis.from_coords(c[:d]), s, basis.from_coords(c[-d:])
+    return jordan.from_coords(c[:d], n), s, jordan.from_coords(c[-d:], n)
 
 
 def test_dimensions():
@@ -108,9 +107,8 @@ def test_bracket_lands_in_span():
     a = conformal.random_element(rng, 2)
     b = conformal.random_element(rng, 2)
     (xa, sa, ya), (xb, sb, yb) = _parts(2, a), _parts(2, b)
-    basis = jordan.orthonormal_basis(2)
-    x_new = basis.from_coords(sa @ basis.coords(xb) - sb @ basis.coords(xa))
-    y_new = basis.from_coords(-(sa.T @ basis.coords(yb)) + sb.T @ basis.coords(ya))
+    x_new = jordan.from_coords(sa @ jordan.coords(xb) - sb @ jordan.coords(xa), 2)
+    y_new = jordan.from_coords(-(sa.T @ jordan.coords(yb)) + sb.T @ jordan.coords(ya), 2)
     s_new = (sa @ sb - sb @ sa - 2.0 * conformal.s_matrix(xa, yb)
              + 2.0 * conformal.s_matrix(xb, ya))
     assert conformal.span_residual(2, s_new) < 1e-10

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import block_bytes
 
 from sp1kepler import dynamics, realization
 from sp1kepler.poisson import PhasePoint
@@ -156,7 +157,8 @@ def _csv_reference(tr):
 
 
 def test_csv_export(tmp_path, monkeypatch):
-    monkeypatch.setattr(dynamics, "_CHUNK", 7)  # 11 samples: one full block, one partial
+    # 11 samples: one full block of 7, one partial
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(7, 2))
     tr = dynamics.integrate(_hand_point(), 1e-3, 0.01)
     path = tmp_path / "traj.csv"
     tr.to_csv(str(path))
@@ -185,7 +187,7 @@ def test_conserved_report_exact_across_chunks(monkeypatch):
     """Chunked folds equal one whole-array pass, bit for bit."""
     tr = dynamics.integrate(_bound_start(np.random.default_rng(11)), 1e-2, 0.5)
     assert len(tr) == 51  # 7 blocks of 7 and a tail of 2
-    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(7, 2))
     rep = dynamics.conserved_report(tr)
 
     n = tr.n
@@ -228,7 +230,7 @@ def _report_peak(tr):
 
 def test_conserved_report_memory_does_not_grow(monkeypatch):
     chunk = 1000
-    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(chunk, 2))
     tr = dynamics.integrate(_hand_point(), 1e-3, (4 * chunk - 1) * 1e-3)
     assert len(tr) == 4 * chunk
     one = dynamics.Trajectory(tr.times[:chunk], tr.states[:chunk], tr.n)
@@ -237,10 +239,10 @@ def test_conserved_report_memory_does_not_grow(monkeypatch):
 
 
 def test_conserved_report_blocks_are_bounded_in_bytes():
-    # at n = 3 the default _CHUNK is capped by the byte budget of a block
+    # at n = 3 the byte budget of a block gives blocks of 582 samples
     n = 3
-    block = min(dynamics._CHUNK, realization.block_points(n))
-    assert block < dynamics._CHUNK
+    block = realization.block_points(n)
+    assert block == 582
     p0 = realization.sample_leaf(realization.LeafSpec(n, 1.0), np.random.default_rng(13))
     tr = dynamics.integrate(p0, 1e-4, (4 * block - 1) * 1e-4)
     assert len(tr) == 4 * block

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import lrl_downstairs
 
 from sp1kepler import jordan, sternberg
 from sp1kepler.quat import (
@@ -26,11 +27,12 @@ def _pair(n):
 
 def test_cone_point_basics():
     z = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])
-    cp = sternberg.cone_point(z)
+    x = sternberg.cone_point(z)
     # n Z Z^dag = 2 E_11 here
     expected = unit_matrix(2, 0, 0) * 2.0
-    assert norm(cp.x - expected) < 1e-14
-    assert abs(cp.r - 1.0) < 1e-14
+    assert norm(x - expected) < 1e-14
+    # its radius Re tr(x)/n is |Z|^2
+    assert abs(jordan.inner(x, jordan.identity(2)) - 1.0) < 1e-14
 
 
 def test_cone_point_fiber_invariance():
@@ -38,8 +40,8 @@ def test_cone_point_fiber_invariance():
     g = random_unit_quaternion(rng)
     a = sternberg.cone_point(z)
     b = sternberg.cone_point(mul(z, g))
-    assert norm(a.x - b.x) < 1e-12
-    assert abs(a.r - norm(z) ** 2) < 1e-12
+    assert norm(a - b) < 1e-12
+    assert abs(jordan.inner(a, jordan.identity(3)) - norm(z) ** 2) < 1e-12
 
 
 def test_tangent_basis():
@@ -66,10 +68,10 @@ def test_horizontal_lift_round_trip():
 
 def test_horizontal_lift_radial_and_zero():
     z, _ = _pair(2)
-    cp = sternberg.cone_point(z)
-    zdot = sternberg.horizontal_lift(z, cp.x)
+    x = sternberg.cone_point(z)
+    zdot = sternberg.horizontal_lift(z, x)
     assert np.allclose(zdot, z * 0.5, atol=1e-12)
-    zero = cp.x * 0.0
+    zero = x * 0.0
     assert norm(sternberg.horizontal_lift(z, zero)) < 1e-14
 
 
@@ -83,17 +85,17 @@ def test_pi_key_identity():
     # <pi | u o x> = <W, uZ>/2 for every hermitian u
     for n in (2, 3):
         z, w = _pair(n)
-        d = sternberg.pi_from_W(z, w)
+        pi, x = sternberg.pi_from_W(z, w), sternberg.cone_point(z)
         for u in jordan.orthonormal_basis(n):
-            lhs = jordan.inner(d.pi, jordan.jordan_product(u, d.x.x))
+            lhs = jordan.inner(pi, jordan.jordan_product(u, x))
             rhs = 0.5 * vec_inner(w, mat_apply(u, z))
             assert abs(lhs - rhs) < 1e-10
 
 
 def test_pi_zero_for_w_zero():
     z, _ = _pair(2)
-    d = sternberg.pi_from_W(z, np.zeros((2, 4)))
-    assert norm(d.pi) < 1e-14
+    pi = sternberg.pi_from_W(z, np.zeros((2, 4)))
+    assert norm(pi) < 1e-14
     r1, r2 = sternberg.pullback_check(z, np.zeros((2, 4)))
     assert r1 < 1e-12 and r2 < 1e-12
 
@@ -120,9 +122,9 @@ def test_pullback_fiber_invariance():
 
 def test_downstairs_hamiltonian_matches_upstairs():
     z, w = _pair(2)
-    d = sternberg.pi_from_W(z, w)
+    x, pi = sternberg.cone_point(z), sternberg.pi_from_W(z, w)
     mu = 0.5 * norm(im(dagger_product(w, z)))
-    h_down = sternberg.hamiltonian_downstairs(d, mu)
+    h_down = sternberg.hamiltonian_downstairs(x, pi, norm(z) ** 2, mu)
     x_e = 0.25 * norm(w) ** 2
     y_e = norm(z) ** 2
     h_up = 0.5 * x_e / y_e - 1.0 / y_e
@@ -132,18 +134,17 @@ def test_downstairs_hamiltonian_matches_upstairs():
 def test_hand_point_h_and_lrl():
     z = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])
     w = np.array([[0.0, 0, 0, 2], [0, 0, 0, 0]])
-    d = sternberg.pi_from_W(z, w)
+    x, pi, r = sternberg.cone_point(z), sternberg.pi_from_W(z, w), norm(z) ** 2
     mu = 0.5 * norm(im(dagger_product(w, z)))
     assert abs(mu - 1.0) < 1e-14
-    assert abs(sternberg.hamiltonian_downstairs(d, mu) + 0.5) < 1e-13
-    assert abs(sternberg.sternberg_x_e(d, mu) - 0.25 * norm(w) ** 2) < 1e-13
+    assert abs(sternberg.hamiltonian_downstairs(x, pi, r, mu) + 0.5) < 1e-13
+    assert abs(sternberg.sternberg_x_e(x, pi, r, mu) - 0.25 * norm(w) ** 2) < 1e-13
     # A_e = 1 always
-    assert abs(sternberg.lrl_downstairs(d, mu, jordan.identity(2)) - 1.0) < 1e-12
+    assert abs(lrl_downstairs(z, w, mu, jordan.identity(2)) - 1.0) < 1e-12
 
 
 def test_lrl_matches_upstairs_formula():
     z, w = _pair(2)
-    d = sternberg.pi_from_W(z, w)
     mu = 0.5 * norm(im(dagger_product(w, z)))
     x_e = 0.25 * norm(w) ** 2
     y_e = norm(z) ** 2
@@ -151,7 +152,7 @@ def test_lrl_matches_upstairs_formula():
         x_u = 0.25 * vec_inner(w, mat_apply(u, w))
         y_u = vec_inner(z, mat_apply(u, z))
         upstairs = 0.5 * (x_u - y_u * x_e / y_e) + y_u / y_e
-        assert abs(sternberg.lrl_downstairs(d, mu, u) - upstairs) < 1e-11
+        assert abs(lrl_downstairs(z, w, mu, u) - upstairs) < 1e-11
 
 
 def test_pullback_builds_no_tangent_basis(monkeypatch):
@@ -173,7 +174,25 @@ def test_pullback_builds_no_tangent_basis(monkeypatch):
 def test_cotangent_rejects_non_tangent_pi():
     z, _ = _pair(2)
     with pytest.raises(ValueError):
-        sternberg.CotangentData(sternberg.cone_point(z), jordan.random_herm(rng, 2), z)
+        sternberg._check_tangent(z, jordan.random_herm(rng, 2))
+
+
+@pytest.mark.parametrize("build", [sternberg.pi_from_W, sternberg.pullback_check])
+def test_tangency_guard_fires_on_a_built_pi(monkeypatch, build):
+    # the first _tangent_from_image call builds pi; a non-tangent part added
+    # there must be caught by the guard, which projects through later calls
+    z, w = _pair(2)
+    extra = jordan.random_herm(rng, 2)
+    assert norm(sternberg._tangent_project(z, extra) - extra) > 1e-3
+    real, calls = sternberg._tangent_from_image, []
+
+    def skewed(z, y):
+        calls.append(1)
+        return real(z, y) + (extra if len(calls) == 1 else 0.0)
+
+    monkeypatch.setattr(sternberg, "_tangent_from_image", skewed)
+    with pytest.raises(ValueError, match="not tangent"):
+        build(z, w)
 
 
 def test_closed_form_projection_matches_tangent_basis():
@@ -182,13 +201,13 @@ def test_closed_form_projection_matches_tangent_basis():
         basis = sternberg.tangent_basis(z)
         # independent reference: least squares on the spanning tangents
         # n(v Z^dag + Z v^dag) over the coordinate directions v
-        jb = jordan.orthonormal_basis(n)
         span = np.array(
-            [jb.coords(jordan.herm_from_vector_pair(v.reshape(n, 4), z)) for v in np.eye(4 * n)]
+            [jordan.coords(jordan.herm_from_vector_pair(v.reshape(n, 4), z))
+             for v in np.eye(4 * n)]
         ).T
         for _ in range(5):
             u = jordan.random_herm(rng, n)
             via_basis = sum(b * jordan.inner(b, u) for b in basis)
             assert norm(sternberg._tangent_project(z, u) - via_basis) < 1e-12
-            coeff = np.linalg.lstsq(span, jb.coords(u), rcond=None)[0]
-            assert norm(jb.from_coords(span @ coeff) - via_basis) < 1e-12
+            coeff = np.linalg.lstsq(span, jordan.coords(u), rcond=None)[0]
+            assert norm(jordan.from_coords(span @ coeff, n) - via_basis) < 1e-12
