@@ -115,11 +115,7 @@ def verify_algebra(n, triples, seed, tol, output):
     """Closure, dimension, and Jacobi checks for the conformal algebra."""
     t0 = time.time()
     tol = 1e-10 if tol is None else tol
-    rng = np.random.default_rng(seed)
-    jac_random = 0.0
-    for _ in range(triples):
-        a, b, c = (conformal.random_element(rng, n) for _ in range(3))
-        jac_random = max(jac_random, conformal.jacobi_residual(n, a, b, c))
+    jac_random = conformal.jacobi_random_max(n, np.random.default_rng(seed), triples)
     jac_generators = conformal.jacobi_tensor_residual(n)
     closure = conformal.closure_residual(n)
     dim = conformal.co_dimension(n)

@@ -2,15 +2,16 @@
 
 An element is its coordinate vector in the basis (X_{e_a}), then an
 orthonormal (Frobenius) basis S_k of the span of the structure operators
-S_uv, then (Y_{e_a}); V* is identified with V through the inner product.
-The bracket is one structure-constant tensor, written block by block from
+S_uv (a QR factor, see str_span), then (Y_{e_a}); V* is identified with V
+through the inner product.  The bracket is one structure-constant tensor,
+written block by block from
 
     [S, X_z] = X_{S(z)},   [S, Y_w] = -Y_{S^T w},   [S, S'] = SS' - S'S,
     [X_u, Y_v] = -2 S_uv,  [X, X] = [Y, Y] = 0.
 
 The transpose rule reproduces [S_uv, Y_w] = -Y_{vuw} because S_uv^T = S_vu
-in the orthonormal basis.  Closure, dimension and the Jacobi identity are
-rank computations and dense contractions.
+in the orthonormal basis.  Closure and dimension are rank computations;
+the Jacobi identity is a contraction, graded for all basis triples.
 """
 
 from __future__ import annotations
@@ -20,15 +21,29 @@ from functools import lru_cache
 import numpy as np
 
 from . import jordan
+from .quat import real_rep
+
+# the byte budget of one block of random Jacobi triples, as realization's is
+# of one block of sample points; the abstract algebra imports nothing from
+# the realization it is checked against
+_BLOCK_BYTES = 2**20
 
 
 @lru_cache(maxsize=8)
 def str_span(n):
-    """Orthonormal (Frobenius) basis of span{S_{e_a e_b}}, shape (r, d, d)."""
+    """Orthonormal (Frobenius) basis of span{S_{e_a e_b}}, shape (r, d, d).
+
+    S_uv = S_m for m = uv, S_m(z) = (mz + zm^dag)/2, so this is the span of
+    S_m[D, c] = tr(R_D R_m R_c) / (4n) = <R_D R_c, R_m> / (4n), R = real_rep,
+    over a basis of M_n(H): the Q factor of their QR, with the rank from the
+    diagonal of R.  Unlike singular vectors of a degenerate singular value,
+    it is continuous in its input.
+    """
     d = jordan.dim_v(n)
-    u, s, vt = np.linalg.svd(jordan.s_tensor(n).reshape(d * d, d * d), full_matrices=False)
-    rank = int((s > 1e-9 * s[0]).sum())
-    out = vt[:rank].reshape(rank, d, d)
+    rm = real_rep(np.eye(4 * n * n).reshape(-1, n, n, 4)).reshape(4 * n * n, -1)  # E_ab q
+    q, r = np.linalg.qr(jordan.pair_products(n) @ rm.T / (4 * n))
+    diag = np.abs(np.diagonal(r))
+    out = np.ascontiguousarray(q[:, diag > 1e-9 * diag.max()].T).reshape(-1, d, d)
     out.setflags(write=False)
     return out
 
@@ -106,35 +121,70 @@ def structure_constants(n):
     return c
 
 
-def _ad(n, a):
-    """The matrix M with [a, b] = b @ M."""
-    return np.tensordot(a, structure_constants(n), 1)
-
-
 def co_bracket(n, a, b):
     """The Lie bracket [a, b] of two coordinate vectors."""
-    return b @ _ad(n, a)
+    return b @ np.tensordot(a, structure_constants(n), 1)
+
+
+def _jacobi_norms(c2, abc):
+    """Jacobiator norms of the triples abc[3t : 3t + 3], c2 = C as (dim, dim^2)."""
+    k, dim = len(abc) // 3, c2.shape[0]
+    ad_a, ad_b, ad_c = np.swapaxes((abc @ c2).reshape(k, 3, dim, dim), 0, 1)
+    a, b, c = np.swapaxes(abc.reshape(k, 3, 1, dim), 0, 1)
+    total = (c @ ad_b) @ ad_a + (a @ ad_c) @ ad_b + (b @ ad_a) @ ad_c
+    return np.sqrt(total @ np.swapaxes(total, 1, 2)).ravel()
 
 
 def jacobi_residual(n, a, b, c):
     """Norm of [a,[b,c]] + [b,[c,a]] + [c,[a,b]] in coordinates."""
-    ad_a, ad_b, ad_c = (_ad(n, v) for v in (a, b, c))
-    total = (c @ ad_b) @ ad_a + (a @ ad_c) @ ad_b + (b @ ad_a) @ ad_c
-    return float(np.linalg.norm(total))
+    c2 = structure_constants(n).reshape(co_dimension(n), -1)
+    return float(_jacobi_norms(c2, np.array([a, b, c]))[0])
+
+
+def jacobi_random_max(n, rng, triples):
+    """Max Jacobi residual over `triples` random triples, drawn a, b, c per
+    triple by random_element and checked a block of triples at a time, so
+    that the (3 * block, dim^2) float64 ad stack fits in _BLOCK_BYTES."""
+    c2 = structure_constants(n).reshape(co_dimension(n), -1)
+    block = max(1, _BLOCK_BYTES // (24 * c2.shape[1]))
+    worst = 0.0
+    for start in range(0, triples, block):
+        k = min(block, triples - start)
+        abc = np.array([random_element(rng, n) for _ in range(3 * k)])
+        worst = max(worst, float(_jacobi_norms(c2, abc).max()))
+    return worst
 
 
 def jacobi_tensor_residual(n):
     """Max Jacobi residual over ALL basis triples, via structure constants;
     by trilinearity it bounds the residual of every generator triple (each
-    is a combination of basis elements with O(1) coefficients)."""
+    is a combination of basis elements with O(1) coefficients).  With X, S
+    and Y of degree 1, 0 and -1, only the block types XXY, XSS, XSY, SSS,
+    SSY and XYY can be nonzero, one ordering each by antisymmetry; that C
+    is antisymmetric and zero off the graded blocks is checked as well."""
     c = structure_constants(n)
+    d, r = jordan.dim_v(n), str_dimension(n)
+    g = {1: slice(0, d), 0: slice(d, d + r), -1: slice(d + r, 2 * d + r)}
     worst = 0.0
-    # one first index a at a time, so the peak is dim^3 rather than dim^4;
-    # the cyclic terms, indexed [b, c, e], sum over d of
-    # C[b,c,d] C[a,d,e], C[c,a,d] C[b,d,e] and C[a,b,d] C[c,d,e]
-    for a in range(c.shape[0]):
-        total = c @ c[a] + c[:, a] @ c + np.swapaxes(c[a] @ c, 0, 1)
-        worst = max(worst, float(np.abs(total).max()))
+    for i in g:
+        for j in g:
+            for k in g:
+                # C + C^T vanishes on the graded blocks, C itself elsewhere
+                block = c[g[i], g[j], g[k]]
+                if k == i + j:
+                    block = block + np.swapaxes(c[g[j], g[i], g[k]], 0, 1)
+                worst = max(worst, float(np.abs(block).max()))
+    for ga, gb, gc in ((1, 1, -1), (1, 0, 0), (1, 0, -1), (0, 0, 0), (0, 0, -1), (1, -1, -1)):
+        sb, sc, se = g[gb], g[gc], g[ga + gb + gc]
+        # an inner bracket of degree +-2 vanishes: an empty slice sums to 0
+        bc, ca, ab = (g.get(deg, slice(0)) for deg in (gb + gc, gc + ga, ga + gb))
+        for a in range(len(c))[g[ga]]:
+            # the cyclic terms, indexed [b, c, e]: C[b,c,d] C[a,d,e],
+            # C[c,a,d] C[b,d,e] and C[a,b,d] C[c,d,e], each summed over d
+            # in the degree of its inner bracket
+            total = (c[sb, sc, bc] @ c[a, bc, se] + c[sc, a, ca] @ c[sb, ca, se]
+                     + np.swapaxes(c[a, sb, ab] @ c[sc, ab, se], 0, 1))
+            worst = max(worst, float(np.abs(total).max()))
     return worst
 
 

@@ -7,9 +7,9 @@ the identity e.
 
 Structure operators S_{uv} = [L_u, L_v] + L_{u o v} act on the algebra;
 in an orthonormal basis they are plain real matrices, which is how the
-conformal algebra consumes them.  The basis is itself an array, a
-read-only (d, n, n, 4) stack, and coords / from_coords map an element to
-its d coordinates and back.
+conformal algebra consumes them (s_tensor, from real_rep traces).  The
+basis is itself an array, a read-only (d, n, n, 4) stack, and coords /
+from_coords map an element to its d coordinates and back.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from functools import lru_cache
 import numpy as np
 
 from .quat import (
-    QTAB,
     RE_SIGNS,
     UNITS,
     conj,
     mat_dagger,
     mat_mul,
     outer,
+    real_rep,
     unit_matrix,
 )
 
@@ -109,25 +109,28 @@ def S_operator(u, v):
     return np.array(cols).T
 
 
+def pair_products(n):
+    """The products R_a R_b of R_a = real_rep(e_a) over every basis pair,
+    as a (d^2, (4n)^2) matrix with row a * d + b."""
+    r = real_rep(orthonormal_basis(n))  # (d, 4n, 4n)
+    return (r[:, None] @ r[None]).reshape(len(r) ** 2, -1)
+
+
 @lru_cache(maxsize=4)
 def s_tensor(n):
     """Structure tensor T[a, b] = matrix of S_{e_a e_b} in the basis.
 
     Shape (d, d, d, d) with d = n(2n-1); used by the conformal algebra.
-    Built vectorized: {e_a e_b e_c} for all triples, then projected.
+    As Re tr m = tr real_rep(m) / 4, T[a, b, D, c] = <e_D | {e_a e_b e_c}>
+    = (tr R_D R_a R_b R_c + tr R_D R_c R_b R_a) / (8n), and as the R_a are
+    symmetric both traces are entries of the Gram matrix of the R_a R_b.
     """
-    e = orthonormal_basis(n)  # (d, n, n, 4)
-    # pairwise matrix products P[a, b] = e_a e_b
-    p = np.einsum("aikp,bkjq,pqc->abijc", e, e, QTAB)
-    # T1[a, b, c] = (e_a e_b) e_c,  T2[a, b, c] = e_c (e_b e_a)
-    t1 = np.einsum("abikp,ckjq,pqr->abcijr", p, e, QTAB)
-    t2 = np.einsum("cikp,bakjq,pqr->abcijr", e, p, QTAB)
-    triple = 0.5 * (t1 + t2)
-    # project onto the basis: coeff[a, b, c, d] = <e_d | {e_a e_b e_c}>
-    coeff = np.einsum("abcijp,djip,p->abcd", triple, e, RE_SIGNS) / n
-    # S_{e_a e_b} maps e_c to sum_d coeff[a,b,c,d] e_d, so the matrix has
-    # rows indexed by d and columns by c.
-    out = np.transpose(coeff, (0, 1, 3, 2))
+    d = dim_v(n)
+    p = pair_products(n)
+    k = (p @ p.T).reshape(d, d, d, d)  # k[x, y, z, w] = tr R_x R_y R_w R_z
+    # S_{e_a e_b} maps e_c to sum_D T[a, b, D, c] e_D: rows D, columns c
+    out = k.transpose(1, 3, 0, 2) + k.transpose(2, 3, 0, 1)
+    out /= 8 * n
     out.setflags(write=False)
     return out
 

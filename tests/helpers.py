@@ -1,13 +1,14 @@
 """Helpers used only by the tests: single-point formulas for the moment
 maps and the magnetic charge, batched evaluation of a quadratic
 observable, the right Sp(1) action on a phase point, the cone-side LRL
-component, and the block byte budget that gives blocks of k points."""
+component, the block byte budgets that give blocks of k points or of k
+Jacobi triples, and the quaternion-arithmetic oracle for jordan.s_tensor."""
 
 import numpy as np
 
-from sp1kepler import jordan, realization, sternberg
+from sp1kepler import conformal, jordan, realization, sternberg
 from sp1kepler.poisson import PhasePoint
-from sp1kepler.quat import dagger_product, im, mat_apply, mul, norm, vec_inner
+from sp1kepler.quat import QTAB, RE_SIGNS, dagger_product, im, mat_apply, mul, norm, vec_inner
 
 
 def moment_rho(p):
@@ -43,6 +44,12 @@ def block_bytes(k, n):
     return k * 8 * (n * (2 * n - 1)) ** 2
 
 
+def triple_block_bytes(k, n):
+    """A conformal._BLOCK_BYTES for which conformal.jacobi_random_max
+    checks k triples per block."""
+    return k * 24 * conformal.co_dimension(n) ** 2
+
+
 def lrl_downstairs(z, w, mu, u):
     """The LRL component A_u = (X_u - Y_u X_e / Y_e)/2 + Y_u / Y_e.
 
@@ -57,3 +64,18 @@ def lrl_downstairs(z, w, mu, u):
         np.array([[x_u]]), np.array([[y_u]]), np.array([x_e]), np.array([r])
     )
     return float(a[0, 0])
+
+
+def s_tensor_oracle(n):
+    """jordan.s_tensor by quaternion arithmetic alone (QTAB einsums, no
+    real_rep): {e_a e_b e_c} for all triples, projected onto the basis."""
+    e = jordan.orthonormal_basis(n)  # (d, n, n, 4)
+    # pairwise matrix products P[a, b] = e_a e_b
+    p = np.einsum("aikp,bkjq,pqc->abijc", e, e, QTAB)
+    # T1[a, b, c] = (e_a e_b) e_c,  T2[a, b, c] = e_c (e_b e_a)
+    t1 = np.einsum("abikp,ckjq,pqr->abcijr", p, e, QTAB)
+    t2 = np.einsum("cikp,bakjq,pqr->abcijr", e, p, QTAB)
+    triple = 0.5 * (t1 + t2)
+    # coeff[a, b, c, d] = <e_d | {e_a e_b e_c}>; T[a, b] has rows d, columns c
+    coeff = np.einsum("abcijp,djip,p->abcd", triple, e, RE_SIGNS) / n
+    return np.transpose(coeff, (0, 1, 3, 2))

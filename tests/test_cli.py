@@ -36,7 +36,9 @@ def test_verify_algebra_n1_passes(tmp_path):
     out = tmp_path / "r.json"
     res = _run(["verify-algebra", "--n", "1", "--triples", "20", "--output", str(out)])
     assert res.exit_code == 0
-    assert _load(out)["passed"] is True
+    rep = _load(out)
+    assert rep["passed"] is True
+    assert rep["dim"] == rep["dim_expected"] == 3
 
 
 def test_verify_algebra_n0_usage_error():

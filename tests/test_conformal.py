@@ -1,4 +1,5 @@
 import numpy as np
+from helpers import s_tensor_oracle, triple_block_bytes
 
 from sp1kepler import conformal, jordan
 
@@ -17,6 +18,25 @@ def test_dimensions():
     assert conformal.co_dimension(3) == 66
     assert conformal.str_dimension(2) == 16
     assert conformal.str_dimension(3) == 36
+
+
+def test_n1_dimensions():
+    # at n = 1 the structure operators span only the identity on V = R
+    assert conformal.str_dimension(1) == 1
+    assert conformal.co_dimension(1) == 3
+
+
+def test_str_span_is_an_orthonormal_basis_of_the_operator_span():
+    for n in (2, 3, 4):
+        d = jordan.dim_v(n)
+        span = conformal.str_span(n).reshape(-1, d * d)
+        assert len(span) == 4 * n * n
+        assert np.abs(span @ span.T - np.eye(len(span))).max() < 1e-13
+        # the same subspace as the right singular vectors of the reshaped
+        # quaternion-arithmetic structure tensor
+        _, sv, vt = np.linalg.svd(s_tensor_oracle(n).reshape(d * d, d * d))
+        ref = vt[: int((sv > 1e-9 * sv[0]).sum())]
+        assert np.linalg.norm(span.T @ span - ref.T @ ref, 2) < 1e-13
 
 
 def test_bracket_examples():
@@ -144,3 +164,44 @@ def test_jacobi_detects_a_wrong_sign(monkeypatch):
         bad[v, s, v] *= -1.0
         monkeypatch.setattr(conformal, "structure_constants", lambda m, bad=bad: bad)
         assert conformal.jacobi_tensor_residual(n) > 1e-10
+
+
+def test_jacobi_detects_an_asymmetric_bracket(monkeypatch):
+    # [X_0, Y_0] moved by 1e-3 along S_0 without its partner [Y_0, X_0]; the
+    # graded sum evaluates one ordering per block type, relies on
+    # antisymmetry and alone reports only about 7e-4 here
+    n = 2
+    bad = conformal.structure_constants(n).copy()
+    d, r = jordan.dim_v(n), conformal.str_dimension(n)
+    bad[0, d + r, d] += 1e-3
+    monkeypatch.setattr(conformal, "structure_constants", lambda m: bad)
+    assert conformal.jacobi_tensor_residual(n) >= 1e-3
+
+
+def test_jacobi_detects_an_off_grade_bracket(monkeypatch):
+    # [X_0, X_1] = S_0, antisymmetric but in a block the 3-grading forces
+    # to zero; the graded sum never reads it
+    n = 2
+    bad = conformal.structure_constants(n).copy()
+    d = jordan.dim_v(n)
+    bad[0, 1, d], bad[1, 0, d] = 1.0, -1.0
+    monkeypatch.setattr(conformal, "structure_constants", lambda m: bad)
+    assert conformal.jacobi_tensor_residual(n) >= 1.0
+
+
+def test_random_jacobi_max_does_not_depend_on_the_block(monkeypatch):
+    n, triples = 2, 40
+    results, states = [], []
+    for k in (1, 7, None):
+        if k is not None:
+            monkeypatch.setattr(conformal, "_BLOCK_BYTES", triple_block_bytes(k, n))
+        r = np.random.default_rng(5)
+        results.append(conformal.jacobi_random_max(n, r, triples))
+        states.append(r.bit_generator.state)
+    r = np.random.default_rng(5)
+    single = max(conformal.jacobi_residual(n, *(conformal.random_element(r, n) for _ in range(3)))
+                 for _ in range(triples))
+    assert results[0] > 0.0
+    for value in results[1:] + [single]:
+        assert abs(value - results[0]) <= 1e-15 * results[0]
+    assert states[0] == states[1] == states[2] == r.bit_generator.state

@@ -1,4 +1,5 @@
 import numpy as np
+from helpers import s_tensor_oracle
 
 from sp1kepler import jordan
 from sp1kepler.quat import RE_SIGNS, mat_apply, norm, random_qvector, vec_inner
@@ -104,6 +105,14 @@ def test_s_tensor_matches_operator():
             a, b = rng.integers(0, len(basis), size=2)
             direct = S_operator(basis[a], basis[b])
             assert np.abs(t[a, b] - direct).max() < 1e-12
+
+
+def test_s_tensor_matches_quaternion_oracle():
+    # the real_rep trace formula against {e_a e_b e_c} in quaternion
+    # arithmetic, so that a real_rep fault cannot cancel between the
+    # conformal algebra and the realization
+    for n in (1, 2, 3):
+        assert np.abs(s_tensor(n) - s_tensor_oracle(n)).max() < 1e-14
 
 
 def test_cone_inner_identity():
