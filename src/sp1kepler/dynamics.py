@@ -4,15 +4,16 @@ The Hamiltonian H = |W|^2/(8|Z|^2) - 1/|Z|^2 generates the flow in the
 canonical coordinates of the poisson module; the cone-side dynamics is
 recovered through the sternberg module when needed.  The integrators are
 classical RK4 and implicit midpoint.  flow_blocks steps the flow and
-yields it in blocks of realization.block_points(n) samples, the byte
-budget of the leaf check; write_csv_block exports a block, and DriftFold
-folds it into the running drifts of every quantity the realization
-predicts to be constant (H, the moment map, the angular momenta, the LRL
-components) and the residual of the closed quadratic relation tying
-them.  The CLI drives the three one block at a time, so a simulation
-holds one block whatever its length; integrate, Trajectory.to_csv and
-conserved_report are the same primitives over a whole trajectory held in
-memory.
+yields it in blocks of realization.block_points(n) samples, sized so that
+a block's whole working set, family_values and the drift fold included,
+stays within realization._BLOCK_BYTES (1 MiB), the budget of the leaf
+check; write_csv_block exports a block, and DriftFold folds it into the
+running drifts of every quantity the realization predicts to be constant
+(H, the moment map, the angular momenta, the LRL components) and the
+residual of the closed quadratic relation tying them.  The CLI drives
+the three one block at a time, so a simulation holds one block whatever
+its length; integrate, Trajectory.to_csv and conserved_report are the
+same primitives over a whole trajectory held in memory.
 """
 
 from __future__ import annotations
@@ -249,7 +250,9 @@ def _chunk_series(n, s):
 
 class DriftFold:
     """Running maxima behind conserved_report, fed one block of flat states
-    at a time, so its memory is one block whatever the run length.
+    at a time, so its memory is one block's working set, within
+    realization._BLOCK_BYTES for a block of block_points(n) samples,
+    whatever the run length.
 
     The drift of a series x is max |x - x[0]| / max(1, |x[0]|) over
     samples and components, x[0] taken from the first block added.
@@ -268,10 +271,11 @@ class DriftFold:
             self.den = {k: np.maximum(1.0, np.abs(v)) for k, v in self.x0.items()}
             self.drift = dict.fromkeys(series, -np.inf)
         for k, x in series.items():
-            flat = x.reshape(x.shape[0], -1)
-            self.drift[k] = np.maximum(
-                self.drift[k], np.max(np.abs(flat - self.x0[k]) / self.den[k])
-            )
+            # one temporary per series, updated in place
+            t = x.reshape(x.shape[0], -1) - self.x0[k]
+            np.abs(t, out=t)
+            t /= self.den[k]
+            self.drift[k] = np.maximum(self.drift[k], np.max(t))
         self.worst = np.maximum(self.worst, np.max(residual))
 
     def report(self):

@@ -166,10 +166,23 @@ def sample_leaf(spec, rng):
 _BLOCK_BYTES = 2**20
 
 
-def block_points(n):
-    """Points per block: one (k, d, d) float64 stack, d = n(2n - 1), fits in _BLOCK_BYTES."""
+def _point_bytes(n):
+    """Float64 bytes one point adds to a block's working set, d = n(2n - 1).
+
+    Counts the point's own 8n coordinates, the three (d,) rows X, Y and L,
+    the two (d, 4n) stacks az and bw of family_values and two (d, d)
+    stacks: the Gram g beside az and bw, g beside its antisymmetric part,
+    and Lpair beside a drift temporary of DriftFold all fit in that sum.
+    """
     d = n * (2 * n - 1)
-    return max(1, _BLOCK_BYTES // (8 * d * d))
+    return 8 * (8 * n + 3 * d + 8 * n * d + 2 * d * d)
+
+
+def block_points(n):
+    """Points per block, so that the whole working set of a block, from
+    family_values through the leaf residuals or the drift fold, stays
+    within _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // _point_bytes(n))
 
 
 def _stack_points(points):
@@ -194,7 +207,10 @@ def family_values(n, zs, ws):
     x = 0.25 * np.einsum("Nx,Ndx->Nd", wf, bw)
     lv = 0.5 * np.einsum("Nx,Ndx->Nd", wf, az)
     g = np.einsum("Nax,Nbx->Nab", bw, az)
-    lpair = 0.25 * (g - np.transpose(g, (0, 2, 1)))
+    del az, bw  # freed before the antisymmetric part doubles the (N, d, d) stacks
+    lpair = g - np.transpose(g, (0, 2, 1))
+    del g
+    lpair *= 0.25
     y_e = np.einsum("Nx,Nx->N", zf, zf)
     x_e = 0.25 * np.einsum("Nx,Nx->N", wf, wf)
     l_e = 0.5 * np.einsum("Nx,Nx->N", wf, zf)

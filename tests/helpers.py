@@ -41,7 +41,7 @@ def transformed(p, g):
 
 def block_bytes(k, n):
     """A realization._BLOCK_BYTES for which block_points(n) is k."""
-    return k * 8 * (n * (2 * n - 1)) ** 2
+    return k * realization._point_bytes(n)
 
 
 def triple_block_bytes(k, n):

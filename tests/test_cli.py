@@ -238,9 +238,10 @@ def _simulate_peak(base, samples):
 
 
 def test_simulate_memory_does_not_grow_with_t_end(tmp_path, monkeypatch):
-    # A block's drift fold needs about twelve times the memory of its
-    # samples at n = 2, so a run that held its whole trajectory would pass
-    # a 1.5x bound at 4 blocks (1.23x measured); at 16 blocks it reads 2.1x.
+    # A block's working set, which _BLOCK_BYTES bounds, is about nine
+    # times the memory of its samples at n = 2, so a run that held its
+    # whole trajectory would pass a 1.5x bound at 4 blocks (1.34x
+    # measured); at 16 blocks it reads 2.7x.
     chunk = 250
     monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(chunk, 2))
     base = tmp_path / "run"

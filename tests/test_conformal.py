@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from helpers import s_tensor_oracle, triple_block_bytes
 
 from sp1kepler import conformal, jordan
@@ -205,3 +208,19 @@ def test_random_jacobi_max_does_not_depend_on_the_block(monkeypatch):
     for value in results[1:] + [single]:
         assert abs(value - results[0]) <= 1e-15 * results[0]
     assert states[0] == states[1] == states[2] == r.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_random_jacobi_block_stays_near_its_budget(n):
+    """One full block of random triples peaks within 1.1 x _BLOCK_BYTES:
+    the budget counts the (3k, dim, dim) ad stack alone, and the triples'
+    own coordinates beside it add 1-6% at n = 2-4."""
+    triples = max(1, conformal._BLOCK_BYTES // triple_block_bytes(1, n))
+    conformal.jacobi_random_max(n, np.random.default_rng(5), 1)  # warm the cached tensors
+    tracemalloc.start()
+    try:
+        conformal.jacobi_random_max(n, np.random.default_rng(6), triples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * conformal._BLOCK_BYTES

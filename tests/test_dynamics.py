@@ -239,13 +239,32 @@ def test_conserved_report_memory_does_not_grow(monkeypatch):
 
 
 def test_conserved_report_blocks_are_bounded_in_bytes():
-    # at n = 3 the byte budget of a block gives blocks of 582 samples
+    # at n = 3 the byte budget of a block gives blocks of 149 samples
     n = 3
     block = realization.block_points(n)
-    assert block == 582
+    assert block == 149
     p0 = realization.sample_leaf(realization.LeafSpec(n, 1.0), np.random.default_rng(13))
     tr = dynamics.integrate(p0, 1e-4, (4 * block - 1) * 1e-4)
     assert len(tr) == 4 * block
     one = dynamics.Trajectory(tr.times[:block], tr.states[:block], n)
     dynamics.conserved_report(one)  # warm the cached basis outside the measurement
     assert _report_peak(tr) <= 1.5 * _report_peak(one)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_drift_fold_block_stays_within_its_budget(n):
+    """One DriftFold.add of a full block, family_values included, peaks
+    within _BLOCK_BYTES."""
+    spec = realization.LeafSpec(n, 1.0)
+    gen = np.random.default_rng(17)
+    states = np.array([realization.sample_leaf(spec, gen).flatten()
+                       for _ in range(realization.block_points(n))])
+    dynamics.DriftFold(n).add(states[:1])  # warm the cached basis outside the measurement
+    fold = dynamics.DriftFold(n)
+    tracemalloc.start()
+    try:
+        fold.add(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= realization._BLOCK_BYTES

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import moment_psi, moment_rho, mu_of, transformed
+from helpers import block_bytes, moment_psi, moment_rho, mu_of, transformed
 
 from sp1kepler import jordan, realization
 from sp1kepler.poisson import PhasePoint, bracket_exact, quad_residual
@@ -171,8 +171,7 @@ def test_leaf_spec_validation():
 def test_leaf_residual_maxima_exact_across_blocks(monkeypatch):
     """Blocked folds equal one whole-stack pass, bit for bit."""
     n = 3
-    d = n * (2 * n - 1)
-    monkeypatch.setattr(realization, "_BLOCK_BYTES", 7 * 8 * d * d)
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(7, n))
     assert realization.block_points(n) == 7  # 51 samples: 7 blocks of 7 and a tail of 2
     spec = realization.LeafSpec(n, 1.0)
     used = np.random.default_rng(5)
@@ -203,8 +202,23 @@ def _maxima_peak(spec, samples):
 
 def test_leaf_residual_maxima_memory_does_not_grow(monkeypatch):
     n, block = 3, 1000
-    d = n * (2 * n - 1)
-    monkeypatch.setattr(realization, "_BLOCK_BYTES", block * 8 * d * d)
+    monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(block, n))
     spec = realization.LeafSpec(n, 1.0)
     realization.leaf_residual_maxima(spec, np.random.default_rng(3), 1)  # warm the cached basis
     assert _maxima_peak(spec, 4 * block) <= 1.5 * _maxima_peak(spec, block)
+
+
+def test_block_bytes_round_trip(monkeypatch):
+    for n in range(2, 7):
+        for k in range(1, 65):
+            monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(k, n))
+            assert realization.block_points(n) == k
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_leaf_block_stays_within_its_budget(n):
+    """One full leaf block, from its sample points through family_values
+    to the residuals, peaks within _BLOCK_BYTES."""
+    spec = realization.LeafSpec(n, 1.0)
+    realization.leaf_residual_maxima(spec, np.random.default_rng(3), 1)  # warm the cached basis
+    assert _maxima_peak(spec, realization.block_points(n)) <= realization._BLOCK_BYTES
