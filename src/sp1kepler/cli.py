@@ -24,7 +24,7 @@ from . import conformal, dynamics, jordan, realization, sternberg
 from .poisson import PhasePoint
 from .quat import norm
 
-SCHEMA = "1"
+SCHEMA = "2"
 
 
 class _RuntimeAbort(click.ClickException):
@@ -119,9 +119,7 @@ def verify_algebra(n, triples, seed, tol, output):
     jac_generators = conformal.jacobi_tensor_residual(n)
     closure = conformal.closure_residual(n)
     dim = conformal.co_dimension(n)
-    # at n = 1 the traceless part of the structure algebra acts trivially,
-    # so the operator realization collapses to dimension 3
-    dim_expected = 2 * n * (4 * n - 1) if n >= 2 else 3
+    dim_expected = 2 * n * (4 * n - 1)
     checks = {
         "jacobi_random_max": jac_random,
         "jacobi_generators_max": jac_generators,

@@ -1,17 +1,22 @@
-"""The conformal algebra co = V + str + V* as a real Lie algebra.
+"""The conformal algebra co = V + M_n(H) + V* as a real Lie algebra.
 
-An element is its coordinate vector in the basis (X_{e_a}), then an
-orthonormal (Frobenius) basis S_k of the span of the structure operators
-S_uv (a QR factor, see str_span), then (Y_{e_a}); V* is identified with V
-through the inner product.  The bracket is one structure-constant tensor,
-written block by block from
+An element is its coordinate vector in the basis (X_{e_a}), (S_{E_ij q}),
+(Y_{e_a}): the orthonormal basis e_a of V = H_n(H) for the X- and Y-parts,
+and the real basis E_ij q of M_n(H), flat index (i n + j) 4 + q, for the
+S-part; V* is identified with V through the inner product.  S_m acts on V by S_m(z) = (mz + zm^dag)/2,
+so the structure algebra str(H_n(H)) is the image of M_n(H): all of it for
+n >= 2, and only the real part at n = 1, where Im H acts trivially on V and
+co = sl(2, R) + su(2) = so*(4).  The bracket is
 
-    [S, X_z] = X_{S(z)},   [S, Y_w] = -Y_{S^T w},   [S, S'] = SS' - S'S,
-    [X_u, Y_v] = -2 S_uv,  [X, X] = [Y, Y] = 0.
+    [X_u, Y_v] = -2 S_{uv},             [X, X] = [Y, Y] = 0,
+    [S_m, X_z] = X_{(mz + zm^dag)/2},    [S_m, Y_z] = -Y_{(m^dag z + zm)/2},
+    [S_m, S_m'] = S_{[m, m']/2}.
 
-The transpose rule reproduces [S_uv, Y_w] = -Y_{vuw} because S_uv^T = S_vu
-in the orthonormal basis.  Closure and dimension are rank computations;
-the Jacobi identity is a contraction, graded for all basis triples.
+Its structure constants come from quaternion products alone (QTAB) and are
+stored sparse and exact, as COO arrays (i, j, k, v) with [e_i, e_j] the sum
+of v e_k over the entries; every check reads them through index joins and
+np.bincount, a block at a time.  With this C the Jacobi identity is
+associativity of M_n(H); the Jordan algebra enters through closure_residual.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import jordan
-from .quat import real_rep
+from .quat import CONJ, QTAB, real_rep
 
-# the byte budget of one block of random Jacobi triples, as realization's is
-# of one block of sample points; the abstract algebra imports nothing from
-# the realization it is checked against
+# the byte budget of one block of random Jacobi triples or of basis-triple
+# Jacobiator entries, as realization's is of one block of sample points; the
+# abstract algebra imports nothing from the realization it is checked against
 _BLOCK_BYTES = 2**20
 
 
@@ -49,12 +54,12 @@ def str_span(n):
 
 
 def str_dimension(n):
-    """dim str as the rank of the S-operator span; equals 4 n^2."""
-    return str_span(n).shape[0]
+    """Size of the S-part, dim M_n(H) = 4 n^2."""
+    return 4 * n * n
 
 
 def co_dimension(n):
-    """dim co = 2 dim V + dim str = 2n(4n-1)."""
+    """dim co = 2 dim V + dim M_n(H) = 2n(4n-1)."""
     return 2 * jordan.dim_v(n) + str_dimension(n)
 
 
@@ -67,19 +72,9 @@ def span_residual(n, s):
     return np.linalg.norm(s - proj, axis=(-2, -1)) / np.maximum(1.0, size)
 
 
-def element(x, coeff, y):
-    """Coordinates of X_x + sum_k coeff[k] S_k + Y_y, for hermitian x and y."""
-    return np.concatenate([jordan.coords(x), coeff, jordan.coords(y)])
-
-
-def x_element(u):
-    """The generator X_u."""
-    return element(u, np.zeros(str_dimension(u.shape[0])), np.zeros_like(u))
-
-
-def y_element(v):
-    """The generator Y_v."""
-    return element(np.zeros_like(v), np.zeros(str_dimension(v.shape[0])), v)
+def element(x, s, y):
+    """Coordinates of X_x + S_s + Y_y, for hermitian x and y and any s in M_n(H)."""
+    return np.concatenate([jordan.coords(x), np.ravel(s), jordan.coords(y)])
 
 
 def s_matrix(u, v):
@@ -88,113 +83,232 @@ def s_matrix(u, v):
     return np.einsum("a,b,abij->ij", jordan.coords(u), jordan.coords(v), t)
 
 
-def s_element(u, v):
-    """The generator S_uv, projected onto the span basis."""
-    coeff = np.einsum("rij,ij->r", str_span(u.shape[0]), s_matrix(u, v))
-    return element(np.zeros_like(u), coeff, np.zeros_like(u))
+def _sum_by(keys, vals):
+    """The distinct keys in increasing order and the sum of the values of each."""
+    keys, inv = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(inv, vals)
 
 
-def _span_commutators(span):
-    """[S_k, S_l] for every l, one row k at a time, as (r, d, d) stacks."""
-    for sk in span:
-        yield sk @ span - span @ sk
+def _products(n, a, b):
+    """Every product a_s b_t of two stacks of (n, n, 4) matrices, from their
+    nonzero entries through QTAB: arrays s, t, the flat M_n(H) index of each
+    product entry and its value, repeated (s, t, index) to be summed."""
+    (ao, ar, ac, au), (bo, br, bc, bu) = np.nonzero(a), np.nonzero(b)
+    x, y = np.nonzero(ac[:, None] == br[None, :])  # entry pairs meeting at the inner index
+    val = a[ao[x], ar[x], ac[x], au[x]] * b[bo[y], br[y], bc[y], bu[y]]
+    prod = QTAB[au[x], bu[y]] * val[:, None]
+    pair, unit = np.nonzero(prod)
+    x, y = x[pair], y[pair]
+    return ao[x], bo[y], (ar[x] * n + bc[y]) * 4 + unit, prod[pair, unit]
 
 
 @lru_cache(maxsize=8)
 def structure_constants(n):
-    """C[i, j, k] with [e_i, e_j] = sum_k C[i, j, k] e_k, block by block in
-    closed form from s_tensor and the span basis; the s-parts are orthonormal
-    projections, so the constants are exact up to rounding."""
-    t = jordan.s_tensor(n)
-    span = str_span(n)
-    d, r = t.shape[0], span.shape[0]
-    x, s, y = slice(0, d), slice(d, d + r), slice(d + r, 2 * d + r)
-    c = np.zeros((2 * d + r,) * 3)
-    c[x, y, s] = -2.0 * np.einsum("kij,abij->abk", span, t)  # [X_a, Y_b] = -2 S_ab
-    c[s, x, x] = np.swapaxes(span, 1, 2)  # [S_k, X_b] = X_{S_k e_b}
-    c[s, y, y] = -span  # [S_k, Y_b] = -Y_{S_k^T e_b}
-    for i, j, k in ((x, y, s), (s, x, x), (s, y, y)):
-        c[j, i, k] = -np.swapaxes(c[i, j, k], 0, 1)
-    for k, comm in enumerate(_span_commutators(span)):
-        c[d + k, s, s] = np.einsum("mij,lij->lm", span, comm)
-    c.setflags(write=False)
-    return c
+    """C as exact sparse COO arrays (i, j, k, v), sorted by (i, j, k), with
+    [e_i, e_j] = sum of v e_k over the entries and no zero entry.
+
+    Every rule is a product in M_n(H) from QTAB: the entries of e_a e_b for
+    [X, Y]; the V-coordinates of m e_b and m^dag e_b, which are those of
+    their hermitian parts, for [S, X] and [S, Y]; and the entries of m m'
+    for [S, S].  Each product is entered together with its antisymmetric
+    partner, so C + C^T = 0 exactly."""
+    d, r = jordan.dim_v(n), str_dimension(n)
+    dim = 2 * d + r
+    herm, mb = jordan.orthonormal_basis(n), np.eye(r).reshape(r, n, n, 4)
+    to_v = np.array([jordan.coords(m) for m in mb])  # at most one nonzero per row
+    target = np.abs(to_v).argmax(axis=1)
+    weight = to_v[np.arange(r), target]
+    a, b, k, v = _products(n, herm, herm)
+    parts = [(a, d + r + b, d + k, -2.0 * v)]  # [X_a, Y_b] = -2 S_{e_a e_b}
+    # [S_m, X_b] = X_{m e_b} and [S_m, Y_b] = -Y_{m^dag e_b}
+    for left, shift, sign in ((mb, 0, 1.0), (np.swapaxes(mb, 1, 2) * CONJ, d + r, -1.0)):
+        m, b, k, v = _products(n, left, herm)
+        parts.append((d + m, shift + b, shift + target[k], sign * v * weight[k]))
+    m, m2, k, v = _products(n, mb, mb)
+    parts.append((d + m, d + m2, d + k, 0.5 * v))  # [S_m, S_m'] = S_{[m, m']/2}
+    i, j, k, v = (np.concatenate(x) for x in zip(*parts))
+    keys, v = _sum_by(np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k]),
+                      np.concatenate([v, -v]))
+    keys, v = keys[v != 0.0], v[v != 0.0]
+    out = (keys // (dim * dim), keys // dim % dim, keys % dim, v)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _brackets(c, keys, x, y):
+    """[x_t, y_t] for the columns of the (dim, t) arrays x and y: one
+    bincount over the entries of C for all t, each output summed in entry
+    order; keys[e, s] = k_e t + s places entry e of column s."""
+    i, j, _, v = c
+    w = np.take(x, i, axis=0)  # (nnz, t)
+    w *= np.take(y, j, axis=0)
+    w *= v[:, None]
+    return np.bincount(keys.ravel(), w.ravel(), x.size).reshape(x.shape)
 
 
 def co_bracket(n, a, b):
     """The Lie bracket [a, b] of two coordinate vectors."""
-    return b @ np.tensordot(a, structure_constants(n), 1)
+    c = structure_constants(n)
+    return _brackets(c, c[2][:, None], a[:, None], b[:, None])[:, 0]
 
 
-def _jacobi_norms(c2, abc):
-    """Jacobiator norms of the triples abc[3t : 3t + 3], c2 = C as (dim, dim^2)."""
-    k, dim = len(abc) // 3, c2.shape[0]
-    ad_a, ad_b, ad_c = np.swapaxes((abc @ c2).reshape(k, 3, dim, dim), 0, 1)
-    a, b, c = np.swapaxes(abc.reshape(k, 3, 1, dim), 0, 1)
-    total = (c @ ad_b) @ ad_a + (a @ ad_c) @ ad_b + (b @ ad_a) @ ad_c
-    return np.sqrt(total @ np.swapaxes(total, 1, 2)).ravel()
+def _jacobi_norms(n, a, b, e):
+    """Jacobiator norms of the triples (a_t, b_t, e_t), the columns of three
+    (dim, t) arrays."""
+    c = structure_constants(n)
+    keys = c[2][:, None] * a.shape[1] + np.arange(a.shape[1])
+    total = _brackets(c, keys, a, _brackets(c, keys, b, e))
+    total += _brackets(c, keys, b, _brackets(c, keys, e, a))
+    total += _brackets(c, keys, e, _brackets(c, keys, a, b))
+    return np.linalg.norm(total, axis=0)
 
 
 def jacobi_residual(n, a, b, c):
     """Norm of [a,[b,c]] + [b,[c,a]] + [c,[a,b]] in coordinates."""
-    c2 = structure_constants(n).reshape(co_dimension(n), -1)
-    return float(_jacobi_norms(c2, np.array([a, b, c]))[0])
+    return float(_jacobi_norms(n, a[:, None], b[:, None], c[:, None])[0])
+
+
+def _triple_bytes(n):
+    """Bytes one random triple adds to a block's working set, at most: three
+    (nnz,) rows of _brackets (the bincount keys, the weights and the factor
+    gathered into them), a fourth for the copy of the read-only index row
+    that np.take makes (one per block, whatever its size), and 16 (dim,)
+    float64 rows with their array headers (the triple's coordinates and
+    draws, the brackets and their sum)."""
+    nnz, dim = len(structure_constants(n)[3]), co_dimension(n)
+    return 32 * nnz + 16 * (8 * dim + 128)
 
 
 def jacobi_random_max(n, rng, triples):
     """Max Jacobi residual over `triples` random triples, drawn a, b, c per
     triple by random_element and checked a block of triples at a time, so
-    that the (3 * block, dim^2) float64 ad stack fits in _BLOCK_BYTES."""
-    c2 = structure_constants(n).reshape(co_dimension(n), -1)
-    block = max(1, _BLOCK_BYTES // (24 * c2.shape[1]))
+    that a block's whole working set stays within _BLOCK_BYTES."""
+    block = max(1, _BLOCK_BYTES // _triple_bytes(n))
     worst = 0.0
     for start in range(0, triples, block):
-        k = min(block, triples - start)
-        abc = np.array([random_element(rng, n) for _ in range(3 * k)])
-        worst = max(worst, float(_jacobi_norms(c2, abc).max()))
+        abc = np.empty((3, co_dimension(n), min(block, triples - start)))
+        for t in range(abc.shape[2]):
+            for part in abc:
+                part[:, t] = random_element(rng, n)
+        worst = max(worst, float(_jacobi_norms(n, *abc).max()))
     return worst
+
+
+def _join(view, f, lo, hi, dim):
+    """Pairs (l, e) of a position l in f and an entry e of C whose key in
+    the view lies in [f_l dim + lo, f_l dim + hi)."""
+    perm, key = view
+    start = np.searchsorted(key, f * dim + lo)
+    cnt = np.searchsorted(key, f * dim + hi) - start
+    left = np.repeat(np.arange(len(f)), cnt)
+    return left, perm[np.arange(len(left)) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)]
+
+
+def _jacobi_block(c, views, dim, row, x0, x1):
+    """Max |J(a, x, y)| over x0 <= x < x1 and every y, where row = (s, t, w)
+    are the entries (a, s, t) of row a of C and their values, and
+
+        J(a, x, y) = [a, [x, y]] - [[a, x], y] - [x, [a, y]]
+
+    is the cyclic Jacobi sum when C is antisymmetric.  Each term joins row
+    a with other entries of C on its summed index m; the terms are then
+    summed per (x, y, p) key."""
+    i, j, k, v = c
+    by_ij, by_ki, by_ji = views
+    s, t, w = row
+    inner = (s >= x0) & (s < x1)
+    keys, vals = [], []
+    left, e = _join(by_ki, s, x0, x1, dim)  # [a, [x, y]]: C[x, y, m] C[a, m, p]
+    keys.append(((i[e] - x0) * dim + j[e]) * dim + t[left])
+    vals.append(w[left] * v[e])
+    left, e = _join(by_ij, t[inner], 0, dim, dim)  # [[a, x], y]: C[a, x, m] C[m, y, p]
+    keys.append(((s[inner][left] - x0) * dim + j[e]) * dim + k[e])
+    vals.append(-w[inner][left] * v[e])
+    left, e = _join(by_ji, t, x0, x1, dim)  # [x, [a, y]]: C[a, y, m] C[x, m, p]
+    keys.append(((i[e] - x0) * dim + s[left]) * dim + k[e])
+    vals.append(-w[left] * v[e])
+    del left, e
+    keys = np.concatenate(keys)
+    vals = np.concatenate(vals)
+    return float(np.abs(_sum_by(keys, vals)[1]).max(initial=0.0))
 
 
 def jacobi_tensor_residual(n):
     """Max Jacobi residual over ALL basis triples, via structure constants;
     by trilinearity it bounds the residual of every generator triple (each
-    is a combination of basis elements with O(1) coefficients).  With X, S
-    and Y of degree 1, 0 and -1, only the block types XXY, XSS, XSY, SSS,
-    SSY and XYY can be nonzero, one ordering each by antisymmetry; that C
-    is antisymmetric and zero off the graded blocks is checked as well."""
+    is a combination of basis elements with O(1) coefficients).  The sum is
+    taken in derivation form from joins of the COO entries, row a of C with
+    second indices in a range at a time, each block within _BLOCK_BYTES (a
+    summed term holds at most 80 bytes: its key and value, the join's
+    indices, and np.unique's copies) unless one index alone needs more.  As
+    the derivation form is the cyclic sum only for an antisymmetric C, C + C^T
+    is checked as well, and so is that C vanishes off the 3-grading (X, S and
+    Y of degree 1, 0 and -1)."""
     c = structure_constants(n)
+    i, j, k, v = c
     d, r = jordan.dim_v(n), str_dimension(n)
-    g = {1: slice(0, d), 0: slice(d, d + r), -1: slice(d + r, 2 * d + r)}
-    worst = 0.0
-    for i in g:
-        for j in g:
-            for k in g:
-                # C + C^T vanishes on the graded blocks, C itself elsewhere
-                block = c[g[i], g[j], g[k]]
-                if k == i + j:
-                    block = block + np.swapaxes(c[g[j], g[i], g[k]], 0, 1)
-                worst = max(worst, float(np.abs(block).max()))
-    for ga, gb, gc in ((1, 1, -1), (1, 0, 0), (1, 0, -1), (0, 0, 0), (0, 0, -1), (1, -1, -1)):
-        sb, sc, se = g[gb], g[gc], g[ga + gb + gc]
-        # an inner bracket of degree +-2 vanishes: an empty slice sums to 0
-        bc, ca, ab = (g.get(deg, slice(0)) for deg in (gb + gc, gc + ga, ga + gb))
-        for a in range(len(c))[g[ga]]:
-            # the cyclic terms, indexed [b, c, e]: C[b,c,d] C[a,d,e],
-            # C[c,a,d] C[b,d,e] and C[a,b,d] C[c,d,e], each summed over d
-            # in the degree of its inner bracket
-            total = (c[sb, sc, bc] @ c[a, bc, se] + c[sc, a, ca] @ c[sb, ca, se]
-                     + np.swapaxes(c[a, sb, ab] @ c[sc, ab, se], 0, 1))
-            worst = max(worst, float(np.abs(total).max()))
+    dim = 2 * d + r
+    grade = np.repeat([1, 0, -1], [d, r, d])
+    worst = float(np.abs(v[grade[k] != grade[i] + grade[j]]).max(initial=0.0))
+    _, sym = _sum_by(np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k]),
+                     np.concatenate([v, v]))
+    worst = max(worst, float(np.abs(sym).max(initial=0.0)))
+    views = []  # C's entries sorted by (i, j), (k, i) and (j, i): order and key
+    for f, g in ((i, j), (k, i), (j, i)):
+        order = np.argsort(f * dim + g, kind="stable")
+        views.append((order, (f * dim + g)[order]))
+    rows = np.searchsorted(views[0][1], np.arange(dim + 1) * dim)
+    most = max(1, _BLOCK_BYTES // 80)
+    for a in range(dim):
+        e = views[0][0][rows[a] : rows[a + 1]]
+        s, t = j[e], k[e]
+        # the terms each second index x adds to the sum of row a
+        at_s, at_t = np.bincount(s, minlength=dim), np.bincount(t, minlength=dim)
+        cost = np.cumsum(np.bincount(i, at_s[k] + at_t[j], dim)
+                         + np.bincount(s, np.diff(rows)[t], dim))
+        x0 = 0
+        while x0 < dim:
+            base = cost[x0 - 1] if x0 else 0
+            x1 = max(x0 + 1, int(np.searchsorted(cost, base + most, side="right")))
+            worst = max(worst, _jacobi_block(c, views, dim, (s, t, v[e]), x0, x1))
+            x0 = x1
     return worst
 
 
+def _s_action(n, s):
+    """The action on V of the S-parts s, a (t, 4n^2) array, read off the
+    [S, X] block of C: a (t, d, d) stack with [S_s, X_b] = sum_c out[., c, b] X_c."""
+    i, j, k, v = structure_constants(n)
+    d, r = jordan.dim_v(n), str_dimension(n)
+    sel = (i >= d) & (i < d + r) & (j < d) & (k < d)
+    w = s[:, i[sel] - d] * v[sel]
+    keys = (np.arange(len(s))[:, None] * d + k[sel]) * d + j[sel]
+    return np.bincount(keys.ravel(), w.ravel(), len(s) * d * d).reshape(len(s), d, d)
+
+
 def closure_residual(n):
-    """Max distance of [S_k, S_l] from the S-span over all span basis pairs;
-    the S_k span the S_{e_a e_b}, so by bilinearity this is closure of str."""
-    return max(float(span_residual(n, comm).max()) for comm in _span_commutators(str_span(n)))
+    """The Jordan side of str, for every basis pair: S_{e_a} = L_{e_a} and
+    [L_a, L_b] = S_{[e_a, e_b]}/2, with S_m read off C and the Jordan
+    multiplication L_u = jordan.L_operator(u) from real_rep traces, a route
+    independent of C.  For n >= 2 the e_a and [e_a, e_b] span M_n(H), so
+    this ties every S_m to the Jordan algebra: str(H_n(H)) = S(M_n(H)).
+    The entries of [e_a, e_b] are read off R_a R_b - R_b R_a, R = real_rep,
+    at the real unit: R(m)[4i + c, 4j] is component c of m_ij."""
+    basis = jordan.orthonormal_basis(n)
+    d = len(basis)
+    ls = np.array([jordan.L_operator(e) for e in basis])
+    worst = float(np.abs(_s_action(n, basis.reshape(d, -1)) - ls).max())
+    rb = real_rep(basis)
+    for a in range(d):
+        comm = rb[a] @ rb[:, :, 0::4] - rb @ rb[a][:, 0::4]  # (d, 4n, n)
+        half = 0.5 * comm.reshape(d, n, 4, n).transpose(0, 1, 3, 2).reshape(d, -1)
+        lhs = ls[a] @ ls - ls @ ls[a]
+        worst = max(worst, float(np.abs(lhs - _s_action(n, half)).max()))
+    return worst
 
 
 def random_element(rng, n, scale=1.0):
-    """A random element: span coefficients first, then the x- and y-parts."""
-    coeff = rng.standard_normal(str_dimension(n)) * scale
-    return element(jordan.random_herm(rng, n, scale), coeff, jordan.random_herm(rng, n, scale))
+    """A random element: M_n(H) coordinates first, then the x- and y-parts."""
+    s = rng.standard_normal(str_dimension(n)) * scale
+    return element(jordan.random_herm(rng, n, scale), s, jordan.random_herm(rng, n, scale))

@@ -6,10 +6,11 @@ product is normalized as <a|b> = Re tr(a b) / n, so that <e|e> = 1 for
 the identity e.
 
 Structure operators S_{uv} = [L_u, L_v] + L_{u o v} act on the algebra;
-in an orthonormal basis they are plain real matrices, which is how the
-conformal algebra consumes them (s_tensor, from real_rep traces).  The
-basis is itself an array, a read-only (d, n, n, 4) stack, and coords /
-from_coords map an element to its d coordinates and back.
+in an orthonormal basis they are plain real matrices (L_operator and
+s_tensor from real_rep traces), and the conformal algebra checks its
+structure constants against L_operator.  The basis is itself an array, a
+read-only (d, n, n, 4) stack, and coords / from_coords map an element to
+its d coordinates and back.
 """
 
 from __future__ import annotations
@@ -98,9 +99,16 @@ def dim_v(n):
 
 
 def L_operator(u):
-    """Matrix of Jordan multiplication L_u in the orthonormal basis."""
-    cols = [coords(jordan_product(u, eb)) for eb in orthonormal_basis(u.shape[0])]
-    return np.array(cols).T
+    """Matrix of Jordan multiplication L_u in the orthonormal basis.
+
+    As Re tr m = tr real_rep(m) / 4, <e_a | u o e_b> = (tr R_a R_u R_b +
+    tr R_u R_a R_b) / (8n) with R = real_rep, and as R_b is symmetric both
+    traces are Frobenius products with R_b.
+    """
+    n = u.shape[0]
+    r = real_rep(orthonormal_basis(n))
+    ru = real_rep(u)
+    return (r @ ru + ru @ r).reshape(len(r), -1) @ r.reshape(len(r), -1).T / (8 * n)
 
 
 def S_operator(u, v):
@@ -120,7 +128,7 @@ def pair_products(n):
 def s_tensor(n):
     """Structure tensor T[a, b] = matrix of S_{e_a e_b} in the basis.
 
-    Shape (d, d, d, d) with d = n(2n-1); used by the conformal algebra.
+    Shape (d, d, d, d) with d = n(2n-1); conformal.s_matrix reads it.
     As Re tr m = tr real_rep(m) / 4, T[a, b, D, c] = <e_D | {e_a e_b e_c}>
     = (tr R_D R_a R_b R_c + tr R_D R_c R_b R_a) / (8n), and as the R_a are
     symmetric both traces are entries of the Gram matrix of the R_a R_b.

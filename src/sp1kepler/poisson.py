@@ -126,6 +126,59 @@ def quad_bracket(a, b):
     return a @ j @ b - b @ j @ a
 
 
+def block_bracket(a, b):
+    """quad_bracket on quadratic parts given by their (4n, 4n) blocks: dicts
+    {(r, s): block or stack of blocks}, 0 for Z and 1 for W, a missing key
+    for a zero block.  J is the signed block permutation (J B)_0s = B_1s,
+    (J B)_1s = -B_0s, so
+
+        [A, B]_rs = A_r0 B_1s - A_r1 B_0s - B_r0 A_1s + B_r1 A_0s,
+
+    and a product with a zero block is skipped."""
+    out = {}
+    for r in (0, 1):
+        for s in (0, 1):
+            for sign, p, q in ((1, a.get((r, 0)), b.get((1, s))), (-1, a.get((r, 1)), b.get((0, s))),
+                               (-1, b.get((r, 0)), a.get((1, s))), (1, b.get((r, 1)), a.get((0, s)))):
+                if p is None or q is None:
+                    continue
+                t = p @ q
+                if sign < 0:
+                    np.negative(t, out=t)
+                if (r, s) in out:
+                    out[r, s] += t
+                else:
+                    out[r, s] = t
+    return out
+
+
+def block_relation_max(rows, cols, predicted, budget):
+    """Max over all pairs i, j of |{rows_i, cols_j} - P| / max(1, |{.,.}|, |P|),
+    Frobenius norms over all four blocks, with P the predicted bracket.
+
+    rows, cols: stacks of quadratic parts as blocks (see block_bracket);
+    predicted(i, c) gives the blocks of P for row i and the columns c, a
+    slice.  A chunk of columns at a time keeps its brackets, predictions and
+    differences, at most six (4n, 4n) arrays per column, within budget bytes.
+    """
+    def sq(x):
+        return np.einsum("...ij,...ij->...", x, x)
+
+    first_rows, first_cols = (next(iter(f.values())) for f in (rows, cols))
+    step = max(1, budget // (48 * first_cols.shape[-1] ** 2))
+    worst = 0.0
+    for i in range(len(first_rows)):
+        for lo in range(0, len(first_cols), step):
+            c = slice(lo, lo + step)
+            lhs = block_bracket({key: x[i] for key, x in rows.items()},
+                                {key: x[c] for key, x in cols.items()})
+            rhs = predicted(i, c)
+            num = sum(sq(lhs.get(key, 0.0) - rhs.get(key, 0.0)) for key in lhs.keys() | rhs.keys())
+            size = np.maximum(sum(sq(x) for x in lhs.values()), sum(sq(x) for x in rhs.values()))
+            worst = max(worst, float(np.max(np.sqrt(num) / np.maximum(1.0, np.sqrt(size)))))
+    return worst
+
+
 def bracket_exact(f, g):
     """Exact canonical bracket of two affine-quadratic observables."""
     if f.n != g.n:

@@ -8,9 +8,10 @@ with L_u = S_eu and L_{u,v} = (S_uv - S_vu)/2.  The antisymmetrized pair
 family is the angular momentum: it is what the summed quadratic
 identities close on (the symmetrized combination already contradicts the
 primary relation at v = e) and what the Kepler flow conserves.  All are
-affine-quadratic
-in the flattened coordinates, so every bracket relation is checked as an
-exact matrix identity through the poisson module.
+affine-quadratic in the flattened coordinates, so every bracket relation
+is checked as an exact matrix identity: the bracket of quadratic parts A
+and B is A J B - B J A (poisson.quad_bracket), which the relation sweep
+evaluates on the (4n, 4n) Z and W blocks.
 
 S_uv depends on (u, v) only through the matrix product m = u.v, and
 m -> S_m := <W, mZ>/2 is linear in m over all of M_n(H).  The relation
@@ -22,7 +23,6 @@ arguments exactly, at a small fraction of the cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +38,13 @@ from .quat import (
     norm,
     real_rep,
 )
-from .poisson import PhasePoint, QuadObservable, bracket_exact, quad_bracket, quad_residual
+from .poisson import (
+    PhasePoint,
+    QuadObservable,
+    block_relation_max,
+    bracket_exact,
+    quad_residual,
+)
 
 
 def _embed(r, row, col):
@@ -111,15 +117,6 @@ def xi_observables(n):
         right_t = mul(np.eye(4 * n).reshape(4 * n, n, 4), unit).reshape(4 * n, 4 * n)
         obs.append(QuadObservable(_coupling(0.5 * right_t)))
     return obs
-
-
-@lru_cache(maxsize=8)
-def matrix_basis(n):
-    """A real basis of M_n(H), E_ab * q over entries and quaternion units,
-    as a read-only (4n^2, n, n, 4) stack."""
-    out = np.eye(4 * n * n).reshape(4 * n * n, n, n, 4)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -337,59 +334,45 @@ def leaf_residual_maxima(spec, rng, samples):
 # ---------------------------------------------------------------------------
 
 
-def _relation_residual(rows, cols, predicted):
-    """Max relative distance of the brackets {rows[i], cols[j]} from their
-    predicted quadratic parts, over all i, j.
-
-    rows, cols: stacks of quadratic parts; predicted(i) gives the stack of
-    predicted brackets of row i with every column.  One stacked bracket per
-    row keeps the peak at one (len(cols), 8n, 8n) array.
-    """
-    worst = 0.0
-    for i, a in enumerate(rows):
-        lhs = quad_bracket(a, cols)
-        rhs = predicted(i)
-        num = np.linalg.norm(lhs - rhs, axis=(-2, -1))
-        den = np.maximum(
-            1.0,
-            np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1))),
-        )
-        worst = max(worst, float((num / den).max()))
-    return worst
-
-
 def verify_so_star_relations(n):
     """Check the six bracket relation families as exact quadratic identities.
 
     Binary families run over all orthonormal-basis pairs.  Families with an
     S argument run over a basis of M_n(H) in the product slot, which covers
     all hermitian basis pairs/quadruples exactly by bilinearity of
-    (u, v) -> S_{u.v}.  Predicted brackets are assembled from real_rep
-    blocks through R(uv) = R(u) R(v) and R(u^dag) = R(u)^T.  Returns the
-    max residual of each family, keyed by family.
+    (u, v) -> S_{u.v}.  Each bracket is computed on (4n, 4n) blocks, a chunk
+    of columns at a time (see poisson.block_relation_max): X_u fills the WW
+    block, Y_v the ZZ block and S_m the WZ block and its transpose ZW, each
+    the block x_quad, y_quad or s_quad builds on the identity times
+    R = real_rep, as the builders are linear.  The predicted brackets do not
+    go through the builders: they follow the definitions, WW block R_u / 2
+    for X_u, ZZ block 2 R_v for Y_v and WZ block R_m / 2 for S_m, through
+    R(uv) = R(u) R(v) and R(u^dag) = R(u)^T.  Returns the max residual of
+    each family, keyed by family.
     """
     rb = real_rep(jordan.orthonormal_basis(n))  # (d, 4n, 4n)
-    rm = real_rep(matrix_basis(n))  # (4n^2, 4n, 4n)
-    xs, ys, ss = x_quad(rb), y_quad(rb), s_quad(rm)
-    zero = np.zeros_like(xs)
-    return {
-        "XX_zero": _relation_residual(xs, xs, lambda i: zero),
-        "YY_zero": _relation_residual(ys, ys, lambda i: zero),
+    rm = real_rep(np.eye(4 * n * n).reshape(-1, n, n, 4))  # E_ij q: (4n^2, 4n, 4n)
+    eye, z, w = np.eye(4 * n), slice(0, 4 * n), slice(4 * n, None)
+
+    def s_blocks(wz):
+        return {(1, 0): wz, (0, 1): np.swapaxes(wz, -1, -2)}
+
+    x = {(1, 1): x_quad(eye)[w, w] @ rb}
+    y = {(0, 0): y_quad(eye)[z, z] @ rb}
+    s = s_blocks(s_quad(eye)[w, z] @ rm)
+    sweeps = (
+        ("XX_zero", x, x, lambda i, c: {}),
+        ("YY_zero", y, y, lambda i, c: {}),
         # {X_u, Y_v} = -2 S_uv
-        "XY_is_minus_2S": _relation_residual(xs, ys, lambda i: -2.0 * s_quad(rb[i] @ rb)),
+        ("XY_is_minus_2S", x, y, lambda i, c: s_blocks(-(rb[i] @ rb[c]))),
         # {S_m, X_z} = X_{(mz + z m^dag)/2}
-        "SX_triple": _relation_residual(
-            ss, xs, lambda i: x_quad((rm[i] @ rb + rb @ rm[i].T) * 0.5)
-        ),
+        ("SX_triple", s, x, lambda i, c: {(1, 1): (rm[i] @ rb[c] + rb[c] @ rm[i].T) * 0.25}),
         # {S_m, Y_z} = -Y_{(m^dag z + z m)/2}
-        "SY_triple": _relation_residual(
-            ss, ys, lambda i: -y_quad((rm[i].T @ rb + rb @ rm[i]) * 0.5)
-        ),
-        # {S_m, S_m'} = S_{[m, m']}/2
-        "SS_structure": _relation_residual(
-            ss, ss, lambda i: s_quad(rm[i] @ rm - rm @ rm[i]) * 0.5
-        ),
-    }
+        ("SY_triple", s, y, lambda i, c: {(0, 0): -(rm[i].T @ rb[c] + rb[c] @ rm[i])}),
+        # {S_m, S_m'} = S_{[m, m']/2}
+        ("SS_structure", s, s, lambda i, c: s_blocks((rm[i] @ rm[c] - rm[c] @ rm[i]) * 0.25)),
+    )
+    return {name: block_relation_max(*sweep, _BLOCK_BYTES) for name, *sweep in sweeps}
 
 
 def verify_ss_quadruples(n, rng, count=200):

@@ -2,13 +2,26 @@
 maps and the magnetic charge, batched evaluation of a quadratic
 observable, the right Sp(1) action on a phase point, the cone-side LRL
 component, the block byte budgets that give blocks of k points or of k
-Jacobi triples, and the quaternion-arithmetic oracle for jordan.s_tensor."""
+Jacobi triples, the generators X_u, Y_v and S_uv of the conformal algebra
+with the action of S_m on V by quaternion arithmetic, and the
+quaternion-arithmetic oracle for jordan.s_tensor."""
 
 import numpy as np
 
 from sp1kepler import conformal, jordan, realization, sternberg
 from sp1kepler.poisson import PhasePoint
-from sp1kepler.quat import QTAB, RE_SIGNS, dagger_product, im, mat_apply, mul, norm, vec_inner
+from sp1kepler.quat import (
+    QTAB,
+    RE_SIGNS,
+    dagger_product,
+    im,
+    mat_apply,
+    mat_dagger,
+    mat_mul,
+    mul,
+    norm,
+    vec_inner,
+)
 
 
 def moment_rho(p):
@@ -47,7 +60,30 @@ def block_bytes(k, n):
 def triple_block_bytes(k, n):
     """A conformal._BLOCK_BYTES for which conformal.jacobi_random_max
     checks k triples per block."""
-    return k * 24 * conformal.co_dimension(n) ** 2
+    return k * conformal._triple_bytes(n)
+
+
+def x_element(u):
+    """The generator X_u of the conformal algebra."""
+    return conformal.element(u, np.zeros(conformal.str_dimension(u.shape[0])), np.zeros_like(u))
+
+
+def y_element(v):
+    """The generator Y_v of the conformal algebra."""
+    return conformal.element(np.zeros_like(v), np.zeros(conformal.str_dimension(v.shape[0])), v)
+
+
+def s_element(u, v):
+    """The generator S_uv = S_m, m = uv, whose S-coordinates are the entries of m."""
+    return conformal.element(np.zeros_like(u), mat_mul(u, v), np.zeros_like(u))
+
+
+def s_operator(m, sign=1.0):
+    """The (d, d) matrix of z -> (mz + sign z m^dag)/2 on V in the orthonormal
+    basis, by quaternion arithmetic; sign 1 is the action of S_m."""
+    cols = [jordan.coords((mat_mul(m, e) + sign * mat_mul(e, mat_dagger(m))) * 0.5)
+            for e in jordan.orthonormal_basis(m.shape[0])]
+    return np.array(cols).T
 
 
 def lrl_downstairs(z, w, mu, u):

@@ -27,7 +27,7 @@ def test_verify_algebra_pass(tmp_path):
                 "--output", str(out)])
     assert res.exit_code == 0
     rep = _load(out)
-    assert rep["schema"] == "1"
+    assert rep["schema"] == "2"
     assert rep["dim"] == 28
     assert rep["passed"] is True
 
@@ -38,7 +38,7 @@ def test_verify_algebra_n1_passes(tmp_path):
     assert res.exit_code == 0
     rep = _load(out)
     assert rep["passed"] is True
-    assert rep["dim"] == rep["dim_expected"] == 3
+    assert rep["dim"] == rep["dim_expected"] == 6
 
 
 def test_verify_algebra_n0_usage_error():

@@ -2,18 +2,51 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import s_tensor_oracle, triple_block_bytes
+from helpers import (
+    s_element,
+    s_operator,
+    s_tensor_oracle,
+    triple_block_bytes,
+    x_element,
+    y_element,
+)
 
 from sp1kepler import conformal, jordan
+from sp1kepler.quat import mat_dagger, mat_mul
 
 rng = np.random.default_rng(31)
 
 
 def _parts(n, c):
-    """The hermitian x-part, the (d, d) operator s-part and the y-part of c."""
+    """The hermitian x-part, the M_n(H) s-part (n, n, 4) and the y-part of c."""
     d = jordan.dim_v(n)
-    s = np.einsum("r,rij->ij", c[d:-d], conformal.str_span(n))
-    return jordan.from_coords(c[:d], n), s, jordan.from_coords(c[-d:], n)
+    return (jordan.from_coords(c[:d], n), c[d:-d].reshape(n, n, 4),
+            jordan.from_coords(c[-d:], n))
+
+
+def _dense(n, c=None):
+    """C as a dense (dim, dim, dim) array, duplicates summed."""
+    i, j, k, v = conformal.structure_constants(n) if c is None else c
+    dim = conformal.co_dimension(n)
+    out = np.zeros((dim, dim, dim))
+    np.add.at(out, (i, j, k), v)
+    return out
+
+
+def _grades(n):
+    d, r = jordan.dim_v(n), conformal.str_dimension(n)
+    return slice(0, d), slice(d, d + r), slice(d + r, 2 * d + r)
+
+
+def _select(n, c, gi, gj, gk):
+    """Mask of the COO entries of c in the block (gi, gj, gk) of grade slices."""
+    i, j, k, _ = c
+    return ((i >= gi.start) & (i < gi.stop) & (j >= gj.start) & (j < gj.stop)
+            & (k >= gk.start) & (k < gk.stop))
+
+
+def _patched(monkeypatch, c):
+    monkeypatch.setattr(conformal, "structure_constants", lambda m: c)
 
 
 def test_dimensions():
@@ -24,9 +57,47 @@ def test_dimensions():
 
 
 def test_n1_dimensions():
-    # at n = 1 the structure operators span only the identity on V = R
-    assert conformal.str_dimension(1) == 1
-    assert conformal.co_dimension(1) == 3
+    # at n = 1 the S-part is M_1(H) = H, and co = sl(2, R) + su(2) = so*(4)
+    assert conformal.str_dimension(1) == 4
+    assert conformal.co_dimension(1) == 6
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_dimension_is_that_of_so_star(n):
+    dim = conformal.co_dimension(n)
+    assert dim == 2 * n * (4 * n - 1)
+    assert max(index.max() for index in conformal.structure_constants(n)[:3]) == dim - 1
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_structure_constants_are_exactly_antisymmetric(n):
+    c = _dense(n)
+    assert np.array_equal(c, -np.swapaxes(c, 0, 1))
+
+
+def test_structure_constants_are_sparse():
+    assert len(conformal.structure_constants(2)[3]) == 504
+    assert len(conformal.structure_constants(4)[3]) == 6000
+    i, j, k, v = conformal.structure_constants(3)
+    keys = (i * 66 + j) * 66 + k
+    assert np.all(np.diff(keys) > 0) and np.all(v != 0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_s_action_rank(n):
+    # S is injective on M_n(H) for n >= 2; at n = 1 only the real unit acts
+    # on V = R, since the su(2) = Im H inside so*(4) acts trivially
+    r = conformal.str_dimension(n)
+    action = conformal._s_action(n, np.eye(r)).reshape(r, -1)
+    assert np.linalg.matrix_rank(action) == (r if n >= 2 else 1)
+
+
+def test_s_action_matches_quaternion_arithmetic():
+    # C's [S, X] block against (mz + zm^dag)/2 computed entry by entry
+    n = 2
+    m = rng.standard_normal((n, n, 4))
+    action = conformal._s_action(n, m.reshape(1, -1))[0]
+    assert np.abs(action - s_operator(m)).max() < 1e-13
 
 
 def test_str_span_is_an_orthonormal_basis_of_the_operator_span():
@@ -45,29 +116,29 @@ def test_str_span_is_an_orthonormal_basis_of_the_operator_span():
 def test_bracket_examples():
     e = jordan.identity(2)
     # [S_ee, X_e] = X_{eee} = X_e
-    br = conformal.co_bracket(2, conformal.s_element(e, e), conformal.x_element(e))
-    assert np.linalg.norm(br - conformal.x_element(e)) < 1e-12
+    br = conformal.co_bracket(2, s_element(e, e), x_element(e))
+    assert np.linalg.norm(br - x_element(e)) < 1e-12
     # [X_e, Y_e] = -2 S_ee = -2 L_e (the identity operator on V), checked
-    # against Jordan multiplication rather than the structure tensor
-    br = conformal.co_bracket(2, conformal.x_element(e), conformal.y_element(e))
+    # against Jordan multiplication rather than the structure constants
+    br = conformal.co_bracket(2, x_element(e), y_element(e))
     x, s, y = _parts(2, br)
-    assert np.abs(s + 2 * jordan.L_operator(e)).max() < 1e-12
+    assert np.abs(s_operator(s) + 2 * jordan.L_operator(e)).max() < 1e-12
     assert jordan.inner(x, x) < 1e-24
     assert jordan.inner(y, y) < 1e-24
 
 
 def test_xx_yy_vanish():
     u, v = jordan.random_herm(rng, 2), jordan.random_herm(rng, 2)
-    xx = conformal.co_bracket(2, conformal.x_element(u), conformal.x_element(v))
-    yy = conformal.co_bracket(2, conformal.y_element(u), conformal.y_element(v))
+    xx = conformal.co_bracket(2, x_element(u), x_element(v))
+    yy = conformal.co_bracket(2, y_element(u), y_element(v))
     assert np.linalg.norm(xx) < 1e-12
     assert np.linalg.norm(yy) < 1e-12
 
 
 def test_s_y_rule_matches_triple_product():
-    # [S_uv, Y_w] = -Y_{vuw} via the transpose rule
+    # [S_uv, Y_w] = -Y_{vuw}
     u, v, w = (jordan.random_herm(rng, 2) for _ in range(3))
-    br = conformal.co_bracket(2, conformal.s_element(u, v), conformal.y_element(w))
+    br = conformal.co_bracket(2, s_element(u, v), y_element(w))
     x, s, y = _parts(2, br)
     expected = jordan.triple_product(v, u, w) * -1.0
     assert np.linalg.norm(y - expected) < 1e-10
@@ -76,7 +147,7 @@ def test_s_y_rule_matches_triple_product():
 
 def test_s_x_rule_matches_triple_product():
     u, v, z = (jordan.random_herm(rng, 2) for _ in range(3))
-    br = conformal.co_bracket(2, conformal.s_element(u, v), conformal.x_element(z))
+    br = conformal.co_bracket(2, s_element(u, v), x_element(z))
     x, s, y = _parts(2, br)
     expected = jordan.triple_product(u, v, z)
     assert np.linalg.norm(x - expected) < 1e-10
@@ -94,7 +165,7 @@ def test_antisymmetry_and_bilinearity():
 
 
 def test_jacobi_random():
-    for n in (2, 3):
+    for n in (1, 2, 3):
         worst = 0.0
         for _ in range(60):
             a, b, c = (conformal.random_element(rng, n) for _ in range(3))
@@ -109,12 +180,33 @@ def test_jacobi_degenerate():
 
 
 def test_jacobi_all_basis_triples():
-    for n in (2, 3):
+    for n in (1, 2, 3):
         assert conformal.jacobi_tensor_residual(n) < 1e-10
 
 
+@pytest.mark.parametrize("budget", [None, 80 * 40])
+def test_jacobi_tensor_matches_the_dense_sum(monkeypatch, budget):
+    # the blocked COO sum against the dense cyclic Jacobiator of every basis
+    # triple, on a C with the [S, S] block negated so that it is far from
+    # zero, with whole rows and with rows split into many blocks
+    n = 2
+    i, j, k, v = c = conformal.structure_constants(n)
+    _, gs, _ = _grades(n)
+    bad = (i, j, k, np.where(_select(n, c, gs, gs, gs), -v, v))
+    dense = _dense(n, bad)
+    cyc = (np.einsum("bcd,ade->abce", dense, dense) + np.einsum("cad,bde->abce", dense, dense)
+           + np.einsum("abd,cde->abce", dense, dense))
+    _patched(monkeypatch, bad)
+    if budget is not None:
+        monkeypatch.setattr(conformal, "_BLOCK_BYTES", budget)
+    worst = np.abs(cyc).max()
+    assert worst > 0.1
+    assert abs(conformal.jacobi_tensor_residual(n) - worst) < 1e-13 * worst
+
+
 def test_closure():
-    assert conformal.closure_residual(2) < 1e-10
+    for n in (1, 2, 3):
+        assert conformal.closure_residual(n) < 1e-10
 
 
 def test_span_invariant_rejects_outsiders():
@@ -126,30 +218,34 @@ def test_span_invariant_rejects_outsiders():
 
 def test_bracket_lands_in_span():
     # the component rules, applied to the parts of two random elements,
-    # give an s-part inside the span and agree with the tensor bracket
+    # give an s-part whose action on V is inside the span and agree with the
+    # bracket from the structure constants
     a = conformal.random_element(rng, 2)
     b = conformal.random_element(rng, 2)
-    (xa, sa, ya), (xb, sb, yb) = _parts(2, a), _parts(2, b)
-    x_new = jordan.from_coords(sa @ jordan.coords(xb) - sb @ jordan.coords(xa), 2)
-    y_new = jordan.from_coords(-(sa.T @ jordan.coords(yb)) + sb.T @ jordan.coords(ya), 2)
-    s_new = (sa @ sb - sb @ sa - 2.0 * conformal.s_matrix(xa, yb)
-             + 2.0 * conformal.s_matrix(xb, ya))
-    assert conformal.span_residual(2, s_new) < 1e-10
-    x, s, y = _parts(2, conformal.co_bracket(2, a, b))
+    (xa, ma, ya), (xb, mb, yb) = _parts(2, a), _parts(2, b)
+    x_new = jordan.from_coords(s_operator(ma) @ jordan.coords(xb)
+                               - s_operator(mb) @ jordan.coords(xa), 2)
+    y_new = jordan.from_coords(-(s_operator(mat_dagger(ma)) @ jordan.coords(yb))
+                               + s_operator(mat_dagger(mb)) @ jordan.coords(ya), 2)
+    m_new = ((mat_mul(ma, mb) - mat_mul(mb, ma)) * 0.5 - 2.0 * mat_mul(xa, yb)
+             + 2.0 * mat_mul(xb, ya))
+    assert conformal.span_residual(2, s_operator(m_new)) < 1e-10
+    x, m, y = _parts(2, conformal.co_bracket(2, a, b))
     assert np.linalg.norm(x - x_new) < 1e-10
-    assert np.abs(s - s_new).max() < 1e-10
+    assert np.abs(m - m_new).max() < 1e-10
     assert np.linalg.norm(y - y_new) < 1e-10
 
 
 def test_s_s_rule_matches_structure_operators():
     # [S_uv, S_zw] = S_{{uvz}w} - S_{z{vuw}}, with the right-hand side built
-    # by jordan.S_operator from triple products, not from the structure tensor
+    # by jordan.S_operator from triple products, not from the structure
+    # constants
     u, v, z, w = (jordan.random_herm(rng, 2) for _ in range(4))
-    br = conformal.co_bracket(2, conformal.s_element(u, v), conformal.s_element(z, w))
+    br = conformal.co_bracket(2, s_element(u, v), s_element(z, w))
     x, s, y = _parts(2, br)
     expected = (jordan.S_operator(jordan.triple_product(u, v, z), w)
                 - jordan.S_operator(z, jordan.triple_product(v, u, w)))
-    assert np.abs(s - expected).max() < 1e-10
+    assert np.abs(s_operator(s) - expected).max() < 1e-10
     assert np.linalg.norm(x) < 1e-10 and np.linalg.norm(y) < 1e-10
 
 
@@ -158,38 +254,65 @@ def test_jacobi_detects_a_wrong_sign(monkeypatch):
     # partner) breaks the Jacobi identity; the [X, Y] block is left out,
     # since negating it is the automorphism Y -> -Y
     n = 2
-    good = conformal.structure_constants(n)
-    d, r = jordan.dim_v(n), conformal.str_dimension(n)
-    s = slice(d, d + r)
-    for v in (slice(d + r, None), slice(0, d)):
-        bad = good.copy()
-        bad[s, v, v] *= -1.0
-        bad[v, s, v] *= -1.0
-        monkeypatch.setattr(conformal, "structure_constants", lambda m, bad=bad: bad)
+    i, j, k, v = conformal.structure_constants(n)
+    gx, gs, gy = _grades(n)
+    c = (i, j, k, v)
+    for g in (gy, gx):
+        flip = _select(n, c, gs, g, g) | _select(n, c, g, gs, g)
+        _patched(monkeypatch, (i, j, k, np.where(flip, -v, v)))
         assert conformal.jacobi_tensor_residual(n) > 1e-10
+
+
+def test_jacobi_detects_a_wrong_sign_in_the_s_s_block(monkeypatch):
+    # [S_m, S_m'] = -S_{[m, m']/2} is still antisymmetric and graded, but S
+    # then no longer acts on V as a representation
+    n = 2
+    i, j, k, v = c = conformal.structure_constants(n)
+    _, gs, _ = _grades(n)
+    _patched(monkeypatch, (i, j, k, np.where(_select(n, c, gs, gs, gs), -v, v)))
+    assert conformal.jacobi_tensor_residual(n) > 1e-10
 
 
 def test_jacobi_detects_an_asymmetric_bracket(monkeypatch):
     # [X_0, Y_0] moved by 1e-3 along S_0 without its partner [Y_0, X_0]; the
-    # graded sum evaluates one ordering per block type, relies on
-    # antisymmetry and alone reports only about 7e-4 here
+    # derivation form of the Jacobi sum relies on antisymmetry and alone
+    # need not see it
     n = 2
-    bad = conformal.structure_constants(n).copy()
+    i, j, k, v = conformal.structure_constants(n)
     d, r = jordan.dim_v(n), conformal.str_dimension(n)
-    bad[0, d + r, d] += 1e-3
-    monkeypatch.setattr(conformal, "structure_constants", lambda m: bad)
+    _patched(monkeypatch, (np.append(i, 0), np.append(j, d + r), np.append(k, d),
+                           np.append(v, 1e-3)))
     assert conformal.jacobi_tensor_residual(n) >= 1e-3
 
 
 def test_jacobi_detects_an_off_grade_bracket(monkeypatch):
     # [X_0, X_1] = S_0, antisymmetric but in a block the 3-grading forces
-    # to zero; the graded sum never reads it
+    # to zero
     n = 2
-    bad = conformal.structure_constants(n).copy()
+    i, j, k, v = conformal.structure_constants(n)
     d = jordan.dim_v(n)
-    bad[0, 1, d], bad[1, 0, d] = 1.0, -1.0
-    monkeypatch.setattr(conformal, "structure_constants", lambda m: bad)
+    _patched(monkeypatch, (np.append(i, [0, 1]), np.append(j, [1, 0]), np.append(k, [d, d]),
+                           np.append(v, [1.0, -1.0])))
     assert conformal.jacobi_tensor_residual(n) >= 1.0
+
+
+def test_closure_detects_a_wrong_action(monkeypatch):
+    # the [S, X] block rebuilt from S_m(z) = (mz - zm^dag)/2: its V-part
+    # vanishes, so S_{e_a} no longer equals L_{e_a}
+    n = 2
+    d, r = jordan.dim_v(n), conformal.str_dimension(n)
+    c = conformal.structure_constants(n)
+    gx, gs, _ = _grades(n)
+    keep = ~(_select(n, c, gs, gx, gx) | _select(n, c, gx, gs, gx))
+    basis = np.eye(r).reshape(r, n, n, 4)
+    wrong = np.array([s_operator(m, sign=-1.0) for m in basis])  # [m, c, b]
+    m, cc, b = np.nonzero(wrong)
+    val = wrong[m, cc, b]
+    _patched(monkeypatch, (np.concatenate([c[0][keep], d + m, b]),
+                           np.concatenate([c[1][keep], b, d + m]),
+                           np.concatenate([c[2][keep], cc, cc]),
+                           np.concatenate([c[3][keep], val, -val])))
+    assert conformal.closure_residual(n) > 1e-10
 
 
 def test_random_jacobi_max_does_not_depend_on_the_block(monkeypatch):
@@ -212,15 +335,15 @@ def test_random_jacobi_max_does_not_depend_on_the_block(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 5))
 def test_random_jacobi_block_stays_near_its_budget(n):
-    """One full block of random triples peaks within 1.1 x _BLOCK_BYTES:
-    the budget counts the (3k, dim, dim) ad stack alone, and the triples'
-    own coordinates beside it add 1-6% at n = 2-4."""
+    """One full block of random triples peaks within _BLOCK_BYTES: the
+    budget counts the triples' coordinates and draws and the bincount
+    buffers of their brackets."""
     triples = max(1, conformal._BLOCK_BYTES // triple_block_bytes(1, n))
-    conformal.jacobi_random_max(n, np.random.default_rng(5), 1)  # warm the cached tensors
+    conformal.jacobi_random_max(n, np.random.default_rng(5), 1)  # warm the cached constants
     tracemalloc.start()
     try:
         conformal.jacobi_random_max(n, np.random.default_rng(6), triples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * conformal._BLOCK_BYTES
+    assert peak <= 1.0 * conformal._BLOCK_BYTES

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import block_bytes, moment_psi, moment_rho, mu_of, transformed
 
-from sp1kepler import jordan, realization
+from sp1kepler import jordan, poisson, realization
 from sp1kepler.poisson import PhasePoint, bracket_exact, quad_residual
 from sp1kepler.quat import UNITS, dagger_product, im, norm, random_unit_quaternion
 
@@ -17,19 +17,49 @@ def test_exact_relation_families_small():
 
 
 def test_relation_sweep_detects_a_wrong_bracket(monkeypatch):
-    # a bracket off by a fixed symmetric matrix must fail every family
+    # a bracket off by a fixed symmetric matrix, in all four (4n, 4n)
+    # blocks, must fail every family
     n = 2
-    real = realization.quad_bracket
+    m = 4 * n
+    real = poisson.block_bracket
     shift = np.eye(8 * n) + np.ones((8 * n, 8 * n))
 
     def wrong(a, b):
-        return real(a, b) + shift
+        out = real(a, b)
+        return {(r, s): out.get((r, s), 0.0) + shift[r * m : (r + 1) * m, s * m : (s + 1) * m]
+                for r in (0, 1) for s in (0, 1)}
 
-    monkeypatch.setattr(realization, "quad_bracket", wrong)
+    monkeypatch.setattr(poisson, "block_bracket", wrong)
     res = realization.verify_so_star_relations(n)
     assert len(res) == 6
     for name, r in res.items():
         assert r > 1e-12, name
+
+
+def test_relation_sweep_detects_a_wrong_y_factor(monkeypatch):
+    # the predicted brackets do not go through y_quad, so Y_v = -<Z, vZ>
+    # breaks the two families that pair Y with another generator
+    n = 2
+    monkeypatch.setattr(realization, "y_quad", lambda r: realization._embed(-2.0 * r, 0, 0))
+    res = realization.verify_so_star_relations(n)
+    assert res["XY_is_minus_2S"] > 1e-12
+    assert res["SY_triple"] > 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_relation_sweep_stays_within_its_budget(n):
+    """verify_so_star_relations peaks within _BLOCK_BYTES beside its fixed
+    (4n, 4n) stacks: real_rep of the two bases, and the X, Y and S blocks."""
+    realization.verify_so_star_relations(n)  # warm the cached bases
+    d, m = jordan.dim_v(n), 4 * n
+    fixed = 8 * m * m * (3 * d + 2 * 4 * n * n)
+    tracemalloc.start()
+    try:
+        realization.verify_so_star_relations(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= realization._BLOCK_BYTES + fixed
 
 
 def test_ss_quadruple_spot_check():
