@@ -22,7 +22,7 @@ import numpy as np
 
 from . import conformal, dynamics, jordan, realization, sternberg
 from .poisson import PhasePoint
-from .quat import norm
+from .quat import SeededRng, norm
 
 SCHEMA = "2"
 
@@ -115,7 +115,7 @@ def verify_algebra(n, triples, seed, tol, output):
     """Closure, dimension, and Jacobi checks for the conformal algebra."""
     t0 = time.time()
     tol = 1e-10 if tol is None else tol
-    jac_random = conformal.jacobi_random_max(n, np.random.default_rng(seed), triples)
+    jac_random = conformal.jacobi_random_max(n, SeededRng(seed), triples)
     jac_generators = conformal.jacobi_tensor_residual(n)
     closure = conformal.closure_residual(n)
     dim = conformal.co_dimension(n)
@@ -137,8 +137,7 @@ def verify_realization(n, seed, tol, output):
     t0 = time.time()
     tol = 1e-12 if tol is None else tol
     residuals = realization.verify_so_star_relations(n)
-    rng = np.random.default_rng(seed)
-    residuals["SS_quadruple_spot"] = realization.verify_ss_quadruples(n, rng, count=100)
+    residuals["SS_quadruple_spot"] = realization.verify_ss_quadruples(n, SeededRng(seed), count=100)
     _finish({"n": n, "seed": seed, "tol": tol}, residuals, output, t0)
 
 
@@ -152,7 +151,7 @@ def verify_quadratic(n, mu, samples, seed, tol, output):
     t0 = time.time()
     tol = 1e-9 if tol is None else tol
     residuals = realization.leaf_residual_maxima(
-        realization.LeafSpec(n, mu), np.random.default_rng(seed), samples
+        realization.LeafSpec(n, mu), SeededRng(seed), samples
     )
     config = {"n": n, "mu": mu, "samples": samples, "seed": seed, "tol": tol}
     _finish(config, residuals, output, t0)
@@ -166,7 +165,7 @@ def verify_pullback(n, samples, seed, tol, output):
     """Cone-side pullback identities on seeded random points."""
     t0 = time.time()
     tol = 1e-9 if tol is None else tol
-    rng = np.random.default_rng(seed)
+    rng = SeededRng(seed)
     r1 = r2 = 0.0
     for _ in range(samples):
         z = rng.standard_normal((n, 4))
@@ -214,8 +213,7 @@ def _infall_start(n):
 def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     """Integrate the Kepler flow and report conserved-quantity drifts."""
     t0 = time.time()
-    rng = np.random.default_rng(seed)
-    p0 = _bound_start(n, mu, rng) if initial == "bound" else _infall_start(n)
+    p0 = _bound_start(n, mu, SeededRng(seed)) if initial == "bound" else _infall_start(n)
     config = {
         "n": n, "mu": mu, "dt": dt, "t_end": t_end, "method": method,
         "initial": initial, "seed": seed, "tol": tol,

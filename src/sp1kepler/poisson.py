@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quat import norm, random_qvector
+from .quat import norm
 
 DOMAIN_EPS = 1e-9
 
@@ -250,16 +250,3 @@ def bracket_numeric(f, g, p, h=1e-5):
         return (4 * v2 - v1) / 3
     return v2
 
-
-def random_quad_observable(rng, n, scale=1.0):
-    m = 8 * n
-    a = rng.standard_normal((m, m)) * scale
-    return QuadObservable(a + a.T, rng.standard_normal(m) * scale, float(rng.standard_normal()) * scale)
-
-
-def random_phase_point(rng, n, scale=1.0, min_z=0.3):
-    while True:
-        z = random_qvector(rng, n, scale)
-        if norm(z) > min_z:
-            break
-    return PhasePoint(z, random_qvector(rng, n, scale))

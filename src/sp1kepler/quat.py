@@ -10,9 +10,15 @@ Conventions pinned here and used everywhere else:
 A quaternion is an array of shape (4,), a vector in H^n one of shape
 (n, 4) and an n x n matrix one of shape (n, n, 4); all quaternion
 products go through the structure tensor QTAB.
+
+SeededRng draws the CLI's seeded test points from the standard library's
+Mersenne Twister, so that no command loads numpy.random.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 
@@ -131,15 +137,41 @@ def real_rep(m):
     return r.reshape(m.shape[:-3] + (4 * n, 4 * n))
 
 
-def random_qvector(rng, n, scale=1.0):
-    return rng.standard_normal((n, 4)) * scale
+class SeededRng:
+    """Seeded draws from the standard library's Mersenne Twister (MT19937),
+    with the two methods the package calls on a numpy Generator.
 
+    Word pairs (a, b) of Random(seed).getrandbits give the uniforms
+    ((a >> 5) 2^26 + (b >> 6)) / 2^53, those of Random(seed).random().
+    Normals: Box-Muller on (1 - u1, u2), cosine then sine, served from a
+    block refilled _BLOCK at a time, so that a draw does not depend on how
+    earlier draws were sized.  Integers: randrange.
+    """
 
-def random_qmatrix(rng, n, scale=1.0):
-    return rng.standard_normal((n, n, 4)) * scale
+    _BLOCK = 1024  # normals per refill
 
+    def __init__(self, seed):
+        self._random, self._normals, self._next = random.Random(seed), np.empty(0), 0
 
-def random_unit_quaternion(rng):
-    v = rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    return v
+    def _uniforms(self, count):
+        """The next `count` uniforms; word pair (a, b) is read as a + 2^32 b."""
+        ab = np.frombuffer(self._random.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
+        return ((ab & 0xFFFFFFFF) >> 5 << 26 | ab >> 38) * 2.0**-53
+
+    def standard_normal(self, size=None):
+        """A float for size=None, else an array of that shape."""
+        shape = () if size is None else size if isinstance(size, tuple) else (size,)
+        count = math.prod(shape)
+        start, end = self._next, self._next + count
+        if end > len(self._normals):
+            u = self._uniforms(max(self._BLOCK, count + 1) & ~1)
+            r, theta = np.sqrt(-2.0 * np.log(1.0 - u[0::2])), 2.0 * math.pi * u[1::2]
+            fresh = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).reshape(-1)
+            self._normals, start, end = np.concatenate([self._normals[start:], fresh]), 0, count
+        self._next = end
+        out = self._normals[start:end]
+        return float(out[0]) if size is None else out.reshape(shape)
+
+    def integers(self, low, high, size):
+        """An array of `size` integers uniform on [low, high)."""
+        return np.array([self._random.randrange(low, high) for _ in range(size)])

@@ -1,15 +1,16 @@
-"""Helpers used only by the tests: single-point formulas for the moment
-maps and the magnetic charge, batched evaluation of a quadratic
-observable, the right Sp(1) action on a phase point, the cone-side LRL
-component, the block byte budgets that give blocks of k points or of k
-Jacobi triples, the generators X_u, Y_v and S_uv of the conformal algebra
-with the action of S_m on V by quaternion arithmetic, and the
-quaternion-arithmetic oracle for jordan.s_tensor."""
+"""Helpers used only by the tests: seeded random quaternion vectors and
+matrices, unit quaternions, quadratic observables and phase points;
+single-point formulas for the moment maps and the magnetic charge,
+batched evaluation of a quadratic observable, the right Sp(1) action on a
+phase point, the cone-side LRL component, the block byte budgets that give
+blocks of k points or of k Jacobi triples, the generators X_u, Y_v and
+S_uv of the conformal algebra with the action of S_m on V by quaternion
+arithmetic, and the quaternion-arithmetic oracle for jordan.s_tensor."""
 
 import numpy as np
 
 from sp1kepler import conformal, jordan, realization, sternberg
-from sp1kepler.poisson import PhasePoint
+from sp1kepler.poisson import PhasePoint, QuadObservable
 from sp1kepler.quat import (
     QTAB,
     RE_SIGNS,
@@ -22,6 +23,34 @@ from sp1kepler.quat import (
     norm,
     vec_inner,
 )
+
+
+def random_qvector(rng, n, scale=1.0):
+    return rng.standard_normal((n, 4)) * scale
+
+
+def random_qmatrix(rng, n, scale=1.0):
+    return rng.standard_normal((n, n, 4)) * scale
+
+
+def random_unit_quaternion(rng):
+    v = rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    return v
+
+
+def random_quad_observable(rng, n, scale=1.0):
+    m = 8 * n
+    a = rng.standard_normal((m, m)) * scale
+    return QuadObservable(a + a.T, rng.standard_normal(m) * scale, float(rng.standard_normal()) * scale)
+
+
+def random_phase_point(rng, n, scale=1.0, min_z=0.3):
+    while True:
+        z = random_qvector(rng, n, scale)
+        if norm(z) > min_z:
+            break
+    return PhasePoint(z, random_qvector(rng, n, scale))
 
 
 def moment_rho(p):

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import random_phase_point, random_quad_observable, random_qvector
 
 from sp1kepler import conformal, dynamics, jordan, realization, sternberg
 from sp1kepler.poisson import (
@@ -17,10 +18,8 @@ from sp1kepler.poisson import (
     bracket_exact,
     bracket_numeric,
     quad_residual,
-    random_phase_point,
-    random_quad_observable,
 )
-from sp1kepler.quat import norm, random_qvector
+from sp1kepler.quat import norm
 
 GRID_N = (2, 3, 4, 5)
 GRID_MU = (0.0, 0.5, 1.0, 3.0)

@@ -1,8 +1,8 @@
 import numpy as np
-from helpers import s_tensor_oracle
+from helpers import random_qvector, s_tensor_oracle
 
 from sp1kepler import jordan
-from sp1kepler.quat import RE_SIGNS, mat_apply, norm, random_qvector, vec_inner
+from sp1kepler.quat import RE_SIGNS, mat_apply, norm, vec_inner
 from sp1kepler.jordan import (
     L_operator,
     S_operator,

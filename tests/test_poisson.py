@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import evaluate_batch, transformed
+from helpers import (
+    evaluate_batch,
+    random_phase_point,
+    random_quad_observable,
+    random_qvector,
+    random_unit_quaternion,
+    transformed,
+)
 
 from sp1kepler.poisson import (
     PhasePoint,
@@ -9,10 +16,8 @@ from sp1kepler.poisson import (
     bracket_numeric,
     poisson_j,
     quad_residual,
-    random_phase_point,
-    random_quad_observable,
 )
-from sp1kepler.quat import conj, random_qvector, random_unit_quaternion, vec_inner
+from sp1kepler.quat import conj, vec_inner
 
 rng = np.random.default_rng(4242)
 

@@ -1,9 +1,15 @@
+import math
+import random
+
 import numpy as np
+import pytest
+from helpers import random_qmatrix, random_qvector, random_unit_quaternion
 
 from sp1kepler.jordan import identity
 from sp1kepler.poisson import PhasePoint
 from sp1kepler.quat import (
     UNITS,
+    SeededRng,
     conj,
     dagger_product,
     im,
@@ -13,9 +19,6 @@ from sp1kepler.quat import (
     mul,
     norm,
     outer,
-    random_qmatrix,
-    random_qvector,
-    random_unit_quaternion,
     real_rep,
     trace_re,
     unit_matrix,
@@ -150,3 +153,43 @@ def test_flat_round_trip():
     assert flat[4 * 2 + 3] == z[2, 3] and flat[12 + 4 * 1 + 2] == w[1, 2]
     q = PhasePoint.unflatten(flat, 3)
     assert np.array_equal(q.Z, z) and np.array_equal(q.W, w)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_seeded_uniforms_are_those_of_random(seed):
+    ref = random.Random(seed)
+    assert SeededRng(seed)._uniforms(3000).tolist() == [ref.random() for _ in range(3000)]
+
+
+def test_seeded_normals_are_pinned():
+    # a change in getrandbits or in the Box-Muller pairing moves these by far
+    # more than the last-bit differences of libm between platforms
+    first = [0.5161661633565218, 0.7184721151690002, 1.3031666217102853,
+             0.6377679767768651, -0.8234106660654669, 0.9258659681903841]
+    assert np.allclose(SeededRng(7).standard_normal(6), first, rtol=1e-14, atol=0)
+    # Box-Muller on (1 - u1, u2) of Random(7), cosine then sine
+    ref = random.Random(7)
+    bm = []
+    for _ in range(3):
+        u1, u2 = ref.random(), ref.random()
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        bm += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    assert np.allclose(bm, first, rtol=1e-14, atol=0)
+
+
+def test_seeded_draw_types_and_ranges():
+    rng = SeededRng(3)
+    assert type(rng.standard_normal()) is float
+    assert rng.standard_normal((2, 3, 4)).shape == (2, 3, 4)
+    assert rng.standard_normal(5).shape == (5,)
+    k = rng.integers(2, 9, size=5000)
+    assert k.shape == (5000,) and k.min() == 2 and k.max() == 8
+
+
+def test_seeded_draws_across_a_refill_equal_single_draws():
+    block = SeededRng._BLOCK
+    a, b = SeededRng(11), SeededRng(11)
+    drawn = [a.standard_normal() for _ in range(block - 5)]
+    drawn += a.standard_normal((3, 7)).ravel().tolist()  # crosses the first refill
+    drawn += a.standard_normal(3 * block + 1).tolist()  # larger than a block
+    assert drawn == [b.standard_normal() for _ in range(len(drawn))]

@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import block_bytes, moment_psi, moment_rho, mu_of, transformed
+from helpers import block_bytes, moment_psi, moment_rho, mu_of, random_unit_quaternion, transformed
 
 from sp1kepler import jordan, poisson, realization
 from sp1kepler.poisson import PhasePoint, bracket_exact, quad_residual
-from sp1kepler.quat import UNITS, dagger_product, im, norm, random_unit_quaternion
+from sp1kepler.quat import UNITS, dagger_product, im, norm
 
 rng = np.random.default_rng(99)
 

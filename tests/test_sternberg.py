@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import lrl_downstairs
+from helpers import lrl_downstairs, random_qvector, random_unit_quaternion
 
 from sp1kepler import jordan, sternberg
 from sp1kepler.quat import (
@@ -9,8 +9,6 @@ from sp1kepler.quat import (
     mat_apply,
     mul,
     norm,
-    random_qvector,
-    random_unit_quaternion,
     unit_matrix,
     vec_inner,
 )
