@@ -294,17 +294,39 @@ def closure_residual(n):
     independent of C.  For n >= 2 the e_a and [e_a, e_b] span M_n(H), so
     this ties every S_m to the Jordan algebra: str(H_n(H)) = S(M_n(H)).
     The entries of [e_a, e_b] are read off R_a R_b - R_b R_a, R = real_rep,
-    at the real unit: R(m)[4i + c, 4j] is component c of m_ij."""
+    at the real unit: R(m)[4i + c, 4j] is component c of m_ij.
+
+    Beside ls, the one fixed stack of the L_{e_a}, built one L_operator at
+    a time (each takes three real_rep stacks of the basis, 0.9 MB at
+    n = 6), b runs in chunks within _BLOCK_BYTES.  _s_action selects C's
+    [S, X] entries (three boolean masks over C, four rows over the sx
+    selected) and takes, per b, three rows over them (weights, keys and a
+    temporary); beside them each b holds at most three (d, d) arrays
+    ([L_a, L_b], a product or the S-action, a difference) and real_rep of
+    e_b with the entries of [e_a, e_b] (24 n^2 floats)."""
     basis = jordan.orthonormal_basis(n)
     d = len(basis)
-    ls = np.array([jordan.L_operator(e) for e in basis])
-    worst = float(np.abs(_s_action(n, basis.reshape(d, -1)) - ls).max())
-    rb = real_rep(basis)
-    for a in range(d):
-        comm = rb[a] @ rb[:, :, 0::4] - rb @ rb[a][:, 0::4]  # (d, 4n, n)
-        half = 0.5 * comm.reshape(d, n, 4, n).transpose(0, 1, 3, 2).reshape(d, -1)
-        lhs = ls[a] @ ls - ls @ ls[a]
-        worst = max(worst, float(np.abs(lhs - _s_action(n, half)).max()))
+    ls = np.empty((d, d, d))
+    for a, e in enumerate(basis):
+        ls[a] = jordan.L_operator(e)
+    i, j, k, _ = structure_constants(n)
+    sx = np.count_nonzero((i >= d) & (i < d + str_dimension(n)) & (j < d) & (k < d))
+    step = max(1, (_BLOCK_BYTES - 3 * len(i) - 32 * sx) // (24 * (d * d + sx + 8 * n * n)))
+    worst = 0.0
+    for lo in range(0, d, step):
+        lb = ls[lo : lo + step]
+        c = len(lb)
+        worst = max(worst, float(np.abs(_s_action(n, basis[lo : lo + c].reshape(c, -1)) - lb).max()))
+        rb = real_rep(basis[lo : lo + c])
+        for a in range(d):
+            ra = real_rep(basis[a])
+            comm = ra @ rb[:, :, 0::4] - rb @ ra[:, 0::4]  # (c, 4n, n)
+            half = 0.5 * comm.reshape(c, n, 4, n).transpose(0, 1, 3, 2).reshape(c, -1)
+            lhs = ls[a] @ lb
+            lhs -= lb @ ls[a]
+            lhs -= _s_action(n, half)
+            worst = max(worst, float(np.abs(lhs, out=lhs).max()))
+            del comm, half, lhs  # freed before the next pair of factors
     return worst
 
 

@@ -65,21 +65,6 @@ def hamiltonian_upstairs(p):
     return wsq / (8.0 * zsq) - 1.0 / zsq
 
 
-def hamiltonian_gradient(p):
-    """Analytic gradient: dH/dW = W/(4|Z|^2), dH/dZ = (2 - |W|^2/4) Z / |Z|^4."""
-    flat = p.flatten() if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
-    n = flat.size // 8
-    m = 4 * n
-    zf, wf = flat[:m], flat[m:]
-    zsq = float(zf @ zf)
-    if zsq <= DOMAIN_EPS**2:
-        raise ValueError("gradient undefined at Z = 0")
-    wsq = float(wf @ wf)
-    dz = (-wsq / (4.0 * zsq * zsq) + 2.0 / (zsq * zsq)) * zf
-    dw = wf / (4.0 * zsq)
-    return dz, dw
-
-
 def _rhs(flat, m):
     """Hamilton's equations: (Zdot, Wdot) = (dH/dW, -dH/dZ)."""
     zf, wf = flat[:m], flat[m:]

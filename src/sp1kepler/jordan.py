@@ -108,7 +108,9 @@ def L_operator(u):
     n = u.shape[0]
     r = real_rep(orthonormal_basis(n))
     ru = real_rep(u)
-    return (r @ ru + ru @ r).reshape(len(r), -1) @ r.reshape(len(r), -1).T / (8 * n)
+    rr = r @ ru
+    rr += ru @ r
+    return rr.reshape(len(r), -1) @ r.reshape(len(r), -1).T / (8 * n)
 
 
 def S_operator(u, v):

@@ -7,8 +7,7 @@ and momenta from W, which makes {<U, Z>, <V, W>} = <U, V> hold exactly.
 
 Affine-quadratic observables f(z) = z^T A z / 2 + b^T z + c are closed
 under the bracket, so every algebra relation downstream is checked as an
-exact matrix identity.  A central-difference bracket serves as the
-independent oracle and handles non-quadratic observables.
+exact matrix identity.
 """
 
 from __future__ import annotations
@@ -143,39 +142,73 @@ def block_bracket(a, b):
                 if p is None or q is None:
                     continue
                 t = p @ q
-                if sign < 0:
-                    np.negative(t, out=t)
-                if (r, s) in out:
-                    out[r, s] += t
+                if (r, s) not in out:
+                    out[r, s] = np.negative(t, out=t) if sign < 0 else t
+                elif sign < 0:
+                    out[r, s] -= t
                 else:
-                    out[r, s] = t
+                    out[r, s] += t
     return out
 
 
-def block_relation_max(rows, cols, predicted, budget):
+def block_relation_max(rows, cols, predicted, width, budget):
     """Max over all pairs i, j of |{rows_i, cols_j} - P| / max(1, |{.,.}|, |P|),
     Frobenius norms over all four blocks, with P the predicted bracket.
 
-    rows, cols: stacks of quadratic parts as blocks (see block_bracket);
-    predicted(i, c) gives the blocks of P for row i and the columns c, a
-    slice.  A chunk of columns at a time keeps its brackets, predictions and
-    differences, at most six (4n, 4n) arrays per column, within budget bytes.
+    rows, cols: triples (count, data, blocks), where data(c) is a (len(c),
+    width, width) stack of data of the elements in the slice c and
+    blocks(x) their quadratic parts as blocks (see block_bracket), stacks of
+    the same shape, from their data x; predicted(a, b) gives the blocks of
+    P from the data a of one row and the data b of a chunk of columns.
+    Nothing is held for the whole sweep: it runs one row by a chunk of k
+    columns at a time, each chunk of columns built once and its rows one
+    by one.  In (width, width) float64
+    arrays, a tile holds the data and the blocks of each column (2), of the
+    row the same and a transposed copy of the data that predicted may take
+    (3), and per pair the prediction beside the bracket: two blocks and one
+    product while the bracket is formed (4; the prediction is formed first,
+    in at most 3), then each difference formed in its bracket block (3),
+    with one numpy iterator buffer while the blocks differ in layout;
+    beside them a few float64 norms per pair, with their array headers.
+    That is all the so*(4n) relations need; k is the largest that keeps it
+    within budget bytes.  A batch of rows would only shorten sweeps that
+    already fit a few tiles, and take up to the whole budget to do it.
     """
     def sq(x):
         return np.einsum("...ij,...ij->...", x, x)
 
-    first_rows, first_cols = (next(iter(f.values())) for f in (rows, cols))
-    step = max(1, budget // (48 * first_cols.shape[-1] ** 2))
+    def sq_diff(x, p, shape):
+        """sq(x - p), the difference formed in x if x is a whole bracket block."""
+        return sq(np.subtract(x, p, out=x if np.shape(x) == shape else None))
+
+    def tile_bytes(k):
+        block = 8 * width * width
+        return block * (2 * k + 3) + 3 * block * k + max(block * k, 8 * np.getbufsize()) + 128 * k
+
+    (n_rows, row_data, row_blocks), (n_cols, col_data, col_blocks) = rows, cols
+    k = max([1] + [j for j in range(1, n_cols + 1) if tile_bytes(j) <= budget])
+    # glibc's malloc hands free memory at the top of its heap back to the
+    # system once there is more than twice the largest chunk it has mapped
+    # and freed (128 KiB at first), and every tile frees its arrays: one
+    # mapped and freed chunk of half the budget keeps each tile from faulting
+    # its pages in anew (at n = 6, 137,000 minor faults and twice the time)
+    np.empty(budget // 16)
     worst = 0.0
-    for i in range(len(first_rows)):
-        for lo in range(0, len(first_cols), step):
-            c = slice(lo, lo + step)
-            lhs = block_bracket({key: x[i] for key, x in rows.items()},
-                                {key: x[c] for key, x in cols.items()})
-            rhs = predicted(i, c)
-            num = sum(sq(lhs.get(key, 0.0) - rhs.get(key, 0.0)) for key in lhs.keys() | rhs.keys())
+    for lo in range(0, n_cols, k):
+        b_data = col_data(slice(lo, min(lo + k, n_cols)))
+        b = col_blocks(b_data)
+        for i in range(n_rows):
+            a_data = row_data(slice(i, i + 1))
+            a = row_blocks(a_data)
+            rhs = predicted(a_data[0], b_data)
+            lhs = block_bracket({key: x[0] for key, x in a.items()}, b)
+            del a_data, a
             size = np.maximum(sum(sq(x) for x in lhs.values()), sum(sq(x) for x in rhs.values()))
+            num = sum(sq_diff(lhs.get(key, 0.0), rhs.get(key, 0.0), b_data.shape)
+                      for key in lhs.keys() | rhs.keys())
             worst = max(worst, float(np.max(np.sqrt(num) / np.maximum(1.0, np.sqrt(size)))))
+            del lhs, rhs  # freed before the next row is built
+        del b_data, b
     return worst
 
 
@@ -199,54 +232,3 @@ def quad_residual(lhs, rhs):
     )
     den = max(1.0, lhs.norm(), rhs.norm())
     return num / den
-
-
-def _eval_any(f, z, n):
-    if isinstance(f, QuadObservable):
-        return f.evaluate(z)
-    return float(f(z))
-
-
-def _fd_gradient(f, z, n, h):
-    z = np.asarray(z, dtype=float)
-    grad = np.empty_like(z)
-    for i in range(z.size):
-        zp = z.copy()
-        zp[i] += h
-        zm = z.copy()
-        zm[i] -= h
-        grad[i] = (_eval_any(f, zp, n) - _eval_any(f, zm, n)) / (2 * h)
-    return grad
-
-
-def bracket_numeric(f, g, p, h=1e-5):
-    """Central-difference canonical bracket at a point.
-
-    f, g may be QuadObservables or callables on flat R^{8n} coordinates.
-    Falls back to Richardson extrapolation (step h/2) when the two step
-    sizes disagree noticeably.
-    """
-    if h <= 0 or h < 1e-12:
-        raise ValueError("step underflow")
-    if isinstance(p, PhasePoint):
-        if norm(p.Z) <= DOMAIN_EPS:
-            raise ValueError("evaluation too close to Z = 0")
-        n = p.n
-        z = p.flatten()
-    else:
-        z = np.asarray(p, dtype=float)
-        n = z.size // 8
-    j = poisson_j(n)
-
-    def value(step):
-        gf = _fd_gradient(f, z, n, step)
-        gg = _fd_gradient(g, z, n, step)
-        return float(gf @ j @ gg)
-
-    v1 = value(h)
-    v2 = value(h / 2)
-    if abs(v1 - v2) > 1e-6 * max(1.0, abs(v1)):
-        # second-order scheme: Richardson combination cancels the h^2 term
-        return (4 * v2 - v1) / 3
-    return v2
-

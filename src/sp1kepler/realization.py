@@ -75,16 +75,6 @@ def s_quad(r):
     return _coupling(0.5 * r)
 
 
-def x_observable(u):
-    """X_u = <W, uW>/4 for hermitian u."""
-    return QuadObservable(x_quad(real_rep(u)))
-
-
-def y_observable(v):
-    """Y_v = <Z, vZ> for hermitian v."""
-    return QuadObservable(y_quad(real_rep(v)))
-
-
 def s_observable(m):
     """S_m = <W, mZ>/2 for an arbitrary quaternionic matrix m."""
     return QuadObservable(s_quad(real_rep(m)))
@@ -93,16 +83,6 @@ def s_observable(m):
 def s_pair_observable(u, v):
     """S_uv for hermitian u, v, built from the matrix product u.v."""
     return s_observable(mat_mul(u, v))
-
-
-def l_observable(u):
-    """L_u = S_eu = <W, uZ>/2."""
-    return s_observable(u)
-
-
-def l_pair_observable(u, v):
-    """L_{u,v} = (S_uv - S_vu)/2, i.e. S of half the commutator."""
-    return s_observable((mat_mul(u, v) - mat_mul(v, u)) * 0.5)
 
 
 def xi_observables(n):
@@ -340,39 +320,52 @@ def verify_so_star_relations(n):
     Binary families run over all orthonormal-basis pairs.  Families with an
     S argument run over a basis of M_n(H) in the product slot, which covers
     all hermitian basis pairs/quadruples exactly by bilinearity of
-    (u, v) -> S_{u.v}.  Each bracket is computed on (4n, 4n) blocks, a chunk
-    of columns at a time (see poisson.block_relation_max): X_u fills the WW
-    block, Y_v the ZZ block and S_m the WZ block and its transpose ZW, each
-    the block x_quad, y_quad or s_quad builds on the identity times
-    R = real_rep, as the builders are linear.  The predicted brackets do not
-    go through the builders: they follow the definitions, WW block R_u / 2
-    for X_u, ZZ block 2 R_v for Y_v and WZ block R_m / 2 for S_m, through
-    R(uv) = R(u) R(v) and R(u^dag) = R(u)^T.  Returns the max residual of
-    each family, keyed by family.
+    (u, v) -> S_{u.v}.  Each bracket is computed on (4n, 4n) blocks, one
+    row against a chunk of columns at a time (see
+    poisson.block_relation_max): X_u fills the WW block, Y_v the ZZ block
+    and S_m the WZ block and its transpose ZW, each the block x_quad,
+    y_quad or s_quad builds on the identity times R = real_rep, as the
+    builders are linear.  R is taken on demand, of the basis elements in a
+    row or chunk only; that of E_ij q is a 4 x 4 unit block at (i, j).  The
+    predicted brackets do not go through the builders: they follow the
+    definitions, WW block R_u / 2 for X_u, ZZ block 2 R_v for Y_v and WZ
+    block R_m / 2 for S_m, through R(uv) = R(u) R(v) and R(u^dag) = R(u)^T.
+    Beside a row and a chunk, the sweep holds only the three builder
+    blocks, within _BLOCK_BYTES together.  Returns the max residual of each
+    family, keyed by family.
     """
-    rb = real_rep(jordan.orthonormal_basis(n))  # (d, 4n, 4n)
-    rm = real_rep(np.eye(4 * n * n).reshape(-1, n, n, 4))  # E_ij q: (4n^2, 4n, 4n)
-    eye, z, w = np.eye(4 * n), slice(0, 4 * n), slice(4 * n, None)
+    herm, m = jordan.orthonormal_basis(n), 4 * n
+    z, w = slice(0, m), slice(m, None)
+    bx, by, bs = (quad(np.eye(m))[blk].copy() for quad, blk in
+                  ((x_quad, (w, w)), (y_quad, (z, z)), (s_quad, (w, z))))
 
     def s_blocks(wz):
         return {(1, 0): wz, (0, 1): np.swapaxes(wz, -1, -2)}
 
-    x = {(1, 1): x_quad(eye)[w, w] @ rb}
-    y = {(0, 0): y_quad(eye)[z, z] @ rb}
-    s = s_blocks(s_quad(eye)[w, z] @ rm)
+    def herm_rep(c):
+        return real_rep(herm[c])
+
+    def unit_rep(c):  # E_ij q, flat index (i n + j) 4 + q
+        return real_rep(np.eye(c.stop - c.start, m * n, c.start).reshape(-1, n, n, 4))
+
+    x = (len(herm), herm_rep, lambda r: {(1, 1): bx @ r})
+    y = (len(herm), herm_rep, lambda r: {(0, 0): by @ r})
+    s = (m * n, unit_rep, lambda r: s_blocks(bs @ r))
     sweeps = (
-        ("XX_zero", x, x, lambda i, c: {}),
-        ("YY_zero", y, y, lambda i, c: {}),
+        ("XX_zero", x, x, lambda a, b: {}),
+        ("YY_zero", y, y, lambda a, b: {}),
         # {X_u, Y_v} = -2 S_uv
-        ("XY_is_minus_2S", x, y, lambda i, c: s_blocks(-(rb[i] @ rb[c]))),
-        # {S_m, X_z} = X_{(mz + z m^dag)/2}
-        ("SX_triple", s, x, lambda i, c: {(1, 1): (rm[i] @ rb[c] + rb[c] @ rm[i].T) * 0.25}),
+        ("XY_is_minus_2S", x, y, lambda a, b: s_blocks(-(a @ b))),
+        # {S_m, X_z} = X_{(mz + z m^dag)/2}; R_m^T copied, as a contiguous
+        # times a transposed matrix is slow
+        ("SX_triple", s, x, lambda a, b: {(1, 1): (a @ b + b @ a.T.copy()) * 0.25}),
         # {S_m, Y_z} = -Y_{(m^dag z + z m)/2}
-        ("SY_triple", s, y, lambda i, c: {(0, 0): -(rm[i].T @ rb[c] + rb[c] @ rm[i])}),
+        ("SY_triple", s, y, lambda a, b: {(0, 0): -(a.T @ b + b @ a)}),
         # {S_m, S_m'} = S_{[m, m']/2}
-        ("SS_structure", s, s, lambda i, c: s_blocks((rm[i] @ rm[c] - rm[c] @ rm[i]) * 0.25)),
+        ("SS_structure", s, s, lambda a, b: s_blocks((a @ b - b @ a) * 0.25)),
     )
-    return {name: block_relation_max(*sweep, _BLOCK_BYTES) for name, *sweep in sweeps}
+    budget = _BLOCK_BYTES - 3 * bx.nbytes
+    return {name: block_relation_max(*sweep, m, budget) for name, *sweep in sweeps}
 
 
 def verify_ss_quadruples(n, rng, count=200):

@@ -7,13 +7,13 @@ parts; the horizontal lift of a tangent vector xdot at x = n Z Z^dag is
 
     Zdot = (xdot Z - (Re tr xdot / 2) Z) / (n |Z|^2),
 
-characterized by n(Zdot Z^dag + Z Zdot^dag) = xdot and Im(Z^dag Zdot) = 0.
-The momentum pi lives in the tangent space of the cone and is pinned by
-its pairings <pi|xdot> against tangent vectors; the key identity
-<pi | u o x> = <W, uZ>/2 connects it to the upstairs family.  A cone
-point x and its momentum pi are plain hermitian (n, n, 4) arrays, passed
-with the radius r = |Z|^2; pi_from_W checks every pi it builds to be
-tangent.
+characterized by n(Zdot Z^dag + Z Zdot^dag) = xdot and Im(Z^dag Zdot) = 0
+(the tests keep the lift itself, in tests/helpers.py).  The momentum pi
+lives in the tangent space of the cone and is pinned by its pairings
+<pi|xdot> against tangent vectors; the key identity <pi | u o x> =
+<W, uZ>/2 connects it to the upstairs family.  A cone point x and its
+momentum pi are plain hermitian (n, n, 4) arrays, passed with the radius
+r = |Z|^2; pi_from_W checks every pi it builds to be tangent.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jordan, realization
 from .poisson import DOMAIN_EPS
-from .quat import dagger_product, im, mat_apply, mul, norm, outer, real_rep, trace_re, vec_inner
+from .quat import dagger_product, im, mat_apply, mul, norm, outer, real_rep, vec_inner
 
 _TANGENT_TOL = 1e-10
 
@@ -65,20 +65,6 @@ def tangent_basis(z):
     proj = np.array([jordan.coords(_tangent_project(z, e)) for e in basis]).T
     u, s, _ = np.linalg.svd(proj)
     return [jordan.from_coords(c, n) for c in u[:, s > 0.5].T]
-
-
-def horizontal_lift(z, xdot):
-    """The horizontal lift Zdot of a tangent vector xdot at n Z Z^dag."""
-    if norm(z) <= DOMAIN_EPS:
-        raise ValueError("horizontal lift requires Z != 0")
-    proj = _tangent_project(z, xdot)
-    if norm(proj - xdot) > 1e-8 * max(1.0, norm(xdot)):
-        raise ValueError("xdot is not tangent to the cone at this point")
-    xdot = proj
-    scale = 1.0 / (z.shape[0] * norm(z) ** 2)
-    lead = mat_apply(xdot, z)
-    shift = z * (0.5 * trace_re(xdot))
-    return (lead - shift) * scale
 
 
 def _check_tangent(z, pi):

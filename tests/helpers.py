@@ -5,12 +5,16 @@ batched evaluation of a quadratic observable, the right Sp(1) action on a
 phase point, the cone-side LRL component, the block byte budgets that give
 blocks of k points or of k Jacobi triples, the generators X_u, Y_v and
 S_uv of the conformal algebra with the action of S_m on V by quaternion
-arithmetic, and the quaternion-arithmetic oracle for jordan.s_tensor."""
+arithmetic, and the quaternion-arithmetic oracle for jordan.s_tensor;
+the observables X_u, Y_v, L_u and L_{u,v} one at a time, the
+central-difference bracket, the horizontal lift, the analytic gradient of
+the Kepler Hamiltonian, and the so*(4n) relation sweep over whole stacks,
+the reference for realization.verify_so_star_relations."""
 
 import numpy as np
 
-from sp1kepler import conformal, jordan, realization, sternberg
-from sp1kepler.poisson import PhasePoint, QuadObservable
+from sp1kepler import conformal, jordan, poisson, realization, sternberg
+from sp1kepler.poisson import DOMAIN_EPS, PhasePoint, QuadObservable, poisson_j
 from sp1kepler.quat import (
     QTAB,
     RE_SIGNS,
@@ -21,6 +25,8 @@ from sp1kepler.quat import (
     mat_mul,
     mul,
     norm,
+    real_rep,
+    trace_re,
     vec_inner,
 )
 
@@ -144,3 +150,150 @@ def s_tensor_oracle(n):
     # coeff[a, b, c, d] = <e_d | {e_a e_b e_c}>; T[a, b] has rows d, columns c
     coeff = np.einsum("abcijp,djip,p->abcd", triple, e, RE_SIGNS) / n
     return np.transpose(coeff, (0, 1, 3, 2))
+
+
+def x_observable(u):
+    """X_u = <W, uW>/4 for hermitian u."""
+    return QuadObservable(realization.x_quad(real_rep(u)))
+
+
+def y_observable(v):
+    """Y_v = <Z, vZ> for hermitian v."""
+    return QuadObservable(realization.y_quad(real_rep(v)))
+
+
+def l_observable(u):
+    """L_u = S_eu = <W, uZ>/2."""
+    return realization.s_observable(u)
+
+
+def l_pair_observable(u, v):
+    """L_{u,v} = (S_uv - S_vu)/2, i.e. S of half the commutator."""
+    return realization.s_observable((mat_mul(u, v) - mat_mul(v, u)) * 0.5)
+
+
+def _eval_any(f, z, n):
+    if isinstance(f, QuadObservable):
+        return f.evaluate(z)
+    return float(f(z))
+
+
+def _fd_gradient(f, z, n, h):
+    z = np.asarray(z, dtype=float)
+    grad = np.empty_like(z)
+    for i in range(z.size):
+        zp = z.copy()
+        zp[i] += h
+        zm = z.copy()
+        zm[i] -= h
+        grad[i] = (_eval_any(f, zp, n) - _eval_any(f, zm, n)) / (2 * h)
+    return grad
+
+
+def bracket_numeric(f, g, p, h=1e-5):
+    """Central-difference canonical bracket at a point, the independent
+    oracle for the exact bracket; it handles non-quadratic observables.
+
+    f, g may be QuadObservables or callables on flat R^{8n} coordinates.
+    Falls back to Richardson extrapolation (step h/2) when the two step
+    sizes disagree noticeably.
+    """
+    if h <= 0 or h < 1e-12:
+        raise ValueError("step underflow")
+    if isinstance(p, PhasePoint):
+        if norm(p.Z) <= DOMAIN_EPS:
+            raise ValueError("evaluation too close to Z = 0")
+        n = p.n
+        z = p.flatten()
+    else:
+        z = np.asarray(p, dtype=float)
+        n = z.size // 8
+    j = poisson_j(n)
+
+    def value(step):
+        gf = _fd_gradient(f, z, n, step)
+        gg = _fd_gradient(g, z, n, step)
+        return float(gf @ j @ gg)
+
+    v1 = value(h)
+    v2 = value(h / 2)
+    if abs(v1 - v2) > 1e-6 * max(1.0, abs(v1)):
+        # second-order scheme: Richardson combination cancels the h^2 term
+        return (4 * v2 - v1) / 3
+    return v2
+
+
+def horizontal_lift(z, xdot):
+    """The horizontal lift Zdot of a tangent vector xdot at n Z Z^dag."""
+    if norm(z) <= DOMAIN_EPS:
+        raise ValueError("horizontal lift requires Z != 0")
+    proj = sternberg._tangent_project(z, xdot)
+    if norm(proj - xdot) > 1e-8 * max(1.0, norm(xdot)):
+        raise ValueError("xdot is not tangent to the cone at this point")
+    xdot = proj
+    scale = 1.0 / (z.shape[0] * norm(z) ** 2)
+    lead = mat_apply(xdot, z)
+    shift = z * (0.5 * trace_re(xdot))
+    return (lead - shift) * scale
+
+
+def hamiltonian_gradient(p):
+    """Analytic gradient: dH/dW = W/(4|Z|^2), dH/dZ = (2 - |W|^2/4) Z / |Z|^4."""
+    flat = p.flatten() if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
+    n = flat.size // 8
+    m = 4 * n
+    zf, wf = flat[:m], flat[m:]
+    zsq = float(zf @ zf)
+    if zsq <= DOMAIN_EPS**2:
+        raise ValueError("gradient undefined at Z = 0")
+    wsq = float(wf @ wf)
+    dz = (-wsq / (4.0 * zsq * zsq) + 2.0 / (zsq * zsq)) * zf
+    dw = wf / (4.0 * zsq)
+    return dz, dw
+
+
+def _stack_relation_max(rows, cols, predicted, budget):
+    """poisson.block_relation_max on stacks held whole: rows, cols are dicts
+    of block stacks, predicted(i, c) the blocks of P for row i and the
+    columns c, a slice; a chunk of columns per row at a time."""
+    def sq(x):
+        return np.einsum("...ij,...ij->...", x, x)
+
+    first_rows, first_cols = (next(iter(f.values())) for f in (rows, cols))
+    step = max(1, budget // (48 * first_cols.shape[-1] ** 2))
+    worst = 0.0
+    for i in range(len(first_rows)):
+        for lo in range(0, len(first_cols), step):
+            c = slice(lo, lo + step)
+            lhs = poisson.block_bracket({key: x[i] for key, x in rows.items()},
+                                        {key: x[c] for key, x in cols.items()})
+            rhs = predicted(i, c)
+            num = sum(sq(lhs.get(key, 0.0) - rhs.get(key, 0.0)) for key in lhs.keys() | rhs.keys())
+            size = np.maximum(sum(sq(x) for x in lhs.values()), sum(sq(x) for x in rhs.values()))
+            worst = max(worst, float(np.max(np.sqrt(num) / np.maximum(1.0, np.sqrt(size)))))
+    return worst
+
+
+def relation_sweep_oracle(n):
+    """realization.verify_so_star_relations over stacks held for the whole
+    sweep: real_rep of both bases, and the X, Y and S blocks the builders
+    give on them."""
+    rb = real_rep(jordan.orthonormal_basis(n))  # (d, 4n, 4n)
+    rm = real_rep(np.eye(4 * n * n).reshape(-1, n, n, 4))  # E_ij q: (4n^2, 4n, 4n)
+    eye, z, w = np.eye(4 * n), slice(0, 4 * n), slice(4 * n, None)
+
+    def s_blocks(wz):
+        return {(1, 0): wz, (0, 1): np.swapaxes(wz, -1, -2)}
+
+    x = {(1, 1): realization.x_quad(eye)[w, w] @ rb}
+    y = {(0, 0): realization.y_quad(eye)[z, z] @ rb}
+    s = s_blocks(realization.s_quad(eye)[w, z] @ rm)
+    sweeps = (
+        ("XX_zero", x, x, lambda i, c: {}),
+        ("YY_zero", y, y, lambda i, c: {}),
+        ("XY_is_minus_2S", x, y, lambda i, c: s_blocks(-(rb[i] @ rb[c]))),
+        ("SX_triple", s, x, lambda i, c: {(1, 1): (rm[i] @ rb[c] + rb[c] @ rm[i].T) * 0.25}),
+        ("SY_triple", s, y, lambda i, c: {(0, 0): -(rm[i].T @ rb[c] + rb[c] @ rm[i])}),
+        ("SS_structure", s, s, lambda i, c: s_blocks((rm[i] @ rm[c] - rm[c] @ rm[i]) * 0.25)),
+    )
+    return {name: _stack_relation_max(*sweep, realization._BLOCK_BYTES) for name, *sweep in sweeps}

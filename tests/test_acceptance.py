@@ -10,13 +10,21 @@ import time
 
 import numpy as np
 import pytest
-from helpers import random_phase_point, random_quad_observable, random_qvector
+from helpers import (
+    bracket_numeric,
+    hamiltonian_gradient,
+    l_pair_observable,
+    random_phase_point,
+    random_quad_observable,
+    random_qvector,
+    x_observable,
+    y_observable,
+)
 
 from sp1kepler import conformal, dynamics, jordan, realization, sternberg
 from sp1kepler.poisson import (
     PhasePoint,
     bracket_exact,
-    bracket_numeric,
     quad_residual,
 )
 from sp1kepler.quat import norm
@@ -143,7 +151,7 @@ def test_criterion_7_oracle_agreement():
     for _ in range(50):
         p = realization.sample_leaf(realization.LeafSpec(n, 1.0), rng)
         flat = p.flatten()
-        grad = np.concatenate(dynamics.hamiltonian_gradient(p))
+        grad = np.concatenate(hamiltonian_gradient(p))
         for i in range(flat.size):
             step = np.zeros_like(flat)
             step[i] = 1e-5
@@ -186,9 +194,9 @@ def test_criterion_9_conservation_brackets():
         e = jordan.identity(n)
 
         def a_fn(alpha):
-            xo = realization.x_observable(basis[alpha])
-            yo = realization.y_observable(basis[alpha])
-            xe, ye = realization.x_observable(e), realization.y_observable(e)
+            xo = x_observable(basis[alpha])
+            yo = y_observable(basis[alpha])
+            xe, ye = x_observable(e), y_observable(e)
 
             def fn(flat):
                 y_e = ye.evaluate(flat)
@@ -201,7 +209,7 @@ def test_criterion_9_conservation_brackets():
         for _ in range(100):
             p = realization.sample_leaf(realization.LeafSpec(n, 1.0), rng)
             a, b = rng.integers(0, d, size=2)
-            lab = realization.l_pair_observable(basis[a], basis[b])
+            lab = l_pair_observable(basis[a], basis[b])
             val = bracket_numeric(dynamics.hamiltonian_upstairs, lab, p, h=1e-5)
             worst = max(worst, abs(val))
             alpha = int(rng.integers(0, d))

@@ -209,6 +209,21 @@ def test_closure():
         assert conformal.closure_residual(n) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_closure_stays_within_its_budget(n):
+    """closure_residual peaks within _BLOCK_BYTES beside its one fixed
+    stack, the (d, d, d) L_{e_a}."""
+    conformal.closure_residual(n)  # warm the cached basis and constants
+    d = jordan.dim_v(n)
+    tracemalloc.start()
+    try:
+        conformal.closure_residual(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= conformal._BLOCK_BYTES + 8 * d**3
+
+
 def test_span_invariant_rejects_outsiders():
     d = jordan.dim_v(2)
     s = rng.standard_normal((d, d))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    bracket_numeric,
     evaluate_batch,
     random_phase_point,
     random_quad_observable,
@@ -13,7 +14,6 @@ from sp1kepler.poisson import (
     PhasePoint,
     QuadObservable,
     bracket_exact,
-    bracket_numeric,
     poisson_j,
     quad_residual,
 )

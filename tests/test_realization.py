@@ -2,7 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import block_bytes, moment_psi, moment_rho, mu_of, random_unit_quaternion, transformed
+from helpers import (
+    block_bytes,
+    l_observable,
+    l_pair_observable,
+    moment_psi,
+    moment_rho,
+    mu_of,
+    random_unit_quaternion,
+    relation_sweep_oracle,
+    transformed,
+    x_observable,
+    y_observable,
+)
 
 from sp1kepler import jordan, poisson, realization
 from sp1kepler.poisson import PhasePoint, bracket_exact, quad_residual
@@ -48,18 +60,41 @@ def test_relation_sweep_detects_a_wrong_y_factor(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_relation_sweep_stays_within_its_budget(n):
-    """verify_so_star_relations peaks within _BLOCK_BYTES beside its fixed
-    (4n, 4n) stacks: real_rep of the two bases, and the X, Y and S blocks."""
-    realization.verify_so_star_relations(n)  # warm the cached bases
-    d, m = jordan.dim_v(n), 4 * n
-    fixed = 8 * m * m * (3 * d + 2 * 4 * n * n)
+    """verify_so_star_relations peaks within _BLOCK_BYTES: it holds no
+    stack of the bases, only the tile it builds and the builder blocks."""
+    realization.verify_so_star_relations(n)  # warm the cached basis
     tracemalloc.start()
     try:
         realization.verify_so_star_relations(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= realization._BLOCK_BYTES + fixed
+    assert peak <= realization._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_relation_sweep_equals_the_stack_sweep(n):
+    assert realization.verify_so_star_relations(n) == relation_sweep_oracle(n)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_relation_sweep_equals_the_stack_sweep_on_a_wrong_bracket(monkeypatch, n):
+    # the bracket off by a fixed symmetric matrix, as above: the tiled and
+    # the stacked sweeps see the same nonzero residuals, each pair's in the
+    # same arithmetic
+    m = 4 * n
+    real = poisson.block_bracket
+    shift = np.eye(8 * n) + np.ones((8 * n, 8 * n))
+
+    def wrong(a, b):
+        out = real(a, b)
+        return {(r, s): out.get((r, s), 0.0) + shift[r * m : (r + 1) * m, s * m : (s + 1) * m]
+                for r in (0, 1) for s in (0, 1)}
+
+    monkeypatch.setattr(poisson, "block_bracket", wrong)
+    got = realization.verify_so_star_relations(n)
+    assert got == relation_sweep_oracle(n)
+    assert min(got.values()) >= 1.0
 
 
 def test_ss_quadruple_spot_check():
@@ -70,7 +105,7 @@ def test_l_is_s_e_u():
     basis = jordan.orthonormal_basis(2)
     e = jordan.identity(2)
     for u in basis:
-        lhs = realization.l_observable(u)
+        lhs = l_observable(u)
         rhs = realization.s_pair_observable(e, u)
         assert quad_residual(lhs, rhs) < 1e-13
 
@@ -123,21 +158,21 @@ def test_family_values_match_observables():
     zs, ws = realization._stack_points([p])
     v = realization.family_values(n, zs, ws)
     for a, u in enumerate(basis):
-        assert abs(realization.x_observable(u).evaluate(p) - v["X"][0, a]) < 1e-12
-        assert abs(realization.y_observable(u).evaluate(p) - v["Y"][0, a]) < 1e-12
-        assert abs(realization.l_observable(u).evaluate(p) - v["L"][0, a]) < 1e-12
+        assert abs(x_observable(u).evaluate(p) - v["X"][0, a]) < 1e-12
+        assert abs(y_observable(u).evaluate(p) - v["Y"][0, a]) < 1e-12
+        assert abs(l_observable(u).evaluate(p) - v["L"][0, a]) < 1e-12
         for b, w in enumerate(basis):
-            lab = realization.l_pair_observable(u, w)
+            lab = l_pair_observable(u, w)
             assert abs(lab.evaluate(p) - v["Lpair"][0, a, b]) < 1e-12
-    assert abs(realization.x_observable(e).evaluate(p) - v["X_e"][0]) < 1e-12
-    assert abs(realization.y_observable(e).evaluate(p) - v["Y_e"][0]) < 1e-12
+    assert abs(x_observable(e).evaluate(p) - v["X_e"][0]) < 1e-12
+    assert abs(y_observable(e).evaluate(p) - v["Y_e"][0]) < 1e-12
 
 
 def test_l_pair_antisymmetric():
     basis = jordan.orthonormal_basis(2)
     for _ in range(5):
         a, b = rng.integers(0, len(basis), size=2)
-        s = realization.l_pair_observable(basis[a], basis[b]) + realization.l_pair_observable(
+        s = l_pair_observable(basis[a], basis[b]) + l_pair_observable(
             basis[b], basis[a]
         )
         assert s.norm() < 1e-13
