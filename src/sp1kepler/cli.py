@@ -21,7 +21,6 @@ import click
 import numpy as np
 
 from . import conformal, dynamics, jordan, realization, sternberg
-from .poisson import PhasePoint
 from .quat import SeededRng, norm
 
 SCHEMA = "2"
@@ -179,22 +178,21 @@ def verify_pullback(n, samples, seed, tol, output):
 
 
 def _bound_start(n, mu, rng):
-    """A seeded leaf point with H <= -0.1 (rejection sampling)."""
+    """A seeded leaf point with H <= -0.1 (rejection sampling), as its flat state."""
     spec = realization.LeafSpec(n, mu)
     for _ in range(10000):
-        p = realization.sample_leaf(spec, rng)
-        if dynamics.hamiltonian_upstairs(p) <= -0.1:
-            return p
+        y = np.concatenate(realization.sample_leaf(spec, rng), axis=None)
+        if dynamics.hamiltonian_upstairs(y) <= -0.1:
+            return y
     raise _RuntimeAbort("failed to sample a bound start")
 
 
 def _infall_start(n):
-    """A radially infalling start just outside the domain floor."""
-    z = np.zeros((n, 4))
-    z[0, 0] = 5e-9
-    w = np.zeros((n, 4))
-    w[0, 0] = -1.0
-    return PhasePoint(z, w)
+    """A radially infalling start just outside the domain floor, as its flat
+    state: Z_0 = 5e-9, W_0 = -1."""
+    y = np.zeros(8 * n)
+    y[0], y[4 * n] = 5e-9, -1.0
+    return y
 
 
 @main.command("simulate")
@@ -219,7 +217,7 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
         "initial": initial, "seed": seed, "tol": tol,
     }
     base = {"schema": SCHEMA, "command": "simulate", "config": config,
-            "initial_state": p0.flatten().tolist()}
+            "initial_state": p0.tolist()}
     # refused before the CSV is opened: each of the 8n + 1 values of a row
     # takes at least one character and one separator
     samples = dynamics.sample_count(dt, t_end)

@@ -284,7 +284,9 @@ def _s_action(n, s):
     sel = (i >= d) & (i < d + r) & (j < d) & (k < d)
     w = s[:, i[sel] - d] * v[sel]
     keys = (np.arange(len(s))[:, None] * d + k[sel]) * d + j[sel]
-    return np.bincount(keys.ravel(), w.ravel(), len(s) * d * d).reshape(len(s), d, d)
+    # float64 also when nothing is selected: bincount then counts in int64
+    out = np.bincount(keys.ravel(), w.ravel(), len(s) * d * d).astype(float, copy=False)
+    return out.reshape(len(s), d, d)
 
 
 def closure_residual(n):

@@ -1,8 +1,9 @@
 """Time evolution of the quaternionic Kepler system on the upstairs space.
 
 The Hamiltonian H = |W|^2/(8|Z|^2) - 1/|Z|^2 generates the flow in the
-canonical coordinates of the poisson module; the cone-side dynamics is
-recovered through the sternberg module when needed.  The integrators are
+canonical coordinates of the poisson module, on the flat (8n,) state of
+Z entries then W entries; the cone-side dynamics is recovered through
+the sternberg module when needed.  The integrators are
 classical RK4 and implicit midpoint.  flow_blocks steps the flow and
 yields it in blocks of realization.block_points(n) samples, sized so that
 a block's whole working set, family_values and the drift fold included,
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import realization
-from .poisson import DOMAIN_EPS, PhasePoint
+from .poisson import DOMAIN_EPS
 
 _COLLISION_RADIUS = 10.0 * DOMAIN_EPS
 
@@ -49,19 +50,13 @@ class ConvergenceError(IntegrationAbort):
     kind = "no-convergence"
 
 
-def hamiltonian_upstairs(p):
-    """H = |W|^2 / (8 |Z|^2) - 1 / |Z|^2."""
-    if isinstance(p, PhasePoint):
-        z = p.flatten()
-        n = p.n
-    else:
-        z = np.asarray(p, dtype=float)
-        n = z.size // 8
-    m = 4 * n
-    zsq = float(z[:m] @ z[:m])
+def hamiltonian_upstairs(y):
+    """H = |W|^2 / (8 |Z|^2) - 1 / |Z|^2 at the flat state y."""
+    m = len(y) // 2
+    zsq = float(y[:m] @ y[:m])
     if zsq <= DOMAIN_EPS**2:
         raise ValueError("Hamiltonian undefined at Z = 0")
-    wsq = float(z[m:] @ z[m:])
+    wsq = float(y[m:] @ y[m:])
     return wsq / (8.0 * zsq) - 1.0 / zsq
 
 
@@ -88,9 +83,6 @@ class Trajectory:
 
     def __len__(self):
         return self.times.size
-
-    def point(self, i):
-        return PhasePoint.unflatten(self.states[i], self.n)
 
     def blocks(self):
         """(times, states) views in the blocks that flow_blocks yields."""
@@ -149,9 +141,10 @@ def sample_count(dt, t_end):
     return int(round(t_end / dt)) + 1
 
 
-def flow_blocks(p0, dt, t_end, method="rk4"):
-    """Integrate Hamilton's equations from p0 up to t_end with fixed step dt,
-    yielding (times, states) blocks of realization.block_points(n) samples.
+def flow_blocks(y0, dt, t_end, method="rk4"):
+    """Integrate Hamilton's equations from the flat state y0 up to t_end with
+    fixed step dt, yielding (times, states) blocks of
+    realization.block_points(n) samples.
 
     The arguments are checked on call.  A block is a fresh array, so a
     consumer may keep it.  When a step fails, the accepted samples of the
@@ -161,7 +154,8 @@ def flow_blocks(p0, dt, t_end, method="rk4"):
     """
     if method not in _STEPPERS:
         raise ValueError("unknown method %r" % (method,))
-    return _flow(p0.flatten(), p0.n, dt, sample_count(dt, t_end), _STEPPERS[method])
+    return _flow(np.asarray(y0, dtype=float), len(y0) // 8, dt, sample_count(dt, t_end),
+                 _STEPPERS[method])
 
 
 def _flow(y, n, dt, total, stepper):
@@ -182,16 +176,16 @@ def _flow(y, n, dt, total, stepper):
         yield np.arange(lo, hi) * dt, states
 
 
-def integrate(p0, dt, t_end, method="rk4"):
+def integrate(y0, dt, t_end, method="rk4"):
     """The whole sampled flow of flow_blocks as one Trajectory.
 
     Raises MemoryError, before allocating, when the sampled trajectory
     would not fit in physical memory.  An IntegrationAbort carries the
     accepted samples from t = 0 as ``partial``.
     """
-    blocks = flow_blocks(p0, dt, t_end, method)
+    blocks = flow_blocks(y0, dt, t_end, method)
     total = sample_count(dt, t_end)
-    n = p0.n
+    n = len(y0) // 8
     need = total * (8 * n + 1) * 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -217,9 +211,7 @@ def _chunk_series(n, s):
     """Predicted constants on a block of flat states, and the energy
     relation residual there."""
     m = 4 * n
-    zs = s[:, :m].reshape(-1, n, 4)
-    ws = s[:, m:].reshape(-1, n, 4)
-    v = realization.family_values(n, zs, ws)
+    v = realization.family_values(n, s[:, :m].reshape(-1, n, 4), s[:, m:].reshape(-1, n, 4))
     h, a = realization.kepler_scalars(v["X"], v["Y"], v["X_e"], v["Y_e"])
     series = {
         "drift_H": h,
@@ -230,7 +222,7 @@ def _chunk_series(n, s):
         "drift_L_squared": 0.5 * np.einsum("Nab,Nab->N", v["Lpair"], v["Lpair"]),
         "drift_A_squared": -1.0 + np.einsum("Nd,Nd->N", a, a),
     }
-    return series, realization.energy_formula_residuals(n, zs, ws, v)
+    return series, realization.energy_formula_residuals(n, v)
 
 
 class DriftFold:

@@ -113,12 +113,6 @@ def L_operator(u):
     return rr.reshape(len(r), -1) @ r.reshape(len(r), -1).T / (8 * n)
 
 
-def S_operator(u, v):
-    """Matrix of S_{uv} = [L_u, L_v] + L_{u o v}; S_{uv}(w) = {uvw}."""
-    cols = [coords(triple_product(u, v, eb)) for eb in orthonormal_basis(u.shape[0])]
-    return np.array(cols).T
-
-
 def pair_products(n):
     """The products R_a R_b of R_a = real_rep(e_a) over every basis pair,
     as a (d^2, (4n)^2) matrix with row a * d + b."""

@@ -1,12 +1,13 @@
 """Canonical Poisson structure on the punctured quaternionic phase space.
 
-Phase points are pairs (Z, W) in H^n_* x H^n, flattened to R^{8n} as
-(Z coordinates, then W coordinates), each quaternion expanded (w, x, y, z).
+A phase point (Z, W) in H^n_* x H^n is a flat array of R^{8n}: the Z
+coordinates, then the W coordinates, each quaternion expanded (w, x, y, z).
 The bracket sign convention is {q_i, p_j} = delta_ij with positions from Z
 and momenta from W, which makes {<U, Z>, <V, W>} = <U, V> hold exactly.
 
-Affine-quadratic observables f(z) = z^T A z / 2 + b^T z + c are closed
-under the bracket, so every algebra relation downstream is checked as an
+A quadratic observable f(z) = z^T A z / 2 is its symmetric (8n, 8n)
+matrix A.  Quadratic observables are closed under the bracket
+(bracket_exact), so every algebra relation downstream is checked as an
 exact matrix identity.
 """
 
@@ -16,42 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quat import norm
-
 DOMAIN_EPS = 1e-9
-
-
-class PhasePoint:
-    """A point (Z, W) of the phase space with Z != 0; Z, W are (n, 4) arrays."""
-
-    __slots__ = ("Z", "W")
-
-    def __init__(self, Z, W):
-        Z = np.asarray(Z, dtype=float)
-        W = np.asarray(W, dtype=float)
-        if Z.ndim != 2 or Z.shape[1] != 4 or Z.shape != W.shape:
-            raise ValueError("Z and W must both have shape (n, 4)")
-        if norm(Z) <= DOMAIN_EPS:
-            raise ValueError("phase point requires |Z| > %g" % DOMAIN_EPS)
-        self.Z = Z
-        self.W = W
-
-    @property
-    def n(self):
-        return self.Z.shape[0]
-
-    def flatten(self):
-        return np.concatenate([self.Z.reshape(-1), self.W.reshape(-1)])
-
-    @classmethod
-    def unflatten(cls, vec, n):
-        vec = np.array(vec, dtype=float)
-        if vec.size != 8 * n:
-            raise ValueError("expected %d coordinates, got %d" % (8 * n, vec.size))
-        return cls(vec[: 4 * n].reshape(n, 4), vec[4 * n :].reshape(n, 4))
-
-    def __repr__(self):
-        return "PhasePoint(Z=%r, W=%r)" % (self.Z, self.W)
 
 
 @lru_cache(maxsize=16)
@@ -65,68 +31,9 @@ def poisson_j(n):
     return j
 
 
-class QuadObservable:
-    """An observable f(z) = z^T A z / 2 + b^T z + c on R^{8n}."""
-
-    __slots__ = ("A", "b", "c", "n")
-
-    def __init__(self, A, b=None, c=0.0):
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        if A.shape[0] % 8:
-            raise ValueError("A must be (8n) x (8n)")
-        self.n = A.shape[0] // 8
-        self.A = 0.5 * (A + A.T)
-        self.b = np.zeros(8 * self.n) if b is None else np.asarray(b, dtype=float).copy()
-        self.c = float(c)
-
-    def evaluate(self, p):
-        z = p.flatten() if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
-        if z.size != 8 * self.n:
-            raise ValueError("dimension mismatch")
-        return float(0.5 * z @ self.A @ z + self.b @ z + self.c)
-
-    __call__ = evaluate
-
-    def __add__(self, other):
-        self._check(other)
-        return QuadObservable(self.A + other.A, self.b + other.b, self.c + other.c)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuadObservable(self.A - other.A, self.b - other.b, self.c - other.c)
-
-    def scale(self, s):
-        return QuadObservable(self.A * s, self.b * s, self.c * s)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-
-    def norm(self):
-        return float(np.linalg.norm(self.A) + np.linalg.norm(self.b) + abs(self.c))
-
-    def __repr__(self):
-        return "QuadObservable(n=%d, |A|=%.3g, |b|=%.3g, c=%.3g)" % (
-            self.n,
-            np.linalg.norm(self.A),
-            np.linalg.norm(self.b),
-            self.c,
-        )
-
-
-def quad_bracket(a, b):
-    """Quadratic part A J B - B J A of the bracket of quadratic parts A, B.
-
-    A and B are (8n, 8n) or stacks (..., 8n, 8n) that broadcast together.
-    """
-    j = poisson_j(a.shape[-1] // 8)
-    return a @ j @ b - b @ j @ a
-
-
 def block_bracket(a, b):
-    """quad_bracket on quadratic parts given by their (4n, 4n) blocks: dicts
+    """A J B - B J A, the bracket of bracket_exact before its symmetric part
+    is taken, on matrices given by their (4n, 4n) blocks: dicts
     {(r, s): block or stack of blocks}, 0 for Z and 1 for W, a missing key
     for a zero block.  J is the signed block permutation (J B)_0s = B_1s,
     (J B)_1s = -B_0s, so
@@ -212,23 +119,15 @@ def block_relation_max(rows, cols, predicted, width, budget):
     return worst
 
 
-def bracket_exact(f, g):
-    """Exact canonical bracket of two affine-quadratic observables."""
-    if f.n != g.n:
-        raise ValueError("dimension mismatch")
-    j = poisson_j(f.n)
-    a_new = quad_bracket(f.A, g.A)
-    b_new = f.A @ j @ g.b - g.A @ j @ f.b
-    c_new = float(f.b @ j @ g.b)
-    return QuadObservable(a_new, b_new, c_new)
+def bracket_exact(a, b):
+    """The bracket of the quadratic observables with symmetric (8n, 8n)
+    matrices a and b, as its symmetric matrix: the symmetric part of
+    a J b - b J a."""
+    j = poisson_j(a.shape[0] // 8)
+    m = a @ j @ b - b @ j @ a
+    return 0.5 * (m + m.T)
 
 
-def quad_residual(lhs, rhs):
-    """Relative Frobenius-style distance between two quadratic observables."""
-    num = (
-        np.linalg.norm(lhs.A - rhs.A)
-        + np.linalg.norm(lhs.b - rhs.b)
-        + abs(lhs.c - rhs.c)
-    )
-    den = max(1.0, lhs.norm(), rhs.norm())
-    return num / den
+def quad_residual(a, b):
+    """Relative Frobenius distance between two quadratic observables."""
+    return np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a), np.linalg.norm(b))

@@ -8,9 +8,10 @@ with L_u = S_eu and L_{u,v} = (S_uv - S_vu)/2.  The antisymmetrized pair
 family is the angular momentum: it is what the summed quadratic
 identities close on (the symmetrized combination already contradicts the
 primary relation at v = e) and what the Kepler flow conserves.  All are
-affine-quadratic in the flattened coordinates, so every bracket relation
-is checked as an exact matrix identity: the bracket of quadratic parts A
-and B is A J B - B J A (poisson.quad_bracket), which the relation sweep
+quadratic forms z^T A z / 2 on the flat phase point z, each given by its
+symmetric (8n, 8n) matrix A, so every bracket relation is checked as an
+exact matrix identity: the bracket of A and B is the symmetric part of
+A J B - B J A (poisson.bracket_exact), which the relation sweep
 evaluates on the (4n, 4n) Z and W blocks.
 
 S_uv depends on (u, v) only through the matrix product m = u.v, and
@@ -38,13 +39,7 @@ from .quat import (
     norm,
     real_rep,
 )
-from .poisson import (
-    PhasePoint,
-    QuadObservable,
-    block_relation_max,
-    bracket_exact,
-    quad_residual,
-)
+from .poisson import block_relation_max, bracket_exact, quad_residual
 
 
 def _embed(r, row, col):
@@ -56,37 +51,32 @@ def _embed(r, row, col):
 
 
 def _coupling(b):
-    """Quadratic part of f(Z, W) = w'^T B q' for a real (4n, 4n) B or a stack."""
+    """The matrix of f(Z, W) = w'^T B q' for a real (4n, 4n) B or a stack."""
     return _embed(b, 1, 0) + _embed(np.swapaxes(b, -1, -2), 0, 1)
 
 
 def x_quad(r):
-    """Quadratic part of X_u = <W, uW>/4, from r = real_rep(u) (or a stack)."""
+    """The matrix of X_u = <W, uW>/4, from r = real_rep(u) (or a stack)."""
     return _embed(0.5 * r, 1, 1)
 
 
 def y_quad(r):
-    """Quadratic part of Y_v = <Z, vZ>, from r = real_rep(v) (or a stack)."""
+    """The matrix of Y_v = <Z, vZ>, from r = real_rep(v) (or a stack)."""
     return _embed(2.0 * r, 0, 0)
 
 
 def s_quad(r):
-    """Quadratic part of S_m = <W, mZ>/2, from r = real_rep(m) (or a stack)."""
+    """The matrix of S_m = <W, mZ>/2, from r = real_rep(m) (or a stack)."""
     return _coupling(0.5 * r)
 
 
-def s_observable(m):
-    """S_m = <W, mZ>/2 for an arbitrary quaternionic matrix m."""
-    return QuadObservable(s_quad(real_rep(m)))
-
-
 def s_pair_observable(u, v):
-    """S_uv for hermitian u, v, built from the matrix product u.v."""
-    return s_observable(mat_mul(u, v))
+    """The matrix of S_uv for hermitian u, v, built from the matrix product u.v."""
+    return s_quad(real_rep(mat_mul(u, v)))
 
 
 def xi_observables(n):
-    """The sphere coordinate functions xi^a = <i_a, W^dag Z>/2 as quadratics.
+    """The matrices of the sphere coordinate functions xi^a = <i_a, W^dag Z>/2.
 
     Uses <i_a, W^dag Z> = <W i_a, Z>, i.e. a right-multiplication coupling.
     The orientation is fixed so that {xi^1, xi^2} = xi^3 cyclically.
@@ -95,7 +85,7 @@ def xi_observables(n):
     for unit in UNITS[1:]:
         # row k is flat(e_k i_a): the transpose of the map flat(W) -> flat(W i_a)
         right_t = mul(np.eye(4 * n).reshape(4 * n, n, 4), unit).reshape(4 * n, 4 * n)
-        obs.append(QuadObservable(_coupling(0.5 * right_t)))
+        obs.append(_coupling(0.5 * right_t))
     return obs
 
 
@@ -114,7 +104,7 @@ class LeafSpec:
 
 
 def sample_leaf(spec, rng):
-    """A seeded random phase point on the leaf |Im(W^dag Z)| = 2 mu.
+    """A seeded random phase point (Z, W) on the leaf |Im(W^dag Z)| = 2 mu.
 
     Draws Gaussian (Z, W), then shifts W by Z alpha with imaginary alpha
     chosen so the moment lands on the target.  Uses the identity
@@ -132,7 +122,7 @@ def sample_leaf(spec, rng):
     else:
         target = np.array([0.0, 2.0 * mu, 0.0, 0.0])  # tie-break: direction i
     alpha = (nu - target) / (norm(z) ** 2)
-    return PhasePoint(z, w + mul(z, alpha))
+    return z, w + mul(z, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +153,8 @@ def block_points(n):
 
 
 def _stack_points(points):
-    zs = np.array([p.Z for p in points])
-    ws = np.array([p.W for p in points])
-    return zs, ws
+    zs, ws = zip(*points)
+    return np.array(zs), np.array(ws)
 
 
 def family_values(n, zs, ws):
@@ -223,21 +212,21 @@ def _rel(lhs, rhs):
     return np.abs(lhs - rhs) / den
 
 
-def primary_quadratic_residuals(n, zs, ws, vals=None):
-    """Residual of (2/n) sum_a L_a^2 = L_e^2 + X_e Y_e - mu^2, per point."""
-    v = vals or family_values(n, zs, ws)
+def primary_quadratic_residuals(n, v):
+    """Residual of (2/n) sum_a L_a^2 = L_e^2 + X_e Y_e - mu^2, per point,
+    from the family values v of family_values."""
     lhs = (2.0 / n) * np.einsum("Nd,Nd->N", v["L"], v["L"])
     rhs = v["L_e"] ** 2 + v["X_e"] * v["Y_e"] - v["mu"] ** 2
     return _rel(lhs, rhs)
 
 
-def secondary_quadratic_residuals(n, zs, ws, vals=None):
-    """Residuals of the six summed quadratic relations, per point.
+def secondary_quadratic_residuals(n, v):
+    """Residuals of the six summed quadratic relations, per point, from the
+    family values v of family_values.
 
     Returns an array of shape (6, N); relations with a free hermitian
     argument are checked against every basis element and maximized.
     """
-    v = vals or family_values(n, zs, ws)
     x, y, lv, lp = v["X"], v["Y"], v["L"], v["Lpair"]
     x_e, y_e, l_e, mu = v["X_e"], v["Y_e"], v["L_e"], v["mu"]
     out = []
@@ -270,15 +259,15 @@ def secondary_quadratic_residuals(n, zs, ws, vals=None):
     return np.array(out)
 
 
-def energy_formula_residuals(n, zs, ws, vals=None):
-    """Residual of the energy / angular-momentum / LRL relation, per point:
+def energy_formula_residuals(n, v):
+    """Residual of the energy / angular-momentum / LRL relation, per point,
+    from the family values v of family_values:
 
         -2H (L^2 - n^2 (n-1) mu^2 / 2) = n (n-1) (n - 1 - A^2) / 2,
 
     with L^2 = (1/2) sum_{a,b} L_{a,b}^2 over the antisymmetrized pair
     family and A^2 = -1 + sum_a A_a^2.
     """
-    v = vals or family_values(n, zs, ws)
     h, a_vec = kepler_scalars(v["X"], v["Y"], v["X_e"], v["Y_e"])
     a_sq = -1.0 + np.einsum("Nd,Nd->N", a_vec, a_vec)
     l_sq = 0.5 * np.einsum("Nab,Nab->N", v["Lpair"], v["Lpair"])
@@ -298,11 +287,11 @@ def leaf_residual_maxima(spec, rng, samples):
     step = block_points(n)
     worst = np.full(8, -np.inf)
     for lo in range(0, samples, step):
-        zs, ws = _stack_points([sample_leaf(spec, rng) for _ in range(min(step, samples - lo))])
-        v = family_values(n, zs, ws)
-        block = np.vstack([primary_quadratic_residuals(n, zs, ws, v),
-                           secondary_quadratic_residuals(n, zs, ws, v),
-                           energy_formula_residuals(n, zs, ws, v)])
+        v = family_values(n, *_stack_points([sample_leaf(spec, rng)
+                                             for _ in range(min(step, samples - lo))]))
+        block = np.vstack([primary_quadratic_residuals(n, v),
+                           secondary_quadratic_residuals(n, v),
+                           energy_formula_residuals(n, v)])
         worst = np.maximum(worst, block.max(axis=1))
         del v, block  # freed before the next block is computed
     names = ["primary"] + ["secondary_" + r for r in ("i", "ii", "iii", "iv", "v", "vi")]
@@ -368,7 +357,7 @@ def verify_so_star_relations(n):
     return {name: block_relation_max(*sweep, m, budget) for name, *sweep in sweeps}
 
 
-def verify_ss_quadruples(n, rng, count=200):
+def verify_ss_quadruples(n, rng, count):
     """Direct spot check of {S_uv, S_zw} = S_{uvz}w - S_z{vuw} on seeded
     random basis quadruples (corroborates the bilinearity reduction)."""
     basis = jordan.orthonormal_basis(n)

@@ -1,11 +1,14 @@
 """Helpers used only by the tests: seeded random quaternion vectors and
-matrices, unit quaternions, quadratic observables and phase points;
-single-point formulas for the moment maps and the magnetic charge,
-batched evaluation of a quadratic observable, the right Sp(1) action on a
-phase point, the cone-side LRL component, the block byte budgets that give
-blocks of k points or of k Jacobi triples, the generators X_u, Y_v and
+matrices, unit quaternions, quadratic observables (symmetric (8n, 8n)
+matrices) and flat phase points, seeded leaf points as flat states and
+their time reversal; single-point formulas for the moment maps and the
+magnetic charge, evaluation of a quadratic observable at a point or a
+stack of points, the right Sp(1) action on a phase point, the cone-side
+LRL component, the block byte budgets that give blocks of k points or of
+k Jacobi triples, the generators X_u, Y_v and
 S_uv of the conformal algebra with the action of S_m on V by quaternion
-arithmetic, and the quaternion-arithmetic oracle for jordan.s_tensor;
+arithmetic, the quaternion-arithmetic oracle for jordan.s_tensor and the
+structure operator S_uv from triple products;
 the observables X_u, Y_v, L_u and L_{u,v} one at a time, the
 central-difference bracket, the horizontal lift, the analytic gradient of
 the Kepler Hamiltonian, and the so*(4n) relation sweep over whole stacks,
@@ -14,7 +17,7 @@ the reference for realization.verify_so_star_relations."""
 import numpy as np
 
 from sp1kepler import conformal, jordan, poisson, realization, sternberg
-from sp1kepler.poisson import DOMAIN_EPS, PhasePoint, QuadObservable, poisson_j
+from sp1kepler.poisson import DOMAIN_EPS, poisson_j
 from sp1kepler.quat import (
     QTAB,
     RE_SIGNS,
@@ -46,45 +49,61 @@ def random_unit_quaternion(rng):
 
 
 def random_quad_observable(rng, n, scale=1.0):
+    """A random quadratic observable: a symmetric (8n, 8n) matrix."""
     m = 8 * n
     a = rng.standard_normal((m, m)) * scale
-    return QuadObservable(a + a.T, rng.standard_normal(m) * scale, float(rng.standard_normal()) * scale)
+    return a + a.T
 
 
 def random_phase_point(rng, n, scale=1.0, min_z=0.3):
+    """A random flat phase point (8n,) with |Z| > min_z."""
     while True:
         z = random_qvector(rng, n, scale)
         if norm(z) > min_z:
             break
-    return PhasePoint(z, random_qvector(rng, n, scale))
+    return np.concatenate((z, random_qvector(rng, n, scale)), axis=None)
 
 
-def moment_rho(p):
+def leaf_state(spec, rng):
+    """realization.sample_leaf as a flat state (8n,): Z entries, then W entries."""
+    return np.concatenate(realization.sample_leaf(spec, rng), axis=None)
+
+
+def time_reversed(y):
+    """The flat state y with W negated."""
+    return y * np.repeat([1.0, -1.0], y.size // 2)
+
+
+def moment_rho(z, w):
     """The Sp(1) moment map rho(Z, W) = -Im(W^dag Z)."""
-    return -im(dagger_product(p.W, p.Z))
+    return -im(dagger_product(w, z))
 
 
-def moment_psi(p, xi):
+def moment_psi(z, w, xi):
     """psi(Z, W, xi) = Im(W^dag Z) + 2 xi for imaginary xi."""
     if abs(xi[0]) > 1e-12 * max(1.0, norm(xi)):
         raise ValueError("xi must be an imaginary quaternion")
-    return im(dagger_product(p.W, p.Z)) + 2 * xi
+    return im(dagger_product(w, z)) + 2 * xi
 
 
-def mu_of(p):
-    """The magnetic charge of the leaf through p: |Im(W^dag Z)| / 2."""
-    return 0.5 * norm(im(dagger_product(p.W, p.Z)))
+def mu_of(z, w):
+    """The magnetic charge of the leaf through (Z, W): |Im(W^dag Z)| / 2."""
+    return 0.5 * norm(im(dagger_product(w, z)))
 
 
-def evaluate_batch(f, zs):
-    """A QuadObservable f at stacked flat coordinates of shape (N, 8n)."""
-    zs = np.asarray(zs, dtype=float)
-    return 0.5 * np.einsum("ni,ij,nj->n", zs, f.A, zs) + zs @ f.b + f.c
+def quad_value(a, y):
+    """The quadratic observable y^T a y / 2 at a flat point y (8n,)."""
+    return float(0.5 * y @ a @ y)
 
 
-def transformed(p, g):
+def evaluate_batch(a, ys):
+    """The quadratic observable a at stacked flat points of shape (N, 8n)."""
+    return 0.5 * np.einsum("ni,ij,nj->n", ys, a, ys)
+
+
+def transformed(z, w, g):
     """The point (Z g, W g) for a unit quaternion g."""
-    return PhasePoint(mul(p.Z, g), mul(p.W, g))
+    return mul(z, g), mul(w, g)
 
 
 def block_bytes(k, n):
@@ -137,6 +156,13 @@ def lrl_downstairs(z, w, mu, u):
     return float(a[0, 0])
 
 
+def S_operator(u, v):
+    """Matrix of S_{uv} = [L_u, L_v] + L_{u o v}; S_{uv}(w) = {uvw}."""
+    cols = [jordan.coords(jordan.triple_product(u, v, eb))
+            for eb in jordan.orthonormal_basis(u.shape[0])]
+    return np.array(cols).T
+
+
 def s_tensor_oracle(n):
     """jordan.s_tensor by quaternion arithmetic alone (QTAB einsums, no
     real_rep): {e_a e_b e_c} for all triples, projected onto the basis."""
@@ -154,39 +180,38 @@ def s_tensor_oracle(n):
 
 def x_observable(u):
     """X_u = <W, uW>/4 for hermitian u."""
-    return QuadObservable(realization.x_quad(real_rep(u)))
+    return realization.x_quad(real_rep(u))
 
 
 def y_observable(v):
     """Y_v = <Z, vZ> for hermitian v."""
-    return QuadObservable(realization.y_quad(real_rep(v)))
+    return realization.y_quad(real_rep(v))
 
 
 def l_observable(u):
     """L_u = S_eu = <W, uZ>/2."""
-    return realization.s_observable(u)
+    return realization.s_quad(real_rep(u))
 
 
 def l_pair_observable(u, v):
     """L_{u,v} = (S_uv - S_vu)/2, i.e. S of half the commutator."""
-    return realization.s_observable((mat_mul(u, v) - mat_mul(v, u)) * 0.5)
+    return realization.s_quad(real_rep((mat_mul(u, v) - mat_mul(v, u)) * 0.5))
 
 
-def _eval_any(f, z, n):
-    if isinstance(f, QuadObservable):
-        return f.evaluate(z)
+def _eval_any(f, z):
+    if isinstance(f, np.ndarray):
+        return quad_value(f, z)
     return float(f(z))
 
 
-def _fd_gradient(f, z, n, h):
-    z = np.asarray(z, dtype=float)
+def _fd_gradient(f, z, h):
     grad = np.empty_like(z)
     for i in range(z.size):
         zp = z.copy()
         zp[i] += h
         zm = z.copy()
         zm[i] -= h
-        grad[i] = (_eval_any(f, zp, n) - _eval_any(f, zm, n)) / (2 * h)
+        grad[i] = (_eval_any(f, zp) - _eval_any(f, zm)) / (2 * h)
     return grad
 
 
@@ -194,25 +219,18 @@ def bracket_numeric(f, g, p, h=1e-5):
     """Central-difference canonical bracket at a point, the independent
     oracle for the exact bracket; it handles non-quadratic observables.
 
-    f, g may be QuadObservables or callables on flat R^{8n} coordinates.
-    Falls back to Richardson extrapolation (step h/2) when the two step
-    sizes disagree noticeably.
+    f, g may be quadratic observables (symmetric matrices) or callables on
+    flat R^{8n} coordinates; p is a flat point.  Falls back to Richardson
+    extrapolation (step h/2) when the two step sizes disagree noticeably.
     """
     if h <= 0 or h < 1e-12:
         raise ValueError("step underflow")
-    if isinstance(p, PhasePoint):
-        if norm(p.Z) <= DOMAIN_EPS:
-            raise ValueError("evaluation too close to Z = 0")
-        n = p.n
-        z = p.flatten()
-    else:
-        z = np.asarray(p, dtype=float)
-        n = z.size // 8
-    j = poisson_j(n)
+    z = np.asarray(p, dtype=float)
+    j = poisson_j(z.size // 8)
 
     def value(step):
-        gf = _fd_gradient(f, z, n, step)
-        gg = _fd_gradient(g, z, n, step)
+        gf = _fd_gradient(f, z, step)
+        gg = _fd_gradient(g, z, step)
         return float(gf @ j @ gg)
 
     v1 = value(h)
@@ -237,12 +255,11 @@ def horizontal_lift(z, xdot):
     return (lead - shift) * scale
 
 
-def hamiltonian_gradient(p):
-    """Analytic gradient: dH/dW = W/(4|Z|^2), dH/dZ = (2 - |W|^2/4) Z / |Z|^4."""
-    flat = p.flatten() if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
-    n = flat.size // 8
-    m = 4 * n
-    zf, wf = flat[:m], flat[m:]
+def hamiltonian_gradient(y):
+    """Analytic gradient at the flat state y: dH/dW = W/(4|Z|^2),
+    dH/dZ = (2 - |W|^2/4) Z / |Z|^4."""
+    m = y.size // 2
+    zf, wf = y[:m], y[m:]
     zsq = float(zf @ zf)
     if zsq <= DOMAIN_EPS**2:
         raise ValueError("gradient undefined at Z = 0")

@@ -13,7 +13,6 @@ from helpers import block_bytes
 import sp1kepler
 from sp1kepler import dynamics, realization
 from sp1kepler.cli import main
-from sp1kepler.poisson import PhasePoint
 
 
 def _run(args):
@@ -183,6 +182,10 @@ def test_simulate_infall_exits_3(tmp_path):
     rep = _load(str(base) + ".json")
     assert rep["passed"] is False
     assert "near-collision" in rep["aborted"]
+    # Z_0 = 5e-9 and W_0 = -1 in the flat state, Z entries then W entries
+    start = [0.0] * 16
+    start[0], start[8] = 5e-9, -1.0
+    assert rep["initial_state"] == start
 
 
 def test_simulate_bound_start_failure_exits_3(tmp_path):
@@ -237,7 +240,7 @@ def test_simulate_stream_equals_whole_trajectory(tmp_path, monkeypatch, chunk, a
     res = _run(["simulate"] + args + ["--output", str(base)])
     rep = _load(str(base) + ".json")
     cfg = rep["config"]
-    p0 = PhasePoint.unflatten(np.array(rep["initial_state"]), cfg["n"])
+    p0 = np.array(rep["initial_state"])
     ref = tmp_path / "ref.csv"
     try:
         tr = dynamics.integrate(p0, cfg["dt"], cfg["t_end"], cfg["method"])

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
+    S_operator,
     s_element,
     s_operator,
     s_tensor_oracle,
@@ -253,13 +254,13 @@ def test_bracket_lands_in_span():
 
 def test_s_s_rule_matches_structure_operators():
     # [S_uv, S_zw] = S_{{uvz}w} - S_{z{vuw}}, with the right-hand side built
-    # by jordan.S_operator from triple products, not from the structure
+    # by S_operator from triple products, not from the structure
     # constants
     u, v, z, w = (jordan.random_herm(rng, 2) for _ in range(4))
     br = conformal.co_bracket(2, s_element(u, v), s_element(z, w))
     x, s, y = _parts(2, br)
-    expected = (jordan.S_operator(jordan.triple_product(u, v, z), w)
-                - jordan.S_operator(z, jordan.triple_product(v, u, w)))
+    expected = (S_operator(jordan.triple_product(u, v, z), w)
+                - S_operator(z, jordan.triple_product(v, u, w)))
     assert np.abs(s_operator(s) - expected).max() < 1e-10
     assert np.linalg.norm(x) < 1e-10 and np.linalg.norm(y) < 1e-10
 
@@ -328,6 +329,21 @@ def test_closure_detects_a_wrong_action(monkeypatch):
                            np.concatenate([c[2][keep], cc, cc]),
                            np.concatenate([c[3][keep], val, -val])))
     assert conformal.closure_residual(n) > 1e-10
+
+
+def test_s_action_without_s_x_entries_is_float(monkeypatch):
+    # with the [S, X] block of C emptied nothing is selected, and the action
+    # is float64 zeros, not bincount's int64 ones
+    n = 2
+    d, r = jordan.dim_v(n), conformal.str_dimension(n)
+    c = conformal.structure_constants(n)
+    gx, gs, _ = _grades(n)
+    keep = ~(_select(n, c, gs, gx, gx) | _select(n, c, gx, gs, gx))
+    _patched(monkeypatch, tuple(x[keep] for x in c))
+    out = conformal._s_action(n, np.eye(r)[:3])
+    assert out.dtype == np.float64
+    assert out.shape == (3, d, d)
+    assert not out.any()
 
 
 def test_random_jacobi_max_does_not_depend_on_the_block(monkeypatch):

@@ -3,34 +3,48 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import block_bytes, hamiltonian_gradient
+from helpers import block_bytes, hamiltonian_gradient, leaf_state, random_qvector, time_reversed
 
 from sp1kepler import dynamics, realization
-from sp1kepler.poisson import PhasePoint
 from sp1kepler.quat import norm
 
 rng = np.random.default_rng(2024)
 
 
 def _hand_point():
-    z = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])
-    w = np.array([[0.0, 0, 0, 2], [0, 0, 0, 0]])
-    return PhasePoint(z, w)
+    """Z = (1, 0), W = (2k, 0) at n = 2, as a flat state."""
+    y = np.zeros(16)
+    y[0], y[8 + 3] = 1.0, 2.0
+    return y
+
+
+def test_flat_state_layout():
+    # flat states are entry-major, (w, x, y, z) per entry, Z then W, and
+    # that is how the drift fold splits them
+    n = 3
+    z, w = random_qvector(rng, n), random_qvector(rng, n)
+    flat = np.concatenate((z, w), axis=None)
+    assert flat[4 * 2 + 3] == z[2, 3] and flat[12 + 4 * 1 + 2] == w[1, 2]
+    series, residual = dynamics._chunk_series(n, flat[None])
+    v = realization.family_values(n, z[None], w[None])
+    assert np.array_equal(series["drift_rho"], v["rho"])
+    assert np.array_equal(series["drift_L_pairs"], v["Lpair"])
+    assert np.array_equal(residual, realization.energy_formula_residuals(n, v))
 
 
 def test_hamiltonian_values():
     assert abs(dynamics.hamiltonian_upstairs(_hand_point()) + 0.5) < 1e-14
-    z = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])
-    p = PhasePoint(z, np.zeros((2, 4)))
-    assert abs(dynamics.hamiltonian_upstairs(p) + 1.0) < 1e-14
+    y = _hand_point()
+    y[8:] = 0.0
+    assert abs(dynamics.hamiltonian_upstairs(y) + 1.0) < 1e-14
 
 
 def test_hamiltonian_scaling():
-    p = realization.sample_leaf(realization.LeafSpec(2, 1.0), rng)
+    z, w = realization.sample_leaf(realization.LeafSpec(2, 1.0), rng)
     lam = 1.7
-    q = PhasePoint(p.Z * lam, p.W)
-    wsq = norm(p.W) ** 2
-    zsq = norm(p.Z) ** 2
+    q = np.concatenate((z * lam, w), axis=None)
+    wsq = norm(w) ** 2
+    zsq = norm(z) ** 2
     expected = wsq / (8 * lam**2 * zsq) - 1.0 / (lam**2 * zsq)
     assert abs(dynamics.hamiltonian_upstairs(q) - expected) < 1e-12
 
@@ -38,9 +52,8 @@ def test_hamiltonian_scaling():
 def test_gradient_matches_finite_differences():
     worst = 0.0
     for _ in range(100):
-        p = realization.sample_leaf(realization.LeafSpec(2, 1.0), rng)
-        flat = p.flatten()
-        dz, dw = hamiltonian_gradient(p)
+        flat = leaf_state(realization.LeafSpec(2, 1.0), rng)
+        dz, dw = hamiltonian_gradient(flat)
         grad = np.concatenate([dz, dw])
         h = 1e-5
         for i in range(flat.size):
@@ -84,7 +97,7 @@ def test_integrate_refuses_a_trajectory_beyond_physical_memory():
 def test_zero_t_end_single_sample():
     tr = dynamics.integrate(_hand_point(), 1e-4, 0.0)
     assert len(tr) == 1
-    assert np.allclose(tr.states[0], _hand_point().flatten())
+    assert np.allclose(tr.states[0], _hand_point())
 
 
 def test_bound_orbit_stays_bounded():
@@ -95,16 +108,12 @@ def test_bound_orbit_stays_bounded():
 
 
 def test_time_reversal():
-    p0 = realization.sample_leaf(realization.LeafSpec(2, 1.0), np.random.default_rng(7))
+    p0 = leaf_state(realization.LeafSpec(2, 1.0), np.random.default_rng(7))
     while dynamics.hamiltonian_upstairs(p0) > -0.1:
-        p0 = realization.sample_leaf(
-            realization.LeafSpec(2, 1.0), np.random.default_rng(8)
-        )
+        p0 = leaf_state(realization.LeafSpec(2, 1.0), np.random.default_rng(8))
     tr = dynamics.integrate(p0, 1e-4, 1.0, "rk4")
-    end = tr.point(len(tr) - 1)
-    back = dynamics.integrate(PhasePoint(end.Z, -end.W), 1e-4, 1.0, "rk4")
-    final = back.point(len(back) - 1)
-    err = max(np.abs(final.Z - p0.Z).max(), np.abs(final.W + p0.W).max())
+    back = dynamics.integrate(time_reversed(tr.states[-1]), 1e-4, 1.0, "rk4")
+    err = np.abs(time_reversed(back.states[-1]) - p0).max()
     assert err < 1e-8
 
 
@@ -120,7 +129,7 @@ def test_conserved_report_drifts():
 def _bound_start(gen):
     spec = realization.LeafSpec(2, 1.0)
     while True:
-        p = realization.sample_leaf(spec, gen)
+        p = leaf_state(spec, gen)
         if dynamics.hamiltonian_upstairs(p) <= -0.1:
             return p
 
@@ -137,16 +146,13 @@ def test_midpoint_no_secular_energy_drift():
 
 
 def test_near_collision_abort_with_partial():
-    z = np.zeros((2, 4))
-    z[0, 0] = 5e-9
-    w = np.zeros((2, 4))
-    w[0, 0] = -1.0
-    p = PhasePoint(z, w)
+    p = np.zeros(16)
+    p[0], p[8] = 5e-9, -1.0  # Z_0 = 5e-9, W_0 = -1
     with pytest.raises(dynamics.NearCollisionError) as exc:
         dynamics.integrate(p, 1e-4, 1.0)
     partial = exc.value.partial
     assert len(partial) >= 1
-    assert np.allclose(partial.states[0], p.flatten())
+    assert np.allclose(partial.states[0], p)
 
 
 def _csv_reference(tr):
@@ -212,7 +218,7 @@ def test_conserved_report_exact_across_chunks(monkeypatch):
         "drift_L_squared": drift(0.5 * np.einsum("Nab,Nab->N", v["Lpair"], v["Lpair"])),
         "drift_A_squared": drift(-1.0 + np.einsum("Nd,Nd->N", a, a)),
         "max_energy_residual": float(
-            np.max(realization.energy_formula_residuals(n, zs, ws, v))
+            np.max(realization.energy_formula_residuals(n, v))
         ),
     }
     assert rep == expected
@@ -243,7 +249,7 @@ def test_conserved_report_blocks_are_bounded_in_bytes():
     n = 3
     block = realization.block_points(n)
     assert block == 149
-    p0 = realization.sample_leaf(realization.LeafSpec(n, 1.0), np.random.default_rng(13))
+    p0 = leaf_state(realization.LeafSpec(n, 1.0), np.random.default_rng(13))
     tr = dynamics.integrate(p0, 1e-4, (4 * block - 1) * 1e-4)
     assert len(tr) == 4 * block
     one = dynamics.Trajectory(tr.times[:block], tr.states[:block], n)
@@ -257,8 +263,7 @@ def test_drift_fold_block_stays_within_its_budget(n):
     within _BLOCK_BYTES."""
     spec = realization.LeafSpec(n, 1.0)
     gen = np.random.default_rng(17)
-    states = np.array([realization.sample_leaf(spec, gen).flatten()
-                       for _ in range(realization.block_points(n))])
+    states = np.array([leaf_state(spec, gen) for _ in range(realization.block_points(n))])
     dynamics.DriftFold(n).add(states[:1])  # warm the cached basis outside the measurement
     fold = dynamics.DriftFold(n)
     tracemalloc.start()

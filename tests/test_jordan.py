@@ -1,11 +1,10 @@
 import numpy as np
-from helpers import random_qvector, s_tensor_oracle
+from helpers import S_operator, random_qvector, s_tensor_oracle
 
 from sp1kepler import jordan
 from sp1kepler.quat import RE_SIGNS, mat_apply, norm, vec_inner
 from sp1kepler.jordan import (
     L_operator,
-    S_operator,
     coords,
     dim_v,
     from_coords,

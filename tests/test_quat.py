@@ -6,7 +6,6 @@ import pytest
 from helpers import random_qmatrix, random_qvector, random_unit_quaternion
 
 from sp1kepler.jordan import identity
-from sp1kepler.poisson import PhasePoint
 from sp1kepler.quat import (
     UNITS,
     SeededRng,
@@ -143,16 +142,6 @@ def test_unit_matrix_and_identity():
     u = unit_matrix(2, 0, 1, J)
     assert _close(u[0, 1], J)
     assert norm(u[1, 0]) == 0.0
-
-
-def test_flat_round_trip():
-    # flat coordinates are entry-major, (w, x, y, z) per entry, Z then W
-    z = random_qvector(rng, 3)
-    w = random_qvector(rng, 3)
-    flat = PhasePoint(z, w).flatten()
-    assert flat[4 * 2 + 3] == z[2, 3] and flat[12 + 4 * 1 + 2] == w[1, 2]
-    q = PhasePoint.unflatten(flat, 3)
-    assert np.array_equal(q.Z, z) and np.array_equal(q.W, w)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40])
