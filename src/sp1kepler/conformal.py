@@ -28,9 +28,10 @@ import numpy as np
 from . import jordan
 from .quat import CONJ, QTAB, real_rep
 
-# the byte budget of one block of random Jacobi triples or of basis-triple
-# Jacobiator entries, as realization's is of one block of sample points; the
-# abstract algebra imports nothing from the realization it is checked against
+# the byte budget of one block: of random Jacobi triples or basis-triple
+# Jacobiator entries here, of sample points or relation tiles in realization,
+# which imports it (the abstract algebra imports nothing from the realization
+# it is checked against)
 _BLOCK_BYTES = 2**20
 
 
@@ -332,7 +333,7 @@ def closure_residual(n):
     return worst
 
 
-def random_element(rng, n, scale=1.0):
+def random_element(rng, n):
     """A random element: M_n(H) coordinates first, then the x- and y-parts."""
-    s = rng.standard_normal(str_dimension(n)) * scale
-    return element(jordan.random_herm(rng, n, scale), s, jordan.random_herm(rng, n, scale))
+    s = rng.standard_normal(str_dimension(n))
+    return element(jordan.random_herm(rng, n), s, jordan.random_herm(rng, n))

@@ -119,11 +119,11 @@ def _step_rk4(y, dt, m):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_midpoint(y, dt, m, tol=1e-12, max_iter=50):
+def _step_midpoint(y, dt, m):
     k = _rhs(y, m)
-    for _ in range(max_iter):
+    for _ in range(50):
         k_new = _rhs(y + 0.5 * dt * k, m)
-        if np.max(np.abs(k_new - k)) < tol:
+        if np.max(np.abs(k_new - k)) < 1e-12:
             return y + dt * k_new
         k = k_new
     raise ConvergenceError("implicit midpoint failed to converge")

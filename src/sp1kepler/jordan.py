@@ -139,8 +139,8 @@ def s_tensor(n):
     return out
 
 
-def random_herm(rng, n, scale=1.0):
-    m = rng.standard_normal((n, n, 4)) * scale
+def random_herm(rng, n):
+    m = rng.standard_normal((n, n, 4))
     return (m + mat_dagger(m)) * 0.5
 
 

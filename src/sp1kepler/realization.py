@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jordan
+from .conformal import _BLOCK_BYTES
 from .quat import (
     CONJ,
     QTAB,
@@ -103,24 +104,28 @@ class LeafSpec:
             raise ValueError("n must be >= 1")
 
 
+def sample_point(n, rng):
+    """A seeded Gaussian phase point (Z, W) of (n, 4) arrays, away from Z = 0:
+    Z is redrawn until |Z| > 0.3, then W is drawn."""
+    z = rng.standard_normal((n, 4))
+    while norm(z) <= 0.3:
+        z = rng.standard_normal((n, 4))
+    return z, rng.standard_normal((n, 4))
+
+
 def sample_leaf(spec, rng):
     """A seeded random phase point (Z, W) on the leaf |Im(W^dag Z)| = 2 mu.
 
-    Draws Gaussian (Z, W), then shifts W by Z alpha with imaginary alpha
-    chosen so the moment lands on the target.  Uses the identity
+    Draws a point by sample_point, then shifts W by Z alpha with imaginary
+    alpha chosen so the moment lands on the target.  Uses the identity
     Im((W + Z alpha)^dag Z) = Im(W^dag Z) - alpha |Z|^2.
     """
-    n, mu = spec.n, spec.mu
-    while True:
-        z = rng.standard_normal((n, 4))
-        if norm(z) > 0.3:
-            break
-    w = rng.standard_normal((n, 4))
+    z, w = sample_point(spec.n, rng)
     nu = im(dagger_product(w, z))
     if norm(nu) > 1e-12:
-        target = nu * (2.0 * mu / norm(nu))
+        target = nu * (2.0 * spec.mu / norm(nu))
     else:
-        target = np.array([0.0, 2.0 * mu, 0.0, 0.0])  # tie-break: direction i
+        target = np.array([0.0, 2.0 * spec.mu, 0.0, 0.0])  # tie-break: direction i
     alpha = (nu - target) / (norm(z) ** 2)
     return z, w + mul(z, alpha)
 
@@ -129,8 +134,6 @@ def sample_leaf(spec, rng):
 # batched scalar evaluation of the family and the quadratic identities
 # ---------------------------------------------------------------------------
 
-
-_BLOCK_BYTES = 2**20
 
 
 def _point_bytes(n):
@@ -357,12 +360,12 @@ def verify_so_star_relations(n):
     return {name: block_relation_max(*sweep, m, budget) for name, *sweep in sweeps}
 
 
-def verify_ss_quadruples(n, rng, count):
-    """Direct spot check of {S_uv, S_zw} = S_{uvz}w - S_z{vuw} on seeded
+def verify_ss_quadruples(n, rng):
+    """Direct spot check of {S_uv, S_zw} = S_{uvz}w - S_z{vuw} on 100 seeded
     random basis quadruples (corroborates the bilinearity reduction)."""
     basis = jordan.orthonormal_basis(n)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(100):
         a, b, c, e = rng.integers(0, len(basis), size=4)
         u, v, z, w = basis[a], basis[b], basis[c], basis[e]
         lhs = bracket_exact(s_pair_observable(u, v), s_pair_observable(z, w))

@@ -113,7 +113,7 @@ def pullback_check(z, w):
     mu = 0.5 * norm(im(dagger_product(w, z)))
     lhs = sternberg_x_e(x, pi, norm(z) ** 2, mu)
     rhs = 0.25 * norm(w) ** 2
-    r2 = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    r2 = float(realization._rel(lhs, rhs))
     return r1, r2
 
 

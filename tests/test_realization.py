@@ -18,9 +18,9 @@ from helpers import (
     y_observable,
 )
 
-from sp1kepler import jordan, poisson, realization
-from sp1kepler.poisson import bracket_exact, quad_residual
-from sp1kepler.quat import UNITS, dagger_product, im, norm
+from sp1kepler import conformal, jordan, poisson, realization
+from sp1kepler.poisson import bracket_exact, poisson_j, quad_residual
+from sp1kepler.quat import UNITS, SeededRng, dagger_product, im, norm, real_rep
 
 rng = np.random.default_rng(99)
 
@@ -100,7 +100,93 @@ def test_relation_sweep_equals_the_stack_sweep_on_a_wrong_bracket(monkeypatch, n
 
 
 def test_ss_quadruple_spot_check():
-    assert realization.verify_ss_quadruples(2, np.random.default_rng(1), count=50) < 1e-12
+    assert realization.verify_ss_quadruples(2, np.random.default_rng(1)) < 1e-12
+
+
+def _realized_basis(n):
+    """Q_i, the matrix of the quadratic realizing basis element i of co:
+    X_{e_a}, S_{E_ij q}, Y_{e_a} in conformal's order, as a (dim, 8n, 8n) stack."""
+    herm = real_rep(jordan.orthonormal_basis(n))
+    units = real_rep(np.eye(4 * n * n).reshape(-1, n, n, 4))
+    return np.concatenate([realization.x_quad(herm), realization.s_quad(units),
+                           realization.y_quad(herm)])
+
+
+def _homomorphism_residuals(n, c):
+    """Max over basis pairs (i, j) of |{Q_i, Q_j} - sum_k C_ijk Q_k| / max(1, |{Q_i, Q_j}|),
+    Frobenius norms, per grade pair ("XY" for i an X and j a Y, and so on),
+    for structure constants c = (i, j, k, v) in COO form."""
+    q = _realized_basis(n)
+    dim = len(q)
+    d = jordan.dim_v(n)
+    grade = np.repeat(np.array(list("XSY")), [d, dim - 2 * d, d])
+    j_mat = poisson_j(n)
+    worst = {}
+    for a in range(dim):
+        m = q[a] @ j_mat @ q - q @ j_mat @ q[a]
+        lhs = 0.5 * (m + np.swapaxes(m, 1, 2))
+        row = np.zeros((dim, dim))
+        sel = c[0] == a
+        row[c[1][sel], c[2][sel]] = c[3][sel]
+        rhs = np.tensordot(row, q, axes=(1, 0))
+        res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(lhs, axis=(1, 2)))
+        for b in range(dim):
+            key = grade[a] + grade[b]
+            worst[key] = max(worst.get(key, 0.0), float(res[b]))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_realization_is_a_faithful_lie_homomorphism(n):
+    """The quadratics Q_i realizing co's basis bracket by C: {Q_i, Q_j} =
+    sum_k C_ijk Q_k with C from conformal.structure_constants (quaternion
+    products) and the bracket from real_rep matrices, two independent
+    routes; and the Q_i are linearly independent, rank 2n(4n - 1)."""
+    worst = _homomorphism_residuals(n, conformal.structure_constants(n))
+    assert {"XY", "SX", "SY", "SS"} <= worst.keys()
+    assert max(worst.values()) < 1e-14, worst
+    q = _realized_basis(n)
+    assert np.linalg.matrix_rank(q.reshape(len(q), -1)) == 2 * n * (4 * n - 1)
+
+
+def test_lie_homomorphism_detects_a_wrong_sx_block():
+    """Negating C's [S, X] entries, in both index orders, breaks the SX block."""
+    n = 2
+    i, j, k, v = conformal.structure_constants(n)
+    d = jordan.dim_v(n)
+    is_s, is_x = (lambda x: (x >= d) & (x < d + 4 * n * n)), (lambda x: x < d)
+    flip = (is_s(i) & is_x(j)) | (is_x(i) & is_s(j))
+    worst = _homomorphism_residuals(n, (i, j, k, np.where(flip, -v, v)))
+    assert worst["SX"] > 1e-12
+    assert worst["XY"] < 1e-14 and worst["SS"] < 1e-14
+
+
+def test_sample_point_is_two_normal_draws():
+    """Z, then W, each one standard_normal((n, 4)) draw when |Z| > 0.3."""
+    z, w = realization.sample_point(3, SeededRng(5))
+    ref = SeededRng(5)
+    z_ref = ref.standard_normal((3, 4))
+    assert norm(z_ref) > 0.3
+    assert np.array_equal(z, z_ref)
+    assert np.array_equal(w, ref.standard_normal((3, 4)))
+
+
+def test_sample_point_redraws_a_short_z():
+    """A Z with |Z| <= 0.3, at the bound included, is redrawn before W is drawn."""
+    short = np.zeros((2, 4))
+    short[0, 0] = 0.1
+    edge = np.zeros((2, 4))
+    edge[1, 2] = 0.3
+    good, w_ref = np.full((2, 4), 0.5), np.arange(8.0).reshape(2, 4)
+    draws = [short, edge, good, w_ref]
+
+    class Stub:
+        def standard_normal(self, size):
+            assert size == (2, 4)
+            return draws.pop(0)
+
+    z, w = realization.sample_point(2, Stub())
+    assert z is good and w is w_ref and not draws
 
 
 def test_l_is_s_e_u():
