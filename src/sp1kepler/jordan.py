@@ -1,9 +1,10 @@
 """The Euclidean Jordan algebra of quaternionic hermitian matrices.
 
 Elements are n x n quaternionic hermitian matrices, stored as (n, n, 4)
-arrays, with the symmetrized product u o v = (uv + vu)/2.  The inner
-product is normalized as <a|b> = Re tr(a b) / n, so that <e|e> = 1 for
-the identity e.
+arrays or stacks (..., n, n, 4) of them, which the products, inner and
+coords take whole, with the symmetrized product u o v = (uv + vu)/2.
+The inner product is normalized as <a|b> = Re tr(a b) / n, so that
+<e|e> = 1 for the identity e.
 
 Structure operators S_{uv} = [L_u, L_v] + L_{u o v} act on the algebra;
 in an orthonormal basis they are plain real matrices (L_operator and
@@ -55,8 +56,7 @@ def triple_product(u, v, z):
 def inner(u, v):
     """<u|v> = Re tr(u v) / n; positive definite, <e|e> = 1."""
     # Re tr(uv) = sum_{i,j,p} sign_p u[i,j,p] v[j,i,p]
-    val = np.einsum("ijp,jip,p->", u, v, RE_SIGNS)
-    return float(val) / u.shape[0]
+    return np.einsum("...ijp,...jip,p->...", u, v, RE_SIGNS) / u.shape[-2]
 
 
 @lru_cache(maxsize=8)
@@ -85,8 +85,8 @@ def orthonormal_basis(n):
 
 def coords(u):
     """Coordinates of u in the orthonormal basis (plain projections)."""
-    n = u.shape[0]
-    return np.einsum("aijp,jip,p->a", orthonormal_basis(n), u, RE_SIGNS) / n
+    n = u.shape[-2]
+    return np.einsum("aijp,...jip,p->...a", orthonormal_basis(n), u, RE_SIGNS) / n
 
 
 def from_coords(c, n):
@@ -147,4 +147,4 @@ def random_herm(rng, n):
 def herm_from_vector_pair(v, z):
     """The tangent-type element n (v z^dag + z v^dag)."""
     m = outer(v, z) + outer(z, v)
-    return m * float(v.shape[0])
+    return m * float(v.shape[-2])

@@ -23,8 +23,6 @@ arguments exactly, at a small fraction of the cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import jordan
@@ -37,7 +35,7 @@ from .quat import (
     im,
     mat_mul,
     mul,
-    norm,
+    norms,
     real_rep,
 )
 from .poisson import block_relation_max, bracket_exact, quad_residual
@@ -90,44 +88,41 @@ def xi_observables(n):
     return obs
 
 
-@dataclass(frozen=True)
-class LeafSpec:
-    """A symplectic leaf: order n and magnetic charge mu >= 0."""
-
-    n: int
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-
-def sample_point(n, rng):
-    """A seeded Gaussian phase point (Z, W) of (n, 4) arrays, away from Z = 0:
-    Z is redrawn until |Z| > 0.3, then W is drawn."""
-    z = rng.standard_normal((n, 4))
-    while norm(z) <= 0.3:
-        z = rng.standard_normal((n, 4))
-    return z, rng.standard_normal((n, 4))
+def sample_point(n, rng, k):
+    """k seeded Gaussian phase points (Z, W) away from Z = 0, as (k, n, 4)
+    stacks zs, ws: the normals are read point by point as Z, then W, and a
+    Z with |Z| <= 0.3 is skipped, the normals after it read as the next Z,
+    so the stacks equal k draws of one point, normal for normal."""
+    m, out, have = 4 * n, np.empty((2, k, n, 4)), 0
+    buf = rng.standard_normal(2 * m * k)
+    while True:
+        pts = buf.reshape(-1, 2, n, 4)
+        size = norms(pts[:, 0], 2)
+        i = len(pts) if size.min() > 0.3 else np.flatnonzero(size <= 0.3)[0]
+        out[:, have : have + i] = pts[:i].swapaxes(0, 1)
+        have += i
+        if have == k:
+            return out[0], out[1]
+        buf = np.concatenate([buf[(2 * i + 1) * m :], rng.standard_normal(m)])
 
 
-def sample_leaf(spec, rng):
-    """A seeded random phase point (Z, W) on the leaf |Im(W^dag Z)| = 2 mu.
-
-    Draws a point by sample_point, then shifts W by Z alpha with imaginary
-    alpha chosen so the moment lands on the target.  Uses the identity
-    Im((W + Z alpha)^dag Z) = Im(W^dag Z) - alpha |Z|^2.
-    """
-    z, w = sample_point(spec.n, rng)
-    nu = im(dagger_product(w, z))
-    if norm(nu) > 1e-12:
-        target = nu * (2.0 * spec.mu / norm(nu))
-    else:
-        target = np.array([0.0, 2.0 * spec.mu, 0.0, 0.0])  # tie-break: direction i
-    alpha = (nu - target) / (norm(z) ** 2)
-    return z, w + mul(z, alpha)
+def sample_leaf(n, mu, rng, k):
+    """k seeded random phase points on the leaf |Im(W^dag Z)| = 2 mu, as
+    (k, n, 4) stacks zs, ws: those of sample_point, each W shifted in place
+    by Z alpha, alpha imaginary, as Im((W + Z alpha)^dag Z) = Im(W^dag Z) -
+    alpha |Z|^2.  |Z|^2 is squared by pow, as a float's ** squares it, so
+    each point is bit for bit the one-point draw."""
+    if n < 1 or mu < 0:
+        raise ValueError("a leaf needs n >= 1 and mu >= 0")
+    zs, ws = sample_point(n, rng, k)
+    nu = im(dagger_product(ws, zs))
+    size = norms(nu, 1)
+    target = nu * (2.0 * mu / np.maximum(size, 1e-12))[:, None]
+    if size.min() <= 1e-12:  # tie-break: direction i
+        target[size <= 1e-12] = [0.0, 2.0 * mu, 0.0, 0.0]
+    alpha = (nu - target) / np.float_power(norms(zs, 2), 2)[:, None]
+    ws += mul(zs, alpha[:, None])
+    return zs, ws
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +134,11 @@ def sample_leaf(spec, rng):
 def _point_bytes(n):
     """Float64 bytes one point adds to a block's working set, d = n(2n - 1).
 
-    Counts the point's own 8n coordinates, the three (d,) rows X, Y and L,
-    the two (d, 4n) stacks az and bw of family_values and two (d, d)
-    stacks: the Gram g beside az and bw, g beside its antisymmetric part,
-    and Lpair beside a drift temporary of DriftFold all fit in that sum.
+    Counts the point's 8n coordinates (sample_point's stack, which
+    sample_leaf shifts in place), the three (d,) rows X, Y and L, the two
+    (d, 4n) stacks az and bw of family_values and two (d, d) stacks: the
+    Gram g beside az and bw, g beside its antisymmetric part, and Lpair
+    beside a drift temporary of DriftFold all fit in that sum.
     """
     d = n * (2 * n - 1)
     return 8 * (8 * n + 3 * d + 8 * n * d + 2 * d * d)
@@ -153,11 +149,6 @@ def block_points(n):
     family_values through the leaf residuals or the drift fold, stays
     within _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES // _point_bytes(n))
-
-
-def _stack_points(points):
-    zs, ws = zip(*points)
-    return np.array(zs), np.array(ws)
 
 
 def family_values(n, zs, ws):
@@ -279,19 +270,17 @@ def energy_formula_residuals(n, v):
     return _rel(lhs, rhs)
 
 
-def leaf_residual_maxima(spec, rng, samples):
+def leaf_residual_maxima(n, mu, rng, samples):
     """Max over `samples` seeded leaf points of each quadratic-identity residual.
 
     Points are drawn in order and checked block_points(n) at a time; each
     residual is per point and a maximum folds exactly, so the result does
     not depend on the block size and memory does not grow with `samples`.
     """
-    n = spec.n
     step = block_points(n)
     worst = np.full(8, -np.inf)
     for lo in range(0, samples, step):
-        v = family_values(n, *_stack_points([sample_leaf(spec, rng)
-                                             for _ in range(min(step, samples - lo))]))
+        v = family_values(n, *sample_leaf(n, mu, rng, min(step, samples - lo)))
         block = np.vstack([primary_quadratic_residuals(n, v),
                            secondary_quadratic_residuals(n, v),
                            energy_formula_residuals(n, v)])

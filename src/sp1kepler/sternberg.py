@@ -11,9 +11,11 @@ characterized by n(Zdot Z^dag + Z Zdot^dag) = xdot and Im(Z^dag Zdot) = 0
 (the tests keep the lift itself, in tests/helpers.py).  The momentum pi
 lives in the tangent space of the cone and is pinned by its pairings
 <pi|xdot> against tangent vectors; the key identity <pi | u o x> =
-<W, uZ>/2 connects it to the upstairs family.  A cone point x and its
-momentum pi are plain hermitian (n, n, 4) arrays, passed with the radius
-r = |Z|^2; pi_from_W checks every pi it builds to be tangent.
+<W, uZ>/2 connects it to the upstairs family.  Points come as stacks
+(k, n, 4) of Z and of W, and a cone point x and its momentum pi as
+hermitian (k, n, n, 4) stacks, passed with the radii r = |Z|^2; every
+function takes a stack whole, and a check raises if any point fails it:
+pi_from_W checks every pi it builds to be tangent.
 """
 
 from __future__ import annotations
@@ -22,16 +24,21 @@ import numpy as np
 
 from . import jordan, realization
 from .poisson import DOMAIN_EPS
-from .quat import dagger_product, im, mat_apply, mul, norm, outer, real_rep, vec_inner
+from .quat import QTAB, dagger_product, im, mat_apply, mul, norms, outer
 
 _TANGENT_TOL = 1e-10
 
 
+def _check_z(z, what):
+    """Raise ValueError if any point of the stack z has |Z| <= DOMAIN_EPS."""
+    if np.any(norms(z, 2) <= DOMAIN_EPS):
+        raise ValueError("%s requires Z != 0" % what)
+
+
 def cone_point(z):
     """The cone point x = n Z Z^dag for Z != 0; its radius Re tr(x)/n is |Z|^2."""
-    if norm(z) <= DOMAIN_EPS:
-        raise ValueError("cone point requires Z != 0")
-    return outer(z, z) * float(z.shape[0])
+    _check_z(z, "cone point")
+    return outer(z, z) * float(z.shape[-2])
 
 
 def _tangent_from_image(z, y):
@@ -40,10 +47,10 @@ def _tangent_from_image(z, y):
     t = n(a Z^dag + Z a^dag) with a = y/(n|Z|^2) - Z <y, Z>/(2n|Z|^4).  A
     tangent t is fixed by t Z, since <t | n(v Z^dag + Z v^dag)> = 2<tZ, v>.
     """
-    n = z.shape[0]
-    r = norm(z) ** 2
-    a = y / (n * r) - z * (vec_inner(y, z) / (2.0 * n * r * r))
-    return jordan.herm_from_vector_pair(a, z)
+    n = z.shape[-2]
+    r = np.einsum("...ip,...ip->...", z, z)[..., None, None]
+    yz = np.einsum("...ip,...ip->...", y, z)[..., None, None]
+    return jordan.herm_from_vector_pair(y / (n * r) - z * (yz / (2.0 * n * r * r)), z)
 
 
 def _tangent_project(z, u):
@@ -58,19 +65,17 @@ def tangent_basis(z):
     The left singular vectors, with singular value 1, of the tangent
     projector written in the orthonormal Jordan basis.
     """
-    if norm(z) <= DOMAIN_EPS:
-        raise ValueError("tangent basis requires Z != 0")
+    _check_z(z, "tangent basis")
     n = z.shape[0]
-    basis = jordan.orthonormal_basis(n)
-    proj = np.array([jordan.coords(_tangent_project(z, e)) for e in basis]).T
+    proj = jordan.coords(_tangent_project(z, jordan.orthonormal_basis(n))).T
     u, s, _ = np.linalg.svd(proj)
     return [jordan.from_coords(c, n) for c in u[:, s > 0.5].T]
 
 
 def _check_tangent(z, pi):
-    """Raise ValueError unless pi is tangent to the cone at n Z Z^dag."""
-    proj = _tangent_project(z, pi)
-    if norm(proj - pi) > _TANGENT_TOL * max(1.0, norm(pi)):
+    """Raise ValueError unless pi is tangent to the cone at every point n Z Z^dag."""
+    err = norms(_tangent_project(z, pi) - pi, 3)
+    if np.any(err > _TANGENT_TOL * np.maximum(1.0, norms(pi, 3))):
         raise ValueError("pi is not tangent to the cone")
 
 
@@ -84,9 +89,9 @@ def pi_from_W(z, w):
     is the tangent element with pi Z = hor(W)/2.  The result is checked
     to be tangent.
     """
-    if norm(z) <= DOMAIN_EPS:
-        raise ValueError("pi requires Z != 0")
-    hor = w + mul(z, im(dagger_product(w, z))) * (1.0 / norm(z) ** 2)
+    _check_z(z, "pi")
+    nu = im(dagger_product(w, z))[..., None, :]
+    hor = w + mul(z, nu) * (1.0 / norms(z, 2) ** 2)[..., None, None]
     pi = _tangent_from_image(z, 0.5 * hor)
     _check_tangent(z, pi)
     return pi
@@ -99,27 +104,26 @@ def sternberg_x_e(x, pi, r, mu):
 
 
 def pullback_check(z, w):
-    """Residuals of the two pullback identities at (Z, W).
+    """Residuals of the two pullback identities at each point (Z, W) of the
+    stacks z, w, as arrays over the stack.
 
     residual 1: max_u |<x|u> - <Z, uZ>| over the orthonormal basis;
     residual 2: |cone-side X_e - |W|^2/4| with mu = |Im(W^dag Z)|/2.
     """
-    pi = pi_from_W(z, w)
     x = cone_point(z)
-    lhs = jordan.coords(x)
-    zf = z.reshape(-1)
-    rhs = real_rep(jordan.orthonormal_basis(z.shape[0])) @ zf @ zf
-    r1 = float(realization._rel(lhs, rhs).max())
-    mu = 0.5 * norm(im(dagger_product(w, z)))
-    lhs = sternberg_x_e(x, pi, norm(z) ** 2, mu)
-    rhs = 0.25 * norm(w) ** 2
-    r2 = float(realization._rel(lhs, rhs))
+    # <Z, uZ> with uZ = mat_apply(u, Z) over the basis, QTAB taken on the points first
+    uz = np.einsum("aijp,...jpc->...aic", jordan.orthonormal_basis(z.shape[-2]),
+                   np.einsum("...jq,pqc->...jpc", z, QTAB))
+    r1 = realization._rel(jordan.coords(x), np.einsum("...ic,...aic->...a", z, uz)).max(axis=-1)
+    del uz  # freed before the stacks of pi are built
+    pi, mu = pi_from_W(z, w), 0.5 * norms(im(dagger_product(w, z)), 1)
+    r2 = realization._rel(sternberg_x_e(x, pi, norms(z, 2) ** 2, mu), 0.25 * norms(w, 2) ** 2)
     return r1, r2
 
 
 def hamiltonian_downstairs(x, pi, r, mu):
     """H = <x|pi^2>/(2r) + mu^2/(2r^2) - 1/r on the cone side."""
-    if r <= 0:
+    if np.any(r <= 0):
         raise ValueError("cone radius must be positive")
     pi2 = jordan.jordan_product(pi, pi)
     return 0.5 * jordan.inner(x, pi2) / r + 0.5 * mu * mu / (r * r) - 1.0 / r

@@ -1,8 +1,10 @@
-"""Helpers used only by the tests: seeded random quaternion vectors and
-matrices, unit quaternions, quadratic observables (symmetric (8n, 8n)
-matrices) and flat phase points, seeded leaf points as flat states and
-their time reversal; single-point formulas for the moment maps and the
-magnetic charge, evaluation of a quadratic observable at a point or a
+"""Helpers used only by the tests: the norm and real inner product of one
+quaternion array, seeded random quaternion vectors and matrices, unit
+quaternions, quadratic observables (symmetric (8n, 8n) matrices) and flat
+phase points, the per-point samplers that are the reference for
+realization.sample_point and sample_leaf on stacks, seeded leaf points as
+(n, 4) pairs and flat states and their time reversal; single-point
+formulas for the moment maps and the magnetic charge, evaluation of a quadratic observable at a point or a
 stack of points, the right Sp(1) action on a phase point, the cone-side
 LRL component, the block byte budgets that give blocks of k points or of
 k Jacobi triples, the generators X_u, Y_v and
@@ -27,11 +29,19 @@ from sp1kepler.quat import (
     mat_dagger,
     mat_mul,
     mul,
-    norm,
     real_rep,
     trace_re,
-    vec_inner,
 )
+
+
+def norm(q):
+    """Euclidean norm of a quaternion, vector or matrix, as a float."""
+    return float(np.linalg.norm(q))
+
+
+def vec_inner(u, v):
+    """Standard real inner product on H^n: <U, V> = Re(U^dag V)."""
+    return float(np.dot(u.reshape(-1), v.reshape(-1)))
 
 
 def random_qvector(rng, n, scale=1.0):
@@ -64,9 +74,40 @@ def random_phase_point(rng, n, scale=1.0, min_z=0.3):
     return np.concatenate((z, random_qvector(rng, n, scale)), axis=None)
 
 
-def leaf_state(spec, rng):
-    """realization.sample_leaf as a flat state (8n,): Z entries, then W entries."""
-    return np.concatenate(realization.sample_leaf(spec, rng), axis=None)
+def sample_point_oracle(n, rng):
+    """One seeded Gaussian phase point (Z, W) of (n, 4) arrays, drawn point by
+    point: Z is redrawn until |Z| > 0.3, then W is drawn.  The reference
+    for realization.sample_point on stacks."""
+    z = rng.standard_normal((n, 4))
+    while norm(z) <= 0.3:
+        z = rng.standard_normal((n, 4))
+    return z, rng.standard_normal((n, 4))
+
+
+def sample_leaf_oracle(n, mu, rng):
+    """One seeded leaf point (Z, W) by per-point quaternion arithmetic: the
+    point of sample_point_oracle with W shifted by Z alpha.  The reference
+    for realization.sample_leaf on stacks."""
+    z, w = sample_point_oracle(n, rng)
+    nu = im(dagger_product(w, z))
+    if norm(nu) > 1e-12:
+        target = nu * (2.0 * mu / norm(nu))
+    else:
+        target = np.array([0.0, 2.0 * mu, 0.0, 0.0])
+    alpha = (nu - target) / (norm(z) ** 2)
+    return z, w + mul(z, alpha)
+
+
+def leaf_point(n, mu, rng):
+    """One realization.sample_leaf point (Z, W), as (n, 4) arrays."""
+    zs, ws = realization.sample_leaf(n, mu, rng, 1)
+    return zs[0], ws[0]
+
+
+def leaf_state(n, mu, rng):
+    """One realization.sample_leaf point as a flat state (8n,): Z entries,
+    then W entries."""
+    return np.concatenate(leaf_point(n, mu, rng), axis=None)
 
 
 def time_reversed(y):

@@ -15,6 +15,7 @@ from helpers import (
     hamiltonian_gradient,
     l_pair_observable,
     leaf_state,
+    norm,
     quad_value,
     random_phase_point,
     random_quad_observable,
@@ -26,7 +27,6 @@ from helpers import (
 
 from sp1kepler import conformal, dynamics, jordan, realization, sternberg
 from sp1kepler.poisson import bracket_exact, quad_residual
-from sp1kepler.quat import norm
 
 GRID_N = (2, 3, 4, 5)
 GRID_MU = (0.0, 0.5, 1.0, 3.0)
@@ -45,9 +45,7 @@ def leaf_grid():
     grid = {}
     for n in GRID_N:
         for mu in GRID_MU:
-            spec = realization.LeafSpec(n, mu)
-            pts = [realization.sample_leaf(spec, rng) for _ in range(GRID_SAMPLES)]
-            grid[(n, mu)] = realization._stack_points(pts)
+            grid[(n, mu)] = realization.sample_leaf(n, mu, rng, GRID_SAMPLES)
     return grid
 
 
@@ -110,8 +108,7 @@ def test_criterion_5_secondary_and_energy(leaf_grid):
     z = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])
     w = np.array([[0.0, 0, 0, 2], [0, 0, 0, 0]])
     h = dynamics.hamiltonian_upstairs(np.concatenate((z, w), axis=None))
-    zs, ws = realization._stack_points([(z, w)])
-    v = realization.family_values(2, zs, ws)
+    v = realization.family_values(2, z[None], w[None])
     lhs_v = float(np.dot(v["X"][0], v["Y"][0]))
     rhs_v = 2.0 * (float(v["L_e"][0]) ** 2 + float(v["mu"][0]) ** 2)
     hand_ok = abs(h + 0.5) < 1e-12 and abs(lhs_v - 2.0) < 1e-12 and abs(rhs_v - 2.0) < 1e-12
@@ -124,13 +121,14 @@ def test_criterion_6_pullback_identities():
     rng = np.random.default_rng(6)
     worst = 0.0
     for n in (2, 3, 4):
+        points = []
         for _ in range(1000):
             z = random_qvector(rng, n)
             while norm(z) < 0.3:
                 z = random_qvector(rng, n)
-            w = random_qvector(rng, n)
-            r1, r2 = sternberg.pullback_check(z, w)
-            worst = max(worst, r1, r2)
+            points.append((z, random_qvector(rng, n)))
+        r1, r2 = sternberg.pullback_check(*(np.array(p) for p in zip(*points)))
+        worst = max(worst, r1.max(), r2.max())
     passed = worst < 1e-9
     _report(6, passed, "max residual %.2e over 1000 points, n=2..4" % worst)
 
@@ -148,7 +146,7 @@ def test_criterion_7_oracle_agreement():
         worst_bracket = max(worst_bracket, abs(exact - numeric) / max(1.0, abs(exact)))
     worst_grad = 0.0
     for _ in range(50):
-        flat = leaf_state(realization.LeafSpec(n, 1.0), rng)
+        flat = leaf_state(n, 1.0, rng)
         grad = np.concatenate(hamiltonian_gradient(flat))
         for i in range(flat.size):
             step = np.zeros_like(flat)
@@ -163,10 +161,9 @@ def test_criterion_7_oracle_agreement():
 def test_criterion_8_dynamics():
     t0 = time.time()
     rng = np.random.default_rng(8)
-    spec = realization.LeafSpec(2, 1.0)
-    p0 = leaf_state(spec, rng)
+    p0 = leaf_state(2, 1.0, rng)
     while dynamics.hamiltonian_upstairs(p0) >= -0.1:
-        p0 = leaf_state(spec, rng)
+        p0 = leaf_state(2, 1.0, rng)
     tr = dynamics.integrate(p0, 1e-4, 10.0, "rk4")
     rep = dynamics.conserved_report(tr)
     drifts = {k: v for k, v in rep.items() if k.startswith("drift_")}
@@ -203,7 +200,7 @@ def test_criterion_9_conservation_brackets():
             return fn
 
         for _ in range(100):
-            p = leaf_state(realization.LeafSpec(n, 1.0), rng)
+            p = leaf_state(n, 1.0, rng)
             a, b = rng.integers(0, d, size=2)
             lab = l_pair_observable(basis[a], basis[b])
             val = bracket_numeric(dynamics.hamiltonian_upstairs, lab, p, h=1e-5)

@@ -147,6 +147,21 @@ def test_verify_pullback(tmp_path):
     assert _load(out)["passed"] is True
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_pullback_is_block_independent(tmp_path, monkeypatch, n):
+    """One point a block, seven (51 samples: seven blocks and a tail of two)
+    and the default block give the same maxima, bit for bit."""
+    out = tmp_path / "r.json"
+    reports = []
+    for budget in (block_bytes(1, n), block_bytes(7, n), realization._BLOCK_BYTES):
+        monkeypatch.setattr(realization, "_BLOCK_BYTES", budget)
+        res = _run(["verify-pullback", "--n", str(n), "--samples", "51", "--output", str(out)])
+        assert res.exit_code == 0
+        reports.append(_load(out)["residuals"])
+    assert reports[0] == reports[1] == reports[2]
+    assert max(reports[0].values()) > 0.0
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify-quadratic", "--n", "2", "--samples", "50", "--seed", "11"]

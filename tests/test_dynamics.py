@@ -3,10 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import block_bytes, hamiltonian_gradient, leaf_state, random_qvector, time_reversed
+from helpers import (
+    block_bytes,
+    hamiltonian_gradient,
+    leaf_point,
+    leaf_state,
+    norm,
+    random_qvector,
+    time_reversed,
+)
 
 from sp1kepler import dynamics, realization
-from sp1kepler.quat import norm
 
 rng = np.random.default_rng(2024)
 
@@ -40,7 +47,7 @@ def test_hamiltonian_values():
 
 
 def test_hamiltonian_scaling():
-    z, w = realization.sample_leaf(realization.LeafSpec(2, 1.0), rng)
+    z, w = leaf_point(2, 1.0, rng)
     lam = 1.7
     q = np.concatenate((z * lam, w), axis=None)
     wsq = norm(w) ** 2
@@ -52,7 +59,7 @@ def test_hamiltonian_scaling():
 def test_gradient_matches_finite_differences():
     worst = 0.0
     for _ in range(100):
-        flat = leaf_state(realization.LeafSpec(2, 1.0), rng)
+        flat = leaf_state(2, 1.0, rng)
         dz, dw = hamiltonian_gradient(flat)
         grad = np.concatenate([dz, dw])
         h = 1e-5
@@ -108,9 +115,9 @@ def test_bound_orbit_stays_bounded():
 
 
 def test_time_reversal():
-    p0 = leaf_state(realization.LeafSpec(2, 1.0), np.random.default_rng(7))
+    p0 = leaf_state(2, 1.0, np.random.default_rng(7))
     while dynamics.hamiltonian_upstairs(p0) > -0.1:
-        p0 = leaf_state(realization.LeafSpec(2, 1.0), np.random.default_rng(8))
+        p0 = leaf_state(2, 1.0, np.random.default_rng(8))
     tr = dynamics.integrate(p0, 1e-4, 1.0, "rk4")
     back = dynamics.integrate(time_reversed(tr.states[-1]), 1e-4, 1.0, "rk4")
     err = np.abs(time_reversed(back.states[-1]) - p0).max()
@@ -127,9 +134,8 @@ def test_conserved_report_drifts():
 
 
 def _bound_start(gen):
-    spec = realization.LeafSpec(2, 1.0)
     while True:
-        p = leaf_state(spec, gen)
+        p = leaf_state(2, 1.0, gen)
         if dynamics.hamiltonian_upstairs(p) <= -0.1:
             return p
 
@@ -249,7 +255,7 @@ def test_conserved_report_blocks_are_bounded_in_bytes():
     n = 3
     block = realization.block_points(n)
     assert block == 149
-    p0 = leaf_state(realization.LeafSpec(n, 1.0), np.random.default_rng(13))
+    p0 = leaf_state(n, 1.0, np.random.default_rng(13))
     tr = dynamics.integrate(p0, 1e-4, (4 * block - 1) * 1e-4)
     assert len(tr) == 4 * block
     one = dynamics.Trajectory(tr.times[:block], tr.states[:block], n)
@@ -261,9 +267,8 @@ def test_conserved_report_blocks_are_bounded_in_bytes():
 def test_drift_fold_block_stays_within_its_budget(n):
     """One DriftFold.add of a full block, family_values included, peaks
     within _BLOCK_BYTES."""
-    spec = realization.LeafSpec(n, 1.0)
     gen = np.random.default_rng(17)
-    states = np.array([leaf_state(spec, gen) for _ in range(realization.block_points(n))])
+    states = np.array([leaf_state(n, 1.0, gen) for _ in range(realization.block_points(n))])
     dynamics.DriftFold(n).add(states[:1])  # warm the cached basis outside the measurement
     fold = dynamics.DriftFold(n)
     tracemalloc.start()

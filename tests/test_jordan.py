@@ -1,8 +1,8 @@
 import numpy as np
-from helpers import S_operator, random_qvector, s_tensor_oracle
+from helpers import S_operator, norm, random_qvector, s_tensor_oracle, vec_inner
 
 from sp1kepler import jordan
-from sp1kepler.quat import RE_SIGNS, mat_apply, norm, vec_inner
+from sp1kepler.quat import RE_SIGNS, mat_apply
 from sp1kepler.jordan import (
     L_operator,
     coords,
@@ -123,3 +123,13 @@ def test_cone_inner_identity():
     lhs = inner(x, u)
     rhs = vec_inner(z, mat_apply(u, z))
     assert abs(lhs - rhs) < 1e-11
+
+
+def test_inner_coords_and_tangent_pairs_take_stack_axes():
+    k, n = 5, 3
+    us, vs = (np.array([random_herm(rng, n) for _ in range(k)]) for _ in range(2))
+    zs, ws = (rng.standard_normal((k, n, 4)) for _ in range(2))
+    assert np.allclose(inner(us, vs), [inner(u, v) for u, v in zip(us, vs)], rtol=0, atol=1e-14)
+    assert np.allclose(coords(us), [coords(u) for u in us], rtol=0, atol=1e-14)
+    assert np.allclose(herm_from_vector_pair(zs, ws),
+                       [herm_from_vector_pair(z, w) for z, w in zip(zs, ws)], rtol=0, atol=1e-14)

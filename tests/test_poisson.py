@@ -9,6 +9,7 @@ from helpers import (
     random_qvector,
     random_unit_quaternion,
     transformed,
+    vec_inner,
 )
 
 from sp1kepler import dynamics, sternberg
@@ -17,7 +18,7 @@ from sp1kepler.poisson import (
     poisson_j,
     quad_residual,
 )
-from sp1kepler.quat import conj, vec_inner
+from sp1kepler.quat import conj
 
 rng = np.random.default_rng(4242)
 

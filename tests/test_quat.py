@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from helpers import random_qmatrix, random_qvector, random_unit_quaternion
+from helpers import norm, random_qmatrix, random_qvector, random_unit_quaternion, vec_inner
 
 from sp1kepler.jordan import identity
 from sp1kepler.quat import (
@@ -16,12 +16,11 @@ from sp1kepler.quat import (
     mat_dagger,
     mat_mul,
     mul,
-    norm,
+    norms,
     outer,
     real_rep,
     trace_re,
     unit_matrix,
-    vec_inner,
 )
 
 rng = np.random.default_rng(20240817)
@@ -182,3 +181,25 @@ def test_seeded_draws_across_a_refill_equal_single_draws():
     drawn += a.standard_normal((3, 7)).ravel().tolist()  # crosses the first refill
     drawn += a.standard_normal(3 * block + 1).tolist()  # larger than a block
     assert drawn == [b.standard_normal() for _ in range(len(drawn))]
+
+
+def test_products_take_stack_axes():
+    """A stack (k, ...) of operands gives each element's product, to
+    rounding, and a length mismatch is refused on stacks too."""
+    k, n = 6, 3
+    zs, ws = (rng.standard_normal((k, n, 4)) for _ in range(2))
+    us, vs = (rng.standard_normal((k, n, n, 4)) for _ in range(2))
+    for fn, a, b in ((dagger_product, ws, zs), (mat_apply, us, zs), (mat_mul, us, vs),
+                     (outer, zs, ws)):
+        assert _close(fn(a, b), [fn(x, y) for x, y in zip(a, b)], 1e-14), fn.__name__
+    # leading axes broadcast: every matrix of a stack on every point of another
+    assert _close(mat_apply(us, zs[:, None]), [[mat_apply(u, z) for u in us] for z in zs], 1e-14)
+    with pytest.raises(ValueError):
+        outer(zs, ws[:, :2])
+
+
+def test_norms_equal_norm_bit_for_bit():
+    for shape, axes in (((50, 3, 4), 2), ((50, 4), 1), ((7, 2, 2, 2, 4), 3), ((3, 4), 2)):
+        x = rng.standard_normal(shape)
+        lead = x.reshape((-1,) + shape[len(shape) - axes:])
+        assert np.array_equal(np.ravel(norms(x, axes)), [norm(e) for e in lead])

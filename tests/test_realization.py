@@ -6,13 +6,17 @@ from helpers import (
     block_bytes,
     l_observable,
     l_pair_observable,
+    leaf_point,
     leaf_state,
     moment_psi,
     moment_rho,
     mu_of,
+    norm,
     quad_value,
     random_unit_quaternion,
     relation_sweep_oracle,
+    sample_leaf_oracle,
+    sample_point_oracle,
     transformed,
     x_observable,
     y_observable,
@@ -20,7 +24,7 @@ from helpers import (
 
 from sp1kepler import conformal, jordan, poisson, realization
 from sp1kepler.poisson import bracket_exact, poisson_j, quad_residual
-from sp1kepler.quat import UNITS, SeededRng, dagger_product, im, norm, real_rep
+from sp1kepler.quat import UNITS, SeededRng, dagger_product, im, real_rep
 
 rng = np.random.default_rng(99)
 
@@ -161,32 +165,76 @@ def test_lie_homomorphism_detects_a_wrong_sx_block():
     assert worst["XY"] < 1e-14 and worst["SS"] < 1e-14
 
 
+class _StreamRng:
+    """A stub rng serving the normals of a fixed stream in order, whatever
+    the draw sizes, as SeededRng does."""
+
+    def __init__(self, normals):
+        self.normals, self.drawn = np.concatenate(normals, axis=None), 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        assert self.drawn + count <= len(self.normals), "stream exhausted"
+        self.drawn += count
+        return self.normals[self.drawn - count : self.drawn].reshape(size)
+
+
 def test_sample_point_is_two_normal_draws():
-    """Z, then W, each one standard_normal((n, 4)) draw when |Z| > 0.3."""
-    z, w = realization.sample_point(3, SeededRng(5))
-    ref = SeededRng(5)
-    z_ref = ref.standard_normal((3, 4))
-    assert norm(z_ref) > 0.3
-    assert np.array_equal(z, z_ref)
-    assert np.array_equal(w, ref.standard_normal((3, 4)))
+    """Z, then W, point by point: with every |Z| > 0.3 the stacks are the
+    normals in order."""
+    zs, ws = realization.sample_point(3, SeededRng(5), 4)
+    ref = SeededRng(5).standard_normal((4, 2, 3, 4))
+    assert np.all([norm(z) > 0.3 for z in ref[:, 0]])
+    assert np.array_equal(zs, ref[:, 0]) and np.array_equal(ws, ref[:, 1])
 
 
 def test_sample_point_redraws_a_short_z():
-    """A Z with |Z| <= 0.3, at the bound included, is redrawn before W is drawn."""
-    short = np.zeros((2, 4))
-    short[0, 0] = 0.1
-    edge = np.zeros((2, 4))
-    edge[1, 2] = 0.3
-    good, w_ref = np.full((2, 4), 0.5), np.arange(8.0).reshape(2, 4)
-    draws = [short, edge, good, w_ref]
+    """A Z with |Z| <= 0.3, at the bound included, is skipped and the next
+    normals are read as Z: a block of five points equals five draws of one
+    point, and uses up its normals exactly, wherever short Zs fall."""
+    n, k = 2, 5
+    good = [np.full((n, 4), 0.5 + 0.01 * i) for i in range(k)]
+    w_ref = [np.arange(8.0).reshape(n, 4) + 10 * i for i in range(k)]
+    for value in (0.1, 0.3):
+        short = np.zeros((n, 4))
+        short[1, 2] = value
+        assert norm(short) <= 0.3
+        # short Zs before the first, a middle and the last point, two in a
+        # row, and several in one block
+        for shorts in ({0: 1}, {2: 1}, {4: 1}, {1: 2}, {0: 1, 3: 2, 4: 1}):
+            stream = []
+            for i in range(k):
+                stream += [short] * shorts.get(i, 0) + [good[i], w_ref[i]]
+            rng = _StreamRng(stream)
+            zs, ws = realization.sample_point(n, rng, k)
+            assert np.array_equal(zs, good) and np.array_equal(ws, w_ref)
+            assert rng.drawn == len(rng.normals)
+            oracle = _StreamRng(stream)
+            ref = [sample_point_oracle(n, oracle) for _ in range(k)]
+            assert np.array_equal(zs, [p[0] for p in ref]) and oracle.drawn == rng.drawn
 
-    class Stub:
-        def standard_normal(self, size):
-            assert size == (2, 4)
-            return draws.pop(0)
 
-    z, w = realization.sample_point(2, Stub())
-    assert z is good and w is w_ref and not draws
+@pytest.mark.parametrize("seed", [7, 4242])
+@pytest.mark.parametrize("n, mu", [(2, 0.0), (3, 0.7), (5, 1.0), (8, 0.7)])
+def test_sample_leaf_equals_the_per_point_oracle(seed, n, mu):
+    """The stacks equal k one-point draws, shifted point by point, bit for
+    bit, and use up the same normals."""
+    used, ref = SeededRng(seed), SeededRng(seed)
+    zs, ws = realization.sample_leaf(n, mu, used, 400)
+    points = [sample_leaf_oracle(n, mu, ref) for _ in range(400)]
+    assert np.array_equal(zs, [p[0] for p in points])
+    assert np.array_equal(ws, [p[1] for p in points])
+    assert used.standard_normal() == ref.standard_normal()
+
+
+def test_sample_leaf_ties_nu_zero_to_direction_i():
+    """With Im(W^dag Z) = 0 the moment is set along i, as the oracle sets it."""
+    z = np.zeros((2, 4))
+    z[0, 0] = 1.0
+    stream = [z, np.zeros((2, 4))]
+    zs, ws = realization.sample_leaf(2, 0.5, _StreamRng(stream), 1)
+    assert np.array_equal(ws, [sample_leaf_oracle(2, 0.5, _StreamRng(stream))[1]])
+    assert np.array_equal(moment_rho(zs[0], ws[0]), [0.0, -1.0, 0.0, 0.0])
 
 
 def test_l_is_s_e_u():
@@ -207,14 +255,14 @@ def test_sphere_relations_cyclic():
 
 
 def test_xi_norm_is_mu():
-    z, w = realization.sample_leaf(realization.LeafSpec(2, 1.3), rng)
+    z, w = leaf_point(2, 1.3, rng)
     xi = realization.xi_observables(2)
     vals = np.array([quad_value(o, np.concatenate((z, w), axis=None)) for o in xi])
     assert abs(np.linalg.norm(vals) - mu_of(z, w)) < 1e-12
 
 
 def test_moment_maps():
-    z, w = realization.sample_leaf(realization.LeafSpec(2, 0.8), rng)
+    z, w = leaf_point(2, 0.8, rng)
     rho = moment_rho(z, w)
     assert rho[0] == 0.0
     assert abs(0.5 * norm(rho) - mu_of(z, w)) < 1e-13
@@ -229,12 +277,12 @@ def test_moment_maps():
 def test_leaf_sampling_hits_target():
     for mu in (0.0, 0.5, 2.0):
         for _ in range(10):
-            z, w = realization.sample_leaf(realization.LeafSpec(3, mu), rng)
+            z, w = leaf_point(3, mu, rng)
             assert abs(mu_of(z, w) - mu) < 1e-10
 
 
 def test_leaf_sampling_mu_zero_real_pairing():
-    z, w = realization.sample_leaf(realization.LeafSpec(2, 0.0), rng)
+    z, w = leaf_point(2, 0.0, rng)
     assert norm(im(dagger_product(w, z))) < 1e-10
 
 
@@ -242,7 +290,7 @@ def test_family_values_match_observables():
     n = 2
     basis = jordan.orthonormal_basis(n)
     e = jordan.identity(n)
-    p = leaf_state(realization.LeafSpec(n, 1.0), rng)
+    p = leaf_state(n, 1.0, rng)
     v = realization.family_values(n, *p.reshape(2, 1, n, 4))
     for a, u in enumerate(basis):
         assert abs(quad_value(x_observable(u), p) - v["X"][0, a]) < 1e-12
@@ -267,17 +315,15 @@ def test_l_pair_antisymmetric():
 
 def test_primary_quadratic_relation():
     for n in (2, 3):
-        pts = [realization.sample_leaf(realization.LeafSpec(n, m), rng)
-               for m in (0.0, 1.0) for _ in range(25)]
-        v = realization.family_values(n, *realization._stack_points(pts))
+        pts = [realization.sample_leaf(n, m, rng, 25) for m in (0.0, 1.0)]
+        v = realization.family_values(n, *map(np.concatenate, zip(*pts)))
         assert realization.primary_quadratic_residuals(n, v).max() < 1e-12
 
 
 def test_secondary_and_energy_relations():
     for n in (2, 3):
-        pts = [realization.sample_leaf(realization.LeafSpec(n, m), rng)
-               for m in (0.0, 0.5, 3.0) for _ in range(20)]
-        v = realization.family_values(n, *realization._stack_points(pts))
+        pts = [realization.sample_leaf(n, m, rng, 20) for m in (0.0, 0.5, 3.0)]
+        v = realization.family_values(n, *map(np.concatenate, zip(*pts)))
         sec = realization.secondary_quadratic_residuals(n, v)
         assert sec.max() < 1e-12, sec.max(axis=1)
         assert realization.energy_formula_residuals(n, v).max() < 1e-12
@@ -287,7 +333,7 @@ def test_hand_point():
     # Z = (1, 0), W = (2k, 0) at n = 2: H = -1/2 and relation (v) gives 2 = 2
     z = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])
     w = np.array([[0.0, 0, 0, 2], [0, 0, 0, 0]])
-    v = realization.family_values(2, *realization._stack_points([(z, w)]))
+    v = realization.family_values(2, z[None], w[None])
     x_e, y_e, l_e, mu = (float(v[k][0]) for k in ("X_e", "Y_e", "L_e", "mu"))
     h = 0.5 * x_e / y_e - 1.0 / y_e
     assert abs(h + 0.5) < 1e-14
@@ -301,33 +347,33 @@ def test_hand_point():
 def test_fiber_invariance_of_family():
     # all family values are Sp(1)-invariant
     n = 2
-    p = realization.sample_leaf(realization.LeafSpec(n, 1.0), rng)
+    p = realization.sample_leaf(n, 1.0, rng, 1)
     g = random_unit_quaternion(rng)
     q = transformed(*p, g)
-    v1 = realization.family_values(n, *realization._stack_points([p]))
-    v2 = realization.family_values(n, *realization._stack_points([q]))
+    v1 = realization.family_values(n, *p)
+    v2 = realization.family_values(n, *q)
     for key in ("X", "Y", "L", "Lpair", "X_e", "Y_e", "L_e", "mu"):
         assert np.abs(np.asarray(v1[key]) - np.asarray(v2[key])).max() < 1e-12
 
 
-def test_leaf_spec_validation():
+def test_sample_leaf_validation():
     with pytest.raises(ValueError):
-        realization.LeafSpec(2, -1.0)
+        realization.sample_leaf(2, -1.0, rng, 1)
     with pytest.raises(ValueError):
-        realization.LeafSpec(0, 1.0)
+        realization.sample_leaf(0, 1.0, rng, 1)
 
 
 def test_leaf_residual_maxima_exact_across_blocks(monkeypatch):
-    """Blocked folds equal one whole-stack pass, bit for bit."""
+    """Blocked folds equal one whole-stack pass over the per-point oracle's
+    points, bit for bit."""
     n = 3
     monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(7, n))
     assert realization.block_points(n) == 7  # 51 samples: 7 blocks of 7 and a tail of 2
-    spec = realization.LeafSpec(n, 1.0)
     used = np.random.default_rng(5)
-    got = realization.leaf_residual_maxima(spec, used, 51)
+    got = realization.leaf_residual_maxima(n, 1.0, used, 51)
 
     gen = np.random.default_rng(5)
-    zs, ws = realization._stack_points([realization.sample_leaf(spec, gen) for _ in range(51)])
+    zs, ws = map(np.array, zip(*[sample_leaf_oracle(n, 1.0, gen) for _ in range(51)]))
     v = realization.family_values(n, zs, ws)
     sec = realization.secondary_quadratic_residuals(n, v).max(axis=1)
     expected = {"primary": float(realization.primary_quadratic_residuals(n, v).max())}
@@ -340,10 +386,10 @@ def test_leaf_residual_maxima_exact_across_blocks(monkeypatch):
     assert used.random() == gen.random()  # the same draws, in the same order
 
 
-def _maxima_peak(spec, samples):
+def _maxima_peak(n, samples):
     tracemalloc.start()
     try:
-        realization.leaf_residual_maxima(spec, np.random.default_rng(3), samples)
+        realization.leaf_residual_maxima(n, 1.0, np.random.default_rng(3), samples)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,9 +398,8 @@ def _maxima_peak(spec, samples):
 def test_leaf_residual_maxima_memory_does_not_grow(monkeypatch):
     n, block = 3, 1000
     monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(block, n))
-    spec = realization.LeafSpec(n, 1.0)
-    realization.leaf_residual_maxima(spec, np.random.default_rng(3), 1)  # warm the cached basis
-    assert _maxima_peak(spec, 4 * block) <= 1.5 * _maxima_peak(spec, block)
+    realization.leaf_residual_maxima(n, 1.0, np.random.default_rng(3), 1)  # warm the cached basis
+    assert _maxima_peak(n, 4 * block) <= 1.5 * _maxima_peak(n, block)
 
 
 def test_block_bytes_round_trip(monkeypatch):
@@ -368,6 +413,5 @@ def test_block_bytes_round_trip(monkeypatch):
 def test_leaf_block_stays_within_its_budget(n):
     """One full leaf block, from its sample points through family_values
     to the residuals, peaks within _BLOCK_BYTES."""
-    spec = realization.LeafSpec(n, 1.0)
-    realization.leaf_residual_maxima(spec, np.random.default_rng(3), 1)  # warm the cached basis
-    assert _maxima_peak(spec, realization.block_points(n)) <= realization._BLOCK_BYTES
+    realization.leaf_residual_maxima(n, 1.0, np.random.default_rng(3), 1)  # warm the cached basis
+    assert _maxima_peak(n, realization.block_points(n)) <= realization._BLOCK_BYTES

@@ -1,16 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import horizontal_lift, lrl_downstairs, random_qvector, random_unit_quaternion
+from helpers import (
+    horizontal_lift,
+    lrl_downstairs,
+    norm,
+    random_qvector,
+    random_unit_quaternion,
+    vec_inner,
+)
 
-from sp1kepler import jordan, sternberg
+from sp1kepler import jordan, realization, sternberg
+from sp1kepler.poisson import DOMAIN_EPS
 from sp1kepler.quat import (
+    SeededRng,
     dagger_product,
     im,
     mat_apply,
     mul,
-    norm,
     unit_matrix,
-    vec_inner,
 )
 
 rng = np.random.default_rng(55)
@@ -100,13 +109,14 @@ def test_pi_zero_for_w_zero():
 
 def test_pullback_identities():
     for n in (2, 3, 4):
-        worst = (0.0, 0.0)
-        for _ in range(25):
-            z, w = _pair(n)
-            r1, r2 = sternberg.pullback_check(z, w)
-            worst = (max(worst[0], r1), max(worst[1], r2))
-        assert worst[0] < 1e-10
-        assert worst[1] < 1e-10
+        zs, ws = map(np.array, zip(*[_pair(n) for _ in range(25)]))
+        r1, r2 = sternberg.pullback_check(zs, ws)
+        assert r1.shape == r2.shape == (25,)
+        assert r1.max() < 1e-10
+        assert r2.max() < 1e-10
+        # a stack gives each point what the point alone gives, to rounding
+        for z, w, a, b in zip(zs, ws, r1, r2):
+            assert np.allclose(sternberg.pullback_check(z, w), (a, b), rtol=0, atol=1e-15)
 
 
 def test_pullback_fiber_invariance():
@@ -209,3 +219,53 @@ def test_closed_form_projection_matches_tangent_basis():
             assert norm(sternberg._tangent_project(z, u) - via_basis) < 1e-12
             coeff = np.linalg.lstsq(span, jordan.coords(u), rcond=None)[0]
             assert norm(jordan.from_coords(span @ coeff, n) - via_basis) < 1e-12
+
+
+def _stack(n, k, seed=11):
+    return realization.sample_point(n, SeededRng(seed), k)
+
+
+@pytest.mark.parametrize("build", [sternberg.pi_from_W, sternberg.pullback_check])
+def test_tangency_guard_judges_every_point_of_a_stack(monkeypatch, build):
+    # a non-tangent part added to the pi of one point of 50 must be caught
+    zs, ws = _stack(2, 50)
+    build(zs, ws)  # the unskewed stack passes
+    extra = np.zeros((50, 2, 2, 4))
+    extra[31] = jordan.random_herm(rng, 2)
+    assert norm(sternberg._tangent_project(zs[31], extra[31]) - extra[31]) > 1e-3
+    real, calls = sternberg._tangent_from_image, []
+
+    def skewed(z, y):
+        calls.append(1)
+        return real(z, y) + (extra if len(calls) == 1 else 0.0)
+
+    monkeypatch.setattr(sternberg, "_tangent_from_image", skewed)
+    with pytest.raises(ValueError, match="not tangent"):
+        build(zs, ws)
+
+
+@pytest.mark.parametrize("build", [sternberg.cone_point,
+                                   lambda z: sternberg.pi_from_W(z, np.ones_like(z))],
+                         ids=["cone_point", "pi_from_W"])
+def test_a_short_z_in_a_stack_is_refused(build):
+    # one point of 50 with |Z| <= DOMAIN_EPS
+    zs, _ = _stack(2, 50)
+    build(zs)
+    zs[17] *= 0.5 * DOMAIN_EPS / norm(zs[17])
+    with pytest.raises(ValueError, match="Z != 0"):
+        build(zs)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pullback_block_stays_within_its_budget(n):
+    """One verify-pullback block, from its sample points through
+    pullback_check, peaks within _BLOCK_BYTES."""
+    gen = SeededRng(3)
+    sternberg.pullback_check(*realization.sample_point(n, gen, 1))  # warm the cached basis
+    tracemalloc.start()
+    try:
+        sternberg.pullback_check(*realization.sample_point(n, gen, realization.block_points(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= realization._BLOCK_BYTES
