@@ -26,13 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jordan
-from .quat import CONJ, QTAB, real_rep
-
-# the byte budget of one block: of random Jacobi triples or basis-triple
-# Jacobiator entries here, of sample points or relation tiles in realization,
-# which imports it (the abstract algebra imports nothing from the realization
-# it is checked against)
-_BLOCK_BYTES = 2**20
+from .quat import _BLOCK_BYTES, CONJ, QTAB, real_rep
 
 
 @lru_cache(maxsize=8)

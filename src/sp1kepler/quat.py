@@ -23,6 +23,10 @@ import random
 
 import numpy as np
 
+# the byte budget of one block in conformal and in realization, owned here so
+# that the algebra and the realization checked against it stay independent
+_BLOCK_BYTES = 2**20
+
 # QTAB[a, b, c]: coefficient of unit c in the product (unit a)*(unit b).
 QTAB = np.zeros((4, 4, 4))
 QTAB[0, 0, 0] = 1.0

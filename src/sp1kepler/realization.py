@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import jordan
-from .conformal import _BLOCK_BYTES
 from .quat import (
+    _BLOCK_BYTES,
     CONJ,
     QTAB,
     UNITS,

@@ -14,10 +14,17 @@ structure operator S_uv from triple products;
 the observables X_u, Y_v, L_u and L_{u,v} one at a time, the
 central-difference bracket, the horizontal lift, the analytic gradient of
 the Kepler Hamiltonian, and the so*(4n) relation sweep over whole stacks,
-the reference for realization.verify_so_star_relations."""
+the reference for realization.verify_so_star_relations; and a fresh
+interpreter that reports the modules a piece of code loaded."""
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import sp1kepler
 from sp1kepler import conformal, jordan, poisson, realization, sternberg
 from sp1kepler.poisson import DOMAIN_EPS, poisson_j
 from sp1kepler.quat import (
@@ -145,6 +152,19 @@ def evaluate_batch(a, ys):
 def transformed(z, w, g):
     """The point (Z g, W g) for a unit quaternion g."""
     return mul(z, g), mul(w, g)
+
+
+def modules_loaded_by(code, *args):
+    """Run code in a fresh interpreter, with this package's source on its
+    path and args as its arguments; return the finished process and the set
+    of modules loaded when it exited."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp1kepler.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    guard = ("import atexit, json, sys\n"
+             "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n")
+    proc = subprocess.run([sys.executable, "-c", guard + code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
 
 
 def block_bytes(k, n):

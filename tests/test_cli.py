@@ -1,14 +1,11 @@
 import io
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from helpers import block_bytes
+from helpers import block_bytes, modules_loaded_by
 
 import sp1kepler
 from sp1kepler import dynamics, realization
@@ -92,15 +89,20 @@ def test_output_in_missing_directory_is_usage_error(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
-# the body of the installed console script, with the modules that no command
-# may load reported at interpreter exit
-_GUARDED_ENTRY = (
-    "import atexit, sys\n"
-    "atexit.register(lambda: print('loaded:', [m for m in ('numpy.random', '_hashlib')"
-    " if m in sys.modules], file=sys.stderr))\n"
-    "from sp1kepler.cli import main\n"
-    "sys.exit(main())\n"
-)
+# the body of the installed console script
+_ENTRY = "import sys\nfrom sp1kepler.cli import main\nsys.exit(main())\n"
+
+# numpy and every layer of the package, none of which loads before a command body runs
+_NO_LAYER = {"numpy"} | {"sp1kepler." + m for m in sp1kepler.__all__}
+
+# the layers that each command leaves unloaded: it imports only what it runs
+_UNLOADED = {
+    "verify-algebra": {"realization", "poisson", "dynamics", "sternberg"},
+    "verify-realization": {"conformal", "dynamics", "sternberg"},
+    "verify-quadratic": {"conformal", "dynamics", "sternberg"},
+    "verify-pullback": {"conformal", "dynamics"},
+    "simulate": {"conformal", "sternberg"},
+}
 
 
 @pytest.mark.parametrize("args, code", [
@@ -113,14 +115,32 @@ _GUARDED_ENTRY = (
 ])
 def test_commands_load_neither_numpy_random_nor_hashlib(tmp_path, args, code):
     """Seeded draws come from the standard library's Mersenne Twister, so a
-    command's process never imports numpy.random or, through it, OpenSSL."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sp1kepler.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _GUARDED_ENTRY] + args
-                          + ["--output", str(tmp_path / "out")], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    command's process never imports numpy.random or, through it, OpenSSL.
+    Nor does it load a layer it does not run."""
+    proc, loaded = modules_loaded_by(_ENTRY, *args, "--output", str(tmp_path / "out"))
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "loaded: []"
+    unloaded = {"sp1kepler." + m for m in _UNLOADED[args[0]]}
+    assert loaded & ({"numpy.random", "_hashlib"} | unloaded) == set()
+
+
+def test_importing_the_cli_loads_no_layer():
+    proc, loaded = modules_loaded_by("import sp1kepler.cli\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "sp1kepler.cli" in loaded
+    assert loaded & _NO_LAYER == set()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["verify-quadratic", "--help"], 0),
+    (["verify-algebra", "--n", "0"], 2),
+    (["verify-pullback", "--output", "{tmp}/nodir/r.json"], 2),
+])
+def test_help_and_usage_errors_load_no_layer(tmp_path, args, code):
+    """Everything click decides before a command body runs needs click alone."""
+    proc, loaded = modules_loaded_by(_ENTRY, *(a.format(tmp=tmp_path) for a in args))
+    assert proc.returncode == code, proc.stderr
+    assert loaded & _NO_LAYER == set()
 
 
 def test_verify_quadratic(tmp_path):

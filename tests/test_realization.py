@@ -8,6 +8,7 @@ from helpers import (
     l_pair_observable,
     leaf_point,
     leaf_state,
+    modules_loaded_by,
     moment_psi,
     moment_rho,
     mu_of,
@@ -177,6 +178,19 @@ class _StreamRng:
         assert self.drawn + count <= len(self.normals), "stream exhausted"
         self.drawn += count
         return self.normals[self.drawn - count : self.drawn].reshape(size)
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("realization", {"conformal"}),
+    ("conformal", {"realization", "poisson"}),
+])
+def test_the_algebra_and_its_realization_import_nothing_from_each_other(module, unloaded):
+    """The abstract algebra and its Poisson realization are independent
+    routes to the same brackets: neither loads the other."""
+    proc, loaded = modules_loaded_by("import sp1kepler.%s\n" % module)
+    assert proc.returncode == 0, proc.stderr
+    assert "sp1kepler." + module in loaded
+    assert loaded & {"sp1kepler." + m for m in unloaded} == set()
 
 
 def test_sample_point_is_two_normal_draws():
