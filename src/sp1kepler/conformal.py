@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jordan
-from .quat import _BLOCK_BYTES, CONJ, QTAB, real_rep
+from .quat import _BLOCK_BYTES, QTAB, mat_dagger, real_rep
 
 
 @lru_cache(maxsize=8)
@@ -68,8 +68,10 @@ def span_residual(n, s):
 
 
 def element(x, s, y):
-    """Coordinates of X_x + S_s + Y_y, for hermitian x and y and any s in M_n(H)."""
-    return np.concatenate([jordan.coords(x), np.ravel(s), jordan.coords(y)])
+    """Coordinates of X_x + S_s + Y_y, for hermitian x and y and any s in M_n(H);
+    stacks (..., n, n, 4) of them give a (..., dim) stack."""
+    s = np.reshape(s, x.shape[:-3] + (-1,))
+    return np.concatenate([jordan.coords(x), s, jordan.coords(y)], axis=-1)
 
 
 def s_matrix(u, v):
@@ -110,13 +112,13 @@ def structure_constants(n):
     d, r = jordan.dim_v(n), str_dimension(n)
     dim = 2 * d + r
     herm, mb = jordan.orthonormal_basis(n), np.eye(r).reshape(r, n, n, 4)
-    to_v = np.array([jordan.coords(m) for m in mb])  # at most one nonzero per row
+    to_v = jordan.coords(mb)  # at most one nonzero per row
     target = np.abs(to_v).argmax(axis=1)
     weight = to_v[np.arange(r), target]
     a, b, k, v = _products(n, herm, herm)
     parts = [(a, d + r + b, d + k, -2.0 * v)]  # [X_a, Y_b] = -2 S_{e_a e_b}
     # [S_m, X_b] = X_{m e_b} and [S_m, Y_b] = -Y_{m^dag e_b}
-    for left, shift, sign in ((mb, 0, 1.0), (np.swapaxes(mb, 1, 2) * CONJ, d + r, -1.0)):
+    for left, shift, sign in ((mb, 0, 1.0), (mat_dagger(mb), d + r, -1.0)):
         m, b, k, v = _products(n, left, herm)
         parts.append((d + m, shift + b, shift + target[k], sign * v * weight[k]))
     m, m2, k, v = _products(n, mb, mb)
@@ -168,26 +170,33 @@ def _triple_bytes(n):
     """Bytes one random triple adds to a block's working set, at most: three
     (nnz,) rows of _brackets (the bincount keys, the weights and the factor
     gathered into them), a fourth for the copy of the read-only index row
-    that np.take makes (one per block, whatever its size), and 16 (dim,)
-    float64 rows with their array headers (the triple's coordinates and
-    draws, the brackets and their sum)."""
+    that np.take makes (one per block, whatever its size), 16 (dim,)
+    float64 rows with their array headers (the triple's coordinates, the
+    brackets and their sum), and eight copies of its 36 n^2 normals (the
+    draw, the rng's refill temporaries and the hermitian parts)."""
     nnz, dim = len(structure_constants(n)[3]), co_dimension(n)
-    return 32 * nnz + 16 * (8 * dim + 128)
+    return 32 * nnz + 16 * (8 * dim + 128) + 8 * 8 * 36 * n * n
 
 
 def jacobi_random_max(n, rng, triples):
     """Max Jacobi residual over `triples` random triples, drawn a, b, c per
-    triple by random_element and checked a block of triples at a time, so
-    that a block's whole working set stays within _BLOCK_BYTES."""
+    triple, a block of triples by one random_element call, and checked a
+    block at a time, so that a block's whole working set stays within
+    _BLOCK_BYTES."""
     block = max(1, _BLOCK_BYTES // _triple_bytes(n))
     worst = 0.0
     for start in range(0, triples, block):
-        abc = np.empty((3, co_dimension(n), min(block, triples - start)))
-        for t in range(abc.shape[2]):
-            for part in abc:
-                part[:, t] = random_element(rng, n)
-        worst = max(worst, float(_jacobi_norms(n, *abc).max()))
+        k = min(block, triples - start)
+        abc = random_element(rng, n, 3 * k).T.reshape(k, 3, -1)  # (triple, part, coordinate)
+        worst = max(worst, float(_jacobi_norms(n, *np.moveaxis(abc, 0, 2)).max()))
     return worst
+
+
+def _view(f, g, dim):
+    """Entries sorted by the key f dim + g: their order and sorted keys."""
+    key = f * dim + g
+    order = np.argsort(key, kind="stable")
+    return order, key[order]
 
 
 def _join(view, f, lo, hi, dim):
@@ -249,10 +258,7 @@ def jacobi_tensor_residual(n):
     _, sym = _sum_by(np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k]),
                      np.concatenate([v, v]))
     worst = max(worst, float(np.abs(sym).max(initial=0.0)))
-    views = []  # C's entries sorted by (i, j), (k, i) and (j, i): order and key
-    for f, g in ((i, j), (k, i), (j, i)):
-        order = np.argsort(f * dim + g, kind="stable")
-        views.append((order, (f * dim + g)[order]))
+    views = [_view(f, g, dim) for f, g in ((i, j), (k, i), (j, i))]
     rows = np.searchsorted(views[0][1], np.arange(dim + 1) * dim)
     most = max(1, _BLOCK_BYTES // 80)
     for a in range(dim):
@@ -271,63 +277,51 @@ def jacobi_tensor_residual(n):
     return worst
 
 
-def _s_action(n, s):
-    """The action on V of the S-parts s, a (t, 4n^2) array, read off the
-    [S, X] block of C: a (t, d, d) stack with [S_s, X_b] = sum_c out[., c, b] X_c."""
-    i, j, k, v = structure_constants(n)
-    d, r = jordan.dim_v(n), str_dimension(n)
-    sel = (i >= d) & (i < d + r) & (j < d) & (k < d)
-    w = s[:, i[sel] - d] * v[sel]
-    keys = (np.arange(len(s))[:, None] * d + k[sel]) * d + j[sel]
-    # float64 also when nothing is selected: bincount then counts in int64
-    out = np.bincount(keys.ravel(), w.ravel(), len(s) * d * d).astype(float, copy=False)
-    return out.reshape(len(s), d, d)
-
-
 def closure_residual(n):
     """The Jordan side of str, for every basis pair: S_{e_a} = L_{e_a} and
-    [L_a, L_b] = S_{[e_a, e_b]}/2, with S_m read off C and the Jordan
+    [L_a, L_b] = S_{[e_a, e_b]/2}, with S_m read off C and the Jordan
     multiplication L_u = jordan.L_operator(u) from real_rep traces, a route
     independent of C.  For n >= 2 the e_a and [e_a, e_b] span M_n(H), so
     this ties every S_m to the Jordan algebra: str(H_n(H)) = S(M_n(H)).
-    The entries of [e_a, e_b] are read off R_a R_b - R_b R_a, R = real_rep,
-    at the real unit: R(m)[4i + c, 4j] is component c of m_ij.
 
-    Beside ls, the one fixed stack of the L_{e_a}, built one L_operator at
-    a time (each takes three real_rep stacks of the basis, 0.9 MB at
-    n = 6), b runs in chunks within _BLOCK_BYTES.  _s_action selects C's
-    [S, X] entries (three boolean masks over C, four rows over the sx
-    selected) and takes, per b, three rows over them (weights, keys and a
-    temporary); beside them each b holds at most three (d, d) arrays
-    ([L_a, L_b], a product or the S-action, a difference) and real_rep of
-    e_b with the entries of [e_a, e_b] (24 n^2 floats)."""
+    Both sides are sparse and summed by joins, one a at a time for every b:
+    L_a L_b and L_b L_a join the nonzeros of L_a with those of each L_b
+    (collected one L_operator at a time) on their shared index, and S_m
+    joins the M_n(H) coefficients of m, from _products, with C's rows at
+    (S_q, X).  S_{e_a} - L_{e_a} is summed as plane b = d of the same keys."""
     basis = jordan.orthonormal_basis(n)
-    d = len(basis)
-    ls = np.empty((d, d, d))
-    for a, e in enumerate(basis):
-        ls[a] = jordan.L_operator(e)
-    i, j, k, _ = structure_constants(n)
-    sx = np.count_nonzero((i >= d) & (i < d + str_dimension(n)) & (j < d) & (k < d))
-    step = max(1, (_BLOCK_BYTES - 3 * len(i) - 32 * sx) // (24 * (d * d + sx + 8 * n * n)))
+    d, r, dim = len(basis), str_dimension(n), co_dimension(n)
+    lb, lr, lc, lv = (np.concatenate(x) for x in zip(*(  # the nonzeros (b, row, col, value)
+        (np.full(np.count_nonzero(m), b), *np.nonzero(m), m[m != 0])
+        for b, m in enumerate(map(jordan.L_operator, basis)))))
+    by_row, by_col = _view(lr, lb, d), _view(lc, lb, d)
+    i, j, k, v = structure_constants(n)
+    by_ij = _view(i, j, dim)
     worst = 0.0
-    for lo in range(0, d, step):
-        lb = ls[lo : lo + step]
-        c = len(lb)
-        worst = max(worst, float(np.abs(_s_action(n, basis[lo : lo + c].reshape(c, -1)) - lb).max()))
-        rb = real_rep(basis[lo : lo + c])
-        for a in range(d):
-            ra = real_rep(basis[a])
-            comm = ra @ rb[:, :, 0::4] - rb @ ra[:, 0::4]  # (c, 4n, n)
-            half = 0.5 * comm.reshape(c, n, 4, n).transpose(0, 1, 3, 2).reshape(c, -1)
-            lhs = ls[a] @ lb
-            lhs -= lb @ ls[a]
-            lhs -= _s_action(n, half)
-            worst = max(worst, float(np.abs(lhs, out=lhs).max()))
-            del comm, half, lhs  # freed before the next pair of factors
+    for a, ea in enumerate(basis):
+        row, col, w = lr[lb == a], lc[lb == a], lv[lb == a]
+        # the coefficients of -[e_a, e_b]/2 on planes b < d and of e_a on plane d
+        _, b1, q1, p1 = _products(n, ea[None], basis)
+        b2, _, q2, p2 = _products(n, basis, ea[None])
+        q0 = np.flatnonzero(ea)
+        sq, coef = _sum_by(np.concatenate([b1 * r + q1, b2 * r + q2, d * r + q0]),
+                           np.concatenate([-0.5 * p1, 0.5 * p2, ea.ravel()[q0]]))
+        left, e = _join(by_row, col, 0, d, d)  # L_a L_b: L_a[row, m] L_b[m, x]
+        terms = [((lb[e] * d + row[left]) * d + lc[e], w[left] * lv[e])]
+        left, e = _join(by_col, row, 0, d, d)  # -L_b L_a: L_b[x, m] L_a[m, col]
+        terms.append(((lb[e] * d + lr[e]) * d + col[left], -w[left] * lv[e]))
+        left, e = _join(by_ij, d + sq % r, 0, d, dim)  # S_m: m_q C[S_q, X_x, X_c]
+        terms.append(((sq[left] // r * d + k[e]) * d + j[e], coef[left] * v[e]))
+        terms.append(((d * d + row) * d + col, -w))
+        keys, vals = (np.concatenate(x) for x in zip(*terms))
+        worst = max(worst, float(np.abs(_sum_by(keys, vals)[1]).max()))
     return worst
 
 
-def random_element(rng, n):
-    """A random element: M_n(H) coordinates first, then the x- and y-parts."""
-    s = rng.standard_normal(str_dimension(n))
-    return element(jordan.random_herm(rng, n), s, jordan.random_herm(rng, n))
+def random_element(rng, n, k):
+    """k random elements as the columns of a (dim, k) array, from one draw
+    that gives each element in turn its M_n(H) coordinates and then its x-
+    and y-parts, the hermitian parts of Gaussian matrices."""
+    draw = rng.standard_normal((k, 3, n, n, 4))
+    herm = (draw[:, 1:] + mat_dagger(draw[:, 1:])) * 0.5
+    return element(herm[:, 0], draw[:, 0], herm[:, 1]).T

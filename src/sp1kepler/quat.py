@@ -114,8 +114,8 @@ def mat_mul(u, v):
 
 
 def mat_dagger(u):
-    """Conjugate transpose."""
-    return np.transpose(u, (1, 0, 2)) * CONJ
+    """Conjugate transpose, of each matrix of a stack."""
+    return np.swapaxes(u, -3, -2) * CONJ
 
 
 def trace_re(u):

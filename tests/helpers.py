@@ -9,7 +9,8 @@ stack of points, the right Sp(1) action on a phase point, the cone-side
 LRL component, the block byte budgets that give blocks of k points or of
 k Jacobi triples, the generators X_u, Y_v and
 S_uv of the conformal algebra with the action of S_m on V by quaternion
-arithmetic, the quaternion-arithmetic oracle for jordan.s_tensor and the
+arithmetic and read off C, the dense reference of the closure check, the
+quaternion-arithmetic oracle for jordan.s_tensor and the
 structure operator S_uv from triple products;
 the observables X_u, Y_v, L_u and L_{u,v} one at a time, the
 central-difference bracket, the horizontal lift, the analytic gradient of
@@ -199,6 +200,51 @@ def s_operator(m, sign=1.0):
     cols = [jordan.coords((mat_mul(m, e) + sign * mat_mul(e, mat_dagger(m))) * 0.5)
             for e in jordan.orthonormal_basis(m.shape[0])]
     return np.array(cols).T
+
+
+def s_action(n, s):
+    """The action on V of the S-parts s, a (t, 4n^2) array, read off the
+    [S, X] block of C: a (t, d, d) stack with [S_s, X_b] = sum_c out[., c, b] X_c."""
+    i, j, k, v = conformal.structure_constants(n)
+    d, r = jordan.dim_v(n), conformal.str_dimension(n)
+    sel = (i >= d) & (i < d + r) & (j < d) & (k < d)
+    w = s[:, i[sel] - d] * v[sel]
+    keys = (np.arange(len(s))[:, None] * d + k[sel]) * d + j[sel]
+    # float64 also when nothing is selected: bincount then counts in int64
+    out = np.bincount(keys.ravel(), w.ravel(), len(s) * d * d).astype(float, copy=False)
+    return out.reshape(len(s), d, d)
+
+
+def closure_residual_dense(n):
+    """The dense reference for conformal.closure_residual: S_{e_a} = L_{e_a}
+    and [L_a, L_b] = S_{[e_a, e_b]}/2 from the (d, d, d) stack of the L_{e_a},
+    the S-action of s_action and the entries of [e_a, e_b] read off
+    R_a R_b - R_b R_a, R = real_rep, at the real unit: R(m)[4i + c, 4j] is
+    component c of m_ij; b runs in chunks."""
+    basis = jordan.orthonormal_basis(n)
+    d = len(basis)
+    ls = np.empty((d, d, d))
+    for a, e in enumerate(basis):
+        ls[a] = jordan.L_operator(e)
+    i, j, k, _ = conformal.structure_constants(n)
+    sx = np.count_nonzero((i >= d) & (i < d + conformal.str_dimension(n)) & (j < d) & (k < d))
+    step = max(1, (conformal._BLOCK_BYTES - 3 * len(i) - 32 * sx) // (24 * (d * d + sx + 8 * n * n)))
+    worst = 0.0
+    for lo in range(0, d, step):
+        lb = ls[lo : lo + step]
+        c = len(lb)
+        worst = max(worst, float(np.abs(s_action(n, basis[lo : lo + c].reshape(c, -1)) - lb).max()))
+        rb = real_rep(basis[lo : lo + c])
+        for a in range(d):
+            ra = real_rep(basis[a])
+            comm = ra @ rb[:, :, 0::4] - rb @ ra[:, 0::4]  # (c, 4n, n)
+            half = 0.5 * comm.reshape(c, n, 4, n).transpose(0, 1, 3, 2).reshape(c, -1)
+            lhs = ls[a] @ lb
+            lhs -= lb @ ls[a]
+            lhs -= s_action(n, half)
+            worst = max(worst, float(np.abs(lhs, out=lhs).max()))
+            del comm, half, lhs  # freed before the next pair of factors
+    return worst
 
 
 def lrl_downstairs(z, w, mu, u):

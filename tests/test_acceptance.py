@@ -55,7 +55,7 @@ def test_criterion_1_algebra_closure_and_jacobi():
     worst_random = 0.0
     for n in (2, 3):
         for _ in range(1000):
-            a, b, c = (conformal.random_element(rng, n) for _ in range(3))
+            a, b, c = conformal.random_element(rng, n, 3).T
             worst_random = max(worst_random, conformal.jacobi_residual(n, a, b, c))
     # all generator triples, via the structure-constants tensor over a full
     # basis (covers every generator triple exactly by trilinearity) plus an

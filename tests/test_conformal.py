@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from helpers import (
     S_operator,
+    closure_residual_dense,
+    s_action,
     s_element,
     s_operator,
     s_tensor_oracle,
@@ -13,7 +15,7 @@ from helpers import (
 )
 
 from sp1kepler import conformal, jordan
-from sp1kepler.quat import mat_dagger, mat_mul
+from sp1kepler.quat import SeededRng, mat_dagger, mat_mul
 
 rng = np.random.default_rng(31)
 
@@ -89,7 +91,7 @@ def test_s_action_rank(n):
     # S is injective on M_n(H) for n >= 2; at n = 1 only the real unit acts
     # on V = R, since the su(2) = Im H inside so*(4) acts trivially
     r = conformal.str_dimension(n)
-    action = conformal._s_action(n, np.eye(r)).reshape(r, -1)
+    action = s_action(n, np.eye(r)).reshape(r, -1)
     assert np.linalg.matrix_rank(action) == (r if n >= 2 else 1)
 
 
@@ -97,7 +99,7 @@ def test_s_action_matches_quaternion_arithmetic():
     # C's [S, X] block against (mz + zm^dag)/2 computed entry by entry
     n = 2
     m = rng.standard_normal((n, n, 4))
-    action = conformal._s_action(n, m.reshape(1, -1))[0]
+    action = s_action(n, m.reshape(1, -1))[0]
     assert np.abs(action - s_operator(m)).max() < 1e-13
 
 
@@ -156,10 +158,8 @@ def test_s_x_rule_matches_triple_product():
 
 
 def test_antisymmetry_and_bilinearity():
-    a = conformal.random_element(rng, 2)
-    b = conformal.random_element(rng, 2)
+    a, b, c = conformal.random_element(rng, 2, 3).T
     assert np.linalg.norm(conformal.co_bracket(2, a, b) + conformal.co_bracket(2, b, a)) < 1e-11
-    c = conformal.random_element(rng, 2)
     lhs = conformal.co_bracket(2, a + b, c)
     rhs = conformal.co_bracket(2, a, c) + conformal.co_bracket(2, b, c)
     assert np.linalg.norm(lhs - rhs) < 1e-10
@@ -169,14 +169,13 @@ def test_jacobi_random():
     for n in (1, 2, 3):
         worst = 0.0
         for _ in range(60):
-            a, b, c = (conformal.random_element(rng, n) for _ in range(3))
+            a, b, c = conformal.random_element(rng, n, 3).T
             worst = max(worst, conformal.jacobi_residual(n, a, b, c))
         assert worst < 1e-10
 
 
 def test_jacobi_degenerate():
-    a = conformal.random_element(rng, 2)
-    c = conformal.random_element(rng, 2)
+    a, c = conformal.random_element(rng, 2, 2).T
     assert conformal.jacobi_residual(2, a, a, c) < 1e-11
 
 
@@ -210,10 +209,29 @@ def test_closure():
         assert conformal.closure_residual(n) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_closure_matches_the_dense_check(n):
+    # the sparse joins against the dense (d, d, d) L stack and bincount
+    # S-action; n = 5 may differ in the last bit with another BLAS
+    sparse, dense = conformal.closure_residual(n), closure_residual_dense(n)
+    if n <= 4:
+        assert sparse == dense
+    else:
+        assert abs(sparse - dense) <= 1e-15
+
+
+def test_closure_detects_a_wrong_jordan_product(monkeypatch):
+    # with every L_u scaled by 1.5, S_{e_a} = L_{e_a} and [L_a, L_b] =
+    # S_{[e_a, e_b]/2} both fail
+    true_l = jordan.L_operator
+    monkeypatch.setattr(jordan, "L_operator", lambda u: 1.5 * true_l(u))
+    assert conformal.closure_residual(2) > 1e-10
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_closure_stays_within_its_budget(n):
-    """closure_residual peaks within _BLOCK_BYTES beside its one fixed
-    stack, the (d, d, d) L_{e_a}."""
+    """closure_residual peaks within _BLOCK_BYTES beside 8 d^3 bytes, the
+    size of the (d, d, d) stack of the L_{e_a} that it no longer holds."""
     conformal.closure_residual(n)  # warm the cached basis and constants
     d = jordan.dim_v(n)
     tracemalloc.start()
@@ -223,6 +241,24 @@ def test_closure_stays_within_its_budget(n):
     finally:
         tracemalloc.stop()
     assert peak <= conformal._BLOCK_BYTES + 8 * d**3
+
+
+def test_closure_stays_within_its_budget_at_n8():
+    """At n = 8 (d = 120) closure_residual peaks within _BLOCK_BYTES beside
+    one L_operator call, which is where it builds each L_{e_b}."""
+    n = 8
+    conformal.closure_residual(n)  # warm the cached basis and constants
+    e = jordan.orthonormal_basis(n)[-1]
+    tracemalloc.start()
+    try:
+        jordan.L_operator(e)
+        l_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        conformal.closure_residual(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= conformal._BLOCK_BYTES + l_peak
 
 
 def test_span_invariant_rejects_outsiders():
@@ -236,8 +272,7 @@ def test_bracket_lands_in_span():
     # the component rules, applied to the parts of two random elements,
     # give an s-part whose action on V is inside the span and agree with the
     # bracket from the structure constants
-    a = conformal.random_element(rng, 2)
-    b = conformal.random_element(rng, 2)
+    a, b = conformal.random_element(rng, 2, 2).T
     (xa, ma, ya), (xb, mb, yb) = _parts(2, a), _parts(2, b)
     x_new = jordan.from_coords(s_operator(ma) @ jordan.coords(xb)
                                - s_operator(mb) @ jordan.coords(xa), 2)
@@ -340,7 +375,7 @@ def test_s_action_without_s_x_entries_is_float(monkeypatch):
     gx, gs, _ = _grades(n)
     keep = ~(_select(n, c, gs, gx, gx) | _select(n, c, gx, gs, gx))
     _patched(monkeypatch, tuple(x[keep] for x in c))
-    out = conformal._s_action(n, np.eye(r)[:3])
+    out = s_action(n, np.eye(r)[:3])
     assert out.dtype == np.float64
     assert out.shape == (3, d, d)
     assert not out.any()
@@ -356,7 +391,7 @@ def test_random_jacobi_max_does_not_depend_on_the_block(monkeypatch):
         results.append(conformal.jacobi_random_max(n, r, triples))
         states.append(r.bit_generator.state)
     r = np.random.default_rng(5)
-    single = max(conformal.jacobi_residual(n, *(conformal.random_element(r, n) for _ in range(3)))
+    single = max(conformal.jacobi_residual(n, *conformal.random_element(r, n, 3).T)
                  for _ in range(triples))
     assert results[0] > 0.0
     for value in results[1:] + [single]:
@@ -366,15 +401,17 @@ def test_random_jacobi_max_does_not_depend_on_the_block(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 5))
 def test_random_jacobi_block_stays_near_its_budget(n):
-    """One full block of random triples peaks within _BLOCK_BYTES: the
-    budget counts the triples' coordinates and draws and the bincount
+    """One full block of random triples peaks within _BLOCK_BYTES, with a
+    numpy Generator and with SeededRng, whose refill the draw includes: the
+    budget counts the triples' coordinates, their one draw and the bincount
     buffers of their brackets."""
     triples = max(1, conformal._BLOCK_BYTES // triple_block_bytes(1, n))
-    conformal.jacobi_random_max(n, np.random.default_rng(5), 1)  # warm the cached constants
-    tracemalloc.start()
-    try:
-        conformal.jacobi_random_max(n, np.random.default_rng(6), triples)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.0 * conformal._BLOCK_BYTES
+    for make_rng in (np.random.default_rng, SeededRng):
+        conformal.jacobi_random_max(n, make_rng(5), 1)  # warm the cached constants
+        tracemalloc.start()
+        try:
+            conformal.jacobi_random_max(n, make_rng(6), triples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * conformal._BLOCK_BYTES
