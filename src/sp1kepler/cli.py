@@ -5,31 +5,32 @@ quadratic identities, pullback) and the Kepler flow simulation.  Reports
 are JSON with a versioned schema and no volatile fields, so identical
 configurations produce byte-identical output; wall-clock timings go to
 stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage error,
-3 runtime abort.  This module loads the standard library and click alone:
-each command imports its own layers, the largest first, then numpy, and
-calls them through the module.  So --help and usage errors load no layer,
-and where no bytecode is cached the largest layer compiles before numpy
-loads, which then reuses the compiler's memory (a 0.3-0.5 MB lower peak).
+3 runtime abort.  This module loads the standard library alone, and
+argparse parses the options: each command imports its own layers, the
+largest first, then numpy, and calls them through the module.  So --help
+and usage errors load no layer, and where no bytecode is cached the
+largest layer compiles before numpy loads, which then reuses the
+compiler's memory (a 0.3-0.6 MB lower peak than numpy first).  main runs
+each command through main.commands[name].callback and always ends in
+SystemExit.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import shutil
 import sys
 import time
-
-import click
+import types
 
 SCHEMA = "2"
 
 
-class _RuntimeAbort(click.ClickException):
-    """A run that cannot proceed; exits 3."""
-
-    exit_code = 3
+class _RuntimeAbort(Exception):
+    """A run that cannot proceed; main prints "Error: <message>" and exits 3."""
 
 
 def _atomic_write(path, text):
@@ -44,130 +45,174 @@ def _emit(report, output):
     if output:
         _atomic_write(output, text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-def _finish(config, residuals, output, t0, **extra):
-    """Emit a verify report, with the keys of extra beside the common ones,
-    and exit: 0 when every residual is below config["tol"], else 1."""
+def _finish(command, config, residuals, output, t0, **extra):
+    """Emit the report of a verify command, with the keys of extra beside the
+    common ones, and exit: 0 when every residual is below config["tol"], else 1."""
     passed = all(v < config["tol"] for v in residuals.values())
-    command = click.get_current_context().command.name
     _emit(dict(extra, schema=SCHEMA, command=command, config=config,
                residuals=residuals, passed=passed), output)
-    click.echo("runtime: %.2f s" % (time.time() - t0), err=True)
+    print("runtime: %.2f s" % (time.time() - t0), file=sys.stderr)
     sys.exit(0 if passed else 1)
 
 
-def _output_dir(ctx, param, value):
-    """Refuse, at parsing (exit 2), an output path whose directory is missing."""
-    if value is not None and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
-        raise click.BadParameter("directory %r does not exist" % os.path.dirname(value))
-    return value
+def _number(kind, lo=None, above=False):
+    """The type of an int or float option at least lo (above lo if above is
+    set); a value it refuses, a float nan or inf included, exits 2."""
+    name = "integer" if kind is int else "float"
+    bound = "" if lo is None else "x%s%s" % (">" if above else ">=", lo)
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not a valid %s." % (text, name)) from None
+        if lo is not None and (value <= lo if above else value < lo):
+            raise argparse.ArgumentTypeError("%s is not in the range %s." % (value, bound))
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError("%s is not a finite number." % value)
+        return value
+
+    convert.metavar, convert.bound = name.upper(), bound
+    return convert
 
 
-class _FiniteFloat(click.FloatRange):
-    """A float option, bounded or not, that also refuses nan and inf (exit 2)."""
-
-    def __init__(self, **bounds):
-        super().__init__(**bounds)
-        if not bounds:
-            self.name = click.FLOAT.name
-
-    def _describe_range(self):
-        return super()._describe_range() if self.min is not None or self.max is not None else ""
-
-    def convert(self, value, param, ctx):
-        rv = super().convert(value, param, ctx)
-        if not math.isfinite(rv):
-            self.fail("%r is not a finite number." % rv, param, ctx)
-        return rv
+def _output(path):
+    """The type of --output: a path that is a directory, or whose directory
+    is missing, exits 2 before any work."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError("file %r is a directory." % path)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise argparse.ArgumentTypeError("directory %r does not exist" % os.path.dirname(path))
+    return path
 
 
-@click.group()
-def main():
+_output.metavar = "FILE"
+
+
+def main(args=None, prog_name=None):
     """Verification and simulation for the quaternionic Kepler hierarchy."""
+    args = sys.argv[1:] if args is None else list(args)
+    options = vars(_parser(prog_name).parse_args(_joined(args)))
+    # called through main.commands, so a callback rebound there runs
+    try:
+        main.commands[options.pop("command")].callback(**options)
+    except _RuntimeAbort as err:
+        print("Error: %s" % err, file=sys.stderr)
+        sys.exit(3)
+    sys.exit(0)
 
 
-_common = [
-    click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True),
-    click.option("--tol", type=_FiniteFloat(), default=None, help="Pass threshold."),
-    click.option("--output", type=click.Path(dir_okay=False), default=None,
-                 callback=_output_dir, help="Write the JSON report here instead of stdout."),
-]
+main.commands = {}
 
 
-def _with(options):
-    def deco(f):
-        for opt in reversed(options):
-            f = opt(f)
+def _command(name, *options):
+    """Register a function as the subcommand name; each option is a row
+    (flag, type, default, help), its type a converter or a tuple of choices.
+    The help is kept apart from callback, which a tracer may rebind."""
+    def register(f):
+        main.commands[name] = types.SimpleNamespace(callback=f, help=f.__doc__, options=options)
         return f
-    return deco
+    return register
 
 
-@main.command("verify-algebra")
-@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
-@click.option("--triples", type=click.IntRange(min=1), default=1000, show_default=True,
-              help="Number of seeded random Jacobi triples.")
-@_with(_common)
+def _parser(prog):
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, command in main.commands.items():
+        sub = commands.add_parser(name, help=command.help, description=command.help,
+                                  allow_abbrev=False)
+        for flag, kind, default, text in command.options:
+            notes = "; ".join(filter(None, [default is not None and "default: %(default)s",
+                                            getattr(kind, "bound", "")]))
+            kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind,
+                                                                   "metavar": kind.metavar}
+            sub.add_argument(flag, default=default,
+                             help=("%s [%s]" % (text, notes) if notes else text).lstrip(), **kw)
+    return parser
+
+
+def _joined(args):
+    """args with each option flag joined to the word after it by "=": an
+    option takes the next word as its value even where it starts with "-"
+    (such as --tol -1e-9), which argparse would otherwise read as a flag."""
+    flags = {row[0] for command in main.commands.values() for row in command.options}
+    out = []
+    for word in args:
+        if out and out[-1] in flags:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
+def _common(tol):
+    """The options that end every verify command, with its pass threshold."""
+    return (("--seed", _number(int, 0), 7, ""),
+            ("--tol", _number(float), tol, "Pass threshold."),
+            ("--output", _output, None, "Write the JSON report here instead of stdout."))
+
+
+@_command("verify-algebra",
+          ("--n", _number(int, 1), 2, ""),
+          ("--triples", _number(int, 1), 1000, "Number of seeded random Jacobi triples."),
+          *_common(1e-10))
 def verify_algebra(n, triples, seed, tol, output):
     """Closure and Jacobi checks for the conformal algebra, with its dimension."""
     from . import conformal, quat
     t0 = time.time()
-    tol = 1e-10 if tol is None else tol
     checks = {
         "jacobi_random_max": conformal.jacobi_random_max(n, quat.SeededRng(seed), triples),
         "jacobi_generators_max": conformal.jacobi_tensor_residual(n),
         "closure_max": conformal.closure_residual(n),
     }
     config = {"n": n, "seed": seed, "tol": tol, "triples": triples}
-    _finish(config, checks, output, t0, dim=conformal.co_dimension(n),
+    _finish("verify-algebra", config, checks, output, t0, dim=conformal.co_dimension(n),
             dim_expected=2 * n * (4 * n - 1))
 
 
-@main.command("verify-realization")
-@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
-@_with(_common)
+@_command("verify-realization", ("--n", _number(int, 1), 2, ""), *_common(1e-12))
 def verify_realization(n, seed, tol, output):
     """The six bracket relation families as exact quadratic identities."""
     from . import realization, quat
     t0 = time.time()
-    tol = 1e-12 if tol is None else tol
     residuals = realization.verify_so_star_relations(n)
     residuals["SS_quadruple_spot"] = realization.verify_ss_quadruples(n, quat.SeededRng(seed))
-    _finish({"n": n, "seed": seed, "tol": tol}, residuals, output, t0)
+    _finish("verify-realization", {"n": n, "seed": seed, "tol": tol}, residuals, output, t0)
 
 
-@main.command("verify-quadratic")
-@click.option("--n", type=click.IntRange(min=2), default=2, show_default=True)
-@click.option("--mu", type=_FiniteFloat(min=0), default=1.0, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
-@_with(_common)
+@_command("verify-quadratic",
+          ("--n", _number(int, 2), 2, ""),
+          ("--mu", _number(float, 0), 1.0, ""),
+          ("--samples", _number(int, 1), 1000, ""),
+          *_common(1e-9))
 def verify_quadratic(n, mu, samples, seed, tol, output):
     """Primary, secondary, and energy identities on sampled leaf points."""
     from . import realization, quat
     t0 = time.time()
-    tol = 1e-9 if tol is None else tol
     residuals = realization.leaf_residual_maxima(n, mu, quat.SeededRng(seed), samples)
     config = {"n": n, "mu": mu, "samples": samples, "seed": seed, "tol": tol}
-    _finish(config, residuals, output, t0)
+    _finish("verify-quadratic", config, residuals, output, t0)
 
 
-@main.command("verify-pullback")
-@click.option("--n", type=click.IntRange(min=2), default=2, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
-@_with(_common)
+@_command("verify-pullback",
+          ("--n", _number(int, 2), 2, ""),
+          ("--samples", _number(int, 1), 1000, ""),
+          *_common(1e-9))
 def verify_pullback(n, samples, seed, tol, output):
     """Cone-side pullback identities on seeded random points, a block at a time."""
     from . import realization, sternberg, quat
     import numpy as np
     t0 = time.time()
-    tol = 1e-9 if tol is None else tol
     rng, step, worst = quat.SeededRng(seed), realization.block_points(n), np.zeros(2)
     for lo in range(0, samples, step):
         block = sternberg.pullback_check(*realization.sample_point(n, rng, min(step, samples - lo)))
         worst = np.maximum(worst, np.max(block, axis=1))
     residuals = {"moment_pullback": float(worst[0]), "kinetic_pullback": float(worst[1])}
-    _finish({"n": n, "samples": samples, "seed": seed, "tol": tol}, residuals, output, t0)
+    _finish("verify-pullback", {"n": n, "samples": samples, "seed": seed, "tol": tol},
+            residuals, output, t0)
 
 
 def _bound_start(n, mu, rng):
@@ -190,19 +235,17 @@ def _infall_start(n):
     return y
 
 
-@main.command("simulate")
-@click.option("--n", type=click.IntRange(min=2), default=2, show_default=True)
-@click.option("--mu", type=_FiniteFloat(min=0), default=1.0, show_default=True)
-@click.option("--dt", type=_FiniteFloat(min=0, min_open=True), default=1e-4, show_default=True)
-@click.option("--t-end", type=_FiniteFloat(min=0), default=10.0, show_default=True)
-@click.option("--method", type=click.Choice(["rk4", "midpoint"]), default="rk4", show_default=True)
-@click.option("--initial", type=click.Choice(["bound", "infall"]), default="bound",
-              show_default=True, help="bound: seeded H<0 leaf point; infall: aimed at Z=0.")
-@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
-@click.option("--tol", type=_FiniteFloat(), default=1e-8, show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default="trajectory",
-              show_default=True, callback=_output_dir,
-              help="Base path; writes <base>.csv and <base>.json.")
+@_command("simulate",
+          ("--n", _number(int, 2), 2, ""),
+          ("--mu", _number(float, 0), 1.0, ""),
+          ("--dt", _number(float, 0, above=True), 1e-4, ""),
+          ("--t-end", _number(float, 0), 10.0, ""),
+          ("--method", ("rk4", "midpoint"), "rk4", ""),
+          ("--initial", ("bound", "infall"), "bound",
+           "bound: seeded H<0 leaf point; infall: aimed at Z=0."),
+          ("--seed", _number(int, 0), 7, ""),
+          ("--tol", _number(float), 1e-8, ""),
+          ("--output", _output, "trajectory", "Base path; writes <base>.csv and <base>.json."))
 def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     """Integrate the Kepler flow and report conserved-quantity drifts."""
     from . import realization, dynamics, quat  # realization too: the largest first
@@ -231,13 +274,13 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
                 fold.add(states)
     except dynamics.IntegrationAbort as err:
         _emit(dict(base, aborted="%s: %s" % (err.kind, err), passed=False), output + ".json")
-        click.echo("aborted: %s" % err, err=True)
+        print("aborted: %s" % err, file=sys.stderr)
         sys.exit(3)
     rep = fold.report()
     drift_keys = [k for k in rep if k.startswith("drift_")]
     passed = all(rep[k] < tol for k in drift_keys) and rep["max_energy_residual"] < tol
     _emit(dict(base, conserved=rep, passed=passed), output + ".json")
-    click.echo("runtime: %.2f s" % (time.time() - t0), err=True)
+    print("runtime: %.2f s" % (time.time() - t0), file=sys.stderr)
     sys.exit(0 if passed else 1)
 
 

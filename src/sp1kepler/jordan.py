@@ -10,8 +10,8 @@ Structure operators S_{uv} = [L_u, L_v] + L_{u o v} act on the algebra;
 in an orthonormal basis they are plain real matrices (L_operator and
 s_tensor from real_rep traces), and the conformal algebra checks its
 structure constants against L_operator.  The basis is itself an array, a
-read-only (d, n, n, 4) stack, and coords / from_coords map an element to
-its d coordinates and back.
+read-only (d, n, n, 4) stack, cached with its real_rep stack, and coords /
+from_coords map an element to its d coordinates and back.
 """
 
 from __future__ import annotations
@@ -83,6 +83,14 @@ def orthonormal_basis(n):
     return stack
 
 
+@lru_cache(maxsize=8)
+def _basis_reps(n):
+    """real_rep of the orthonormal basis, a cached read-only (d, 4n, 4n) stack."""
+    r = real_rep(orthonormal_basis(n))
+    r.setflags(write=False)
+    return r
+
+
 def coords(u):
     """Coordinates of u in the orthonormal basis (plain projections)."""
     n = u.shape[-2]
@@ -106,7 +114,7 @@ def L_operator(u):
     traces are Frobenius products with R_b.
     """
     n = u.shape[0]
-    r = real_rep(orthonormal_basis(n))
+    r = _basis_reps(n)
     ru = real_rep(u)
     rr = r @ ru
     rr += ru @ r
@@ -116,7 +124,7 @@ def L_operator(u):
 def pair_products(n):
     """The products R_a R_b of R_a = real_rep(e_a) over every basis pair,
     as a (d^2, (4n)^2) matrix with row a * d + b."""
-    r = real_rep(orthonormal_basis(n))  # (d, 4n, 4n)
+    r = _basis_reps(n)  # (d, 4n, 4n)
     return (r[:, None] @ r[None]).reshape(len(r) ** 2, -1)
 
 

@@ -15,18 +15,22 @@ structure operator S_uv from triple products;
 the observables X_u, Y_v, L_u and L_{u,v} one at a time, the
 central-difference bracket, the horizontal lift, the analytic gradient of
 the Kepler Hamiltonian, and the so*(4n) relation sweep over whole stacks,
-the reference for realization.verify_so_star_relations; and a fresh
-interpreter that reports the modules a piece of code loaded."""
+the reference for realization.verify_so_star_relations; a fresh
+interpreter that reports the modules a piece of code loaded, and an
+in-process run of the CLI."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 
 import sp1kepler
-from sp1kepler import conformal, jordan, poisson, realization, sternberg
+from sp1kepler import cli, conformal, jordan, poisson, realization, sternberg
 from sp1kepler.poisson import DOMAIN_EPS, poisson_j
 from sp1kepler.quat import (
     QTAB,
@@ -166,6 +170,20 @@ def modules_loaded_by(code, *args):
     proc = subprocess.run([sys.executable, "-c", guard + code, *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
     return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def run_cli(args):
+    """Run cli.main on args in this process; return its exit_code and its
+    stdout and stderr together as output.  main must end in SystemExit."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            cli.main(args)
+        except SystemExit as exc:
+            code = exc.code or 0
+        else:
+            raise AssertionError("cli.main returned instead of exiting")
+    return types.SimpleNamespace(exit_code=code, output=buf.getvalue())
 
 
 def block_bytes(k, n):

@@ -1,19 +1,16 @@
 import io
 import json
+import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from helpers import block_bytes, modules_loaded_by
+from helpers import run_cli as _run
 
 import sp1kepler
-from sp1kepler import dynamics, realization
-from sp1kepler.cli import main
-
-
-def _run(args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
+from sp1kepler import cli, dynamics, realization
 
 
 def _load(path):
@@ -83,7 +80,7 @@ def test_non_finite_float_is_usage_error(tmp_path, args):
     ["simulate", "--t-end", "0"],
 ])
 def test_output_in_missing_directory_is_usage_error(tmp_path, args):
-    res = CliRunner().invoke(main, args + ["--output", str(tmp_path / "nodir" / "r")])
+    res = _run(args + ["--output", str(tmp_path / "nodir" / "r")])
     assert res.exit_code == 2, res.output
     assert "does not exist" in res.output
     assert list(tmp_path.iterdir()) == []
@@ -135,12 +132,106 @@ def test_importing_the_cli_loads_no_layer():
     (["verify-quadratic", "--help"], 0),
     (["verify-algebra", "--n", "0"], 2),
     (["verify-pullback", "--output", "{tmp}/nodir/r.json"], 2),
+    ([], 2),
+    (["simulate", "--t", "1"], 2),
 ])
 def test_help_and_usage_errors_load_no_layer(tmp_path, args, code):
-    """Everything click decides before a command body runs needs click alone."""
+    """Everything the argument parser decides before a command body runs
+    needs the standard library alone."""
     proc, loaded = modules_loaded_by(_ENTRY, *(a.format(tmp=tmp_path) for a in args))
     assert proc.returncode == code, proc.stderr
     assert loaded & _NO_LAYER == set()
+
+
+@pytest.mark.parametrize("code, args, exit_code", [
+    ("import sp1kepler.cli\n", [], 0),
+    (_ENTRY, ["--help"], 0),
+    (_ENTRY, ["verify-algebra", "--n", "0"], 2),
+], ids=["import", "help", "usage-error"])
+def test_the_cli_alone_loads_only_the_standard_library(code, args, exit_code):
+    """Importing the CLI, its help and its usage errors load no module that
+    a bare interpreter does not, outside the standard library and sp1kepler."""
+    bare = modules_loaded_by("")[1]
+    proc, loaded = modules_loaded_by(code, *args)
+    assert proc.returncode == exit_code, proc.stderr
+    tops = {m.split(".")[0] for m in loaded - bare}
+    assert tops - set(sys.stdlib_module_names) == {"sp1kepler"}
+
+
+# every option of each command with its default; the verify commands also take --output
+_DEFAULTS = {
+    "verify-algebra": {"--n": 2, "--triples": 1000, "--seed": 7, "--tol": 1e-10},
+    "verify-realization": {"--n": 2, "--seed": 7, "--tol": 1e-12},
+    "verify-quadratic": {"--n": 2, "--mu": 1.0, "--samples": 1000, "--seed": 7, "--tol": 1e-9},
+    "verify-pullback": {"--n": 2, "--samples": 1000, "--seed": 7, "--tol": 1e-9},
+    "simulate": {"--n": 2, "--mu": 1.0, "--dt": 1e-4, "--t-end": 10.0, "--method": "rk4",
+                 "--initial": "bound", "--seed": 7, "--tol": 1e-8, "--output": "trajectory"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_command_help_lists_each_option_with_its_default(command):
+    res = _run([command, "--help"])
+    assert res.exit_code == 0
+    defaults = _DEFAULTS[command]
+    flags = set(re.findall(r"^ +(--[\w-]+)", res.output, re.M))
+    assert flags == set(defaults) | {"--output"}
+    text = " ".join(res.output.split())
+    for flag, default in defaults.items():
+        assert re.search(r"%s \S+ [^[]*\[default: %s[;\]]" % (flag, re.escape(str(default))),
+                         text), flag
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--t", "1"],
+    ["verify-algebra", "--tri", "5"],
+    ["verify-quadratic", "--sam", "5"],
+])
+def test_abbreviated_option_is_usage_error(tmp_path, args):
+    res = _run(args + ["--output", str(tmp_path / "r")])
+    assert res.exit_code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_that_is_a_directory_is_usage_error(tmp_path):
+    res = _run(["verify-realization", "--n", "1", "--output", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "is a directory" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_option_takes_a_value_that_starts_with_a_dash(tmp_path):
+    # --tol -1e-9 is a threshold, not a flag: every residual is above it
+    out = tmp_path / "r.json"
+    res = _run(["verify-realization", "--n", "1", "--tol", "-1e-9", "--output", str(out)])
+    assert res.exit_code == 1
+    assert _load(out)["config"]["tol"] == -1e-9
+
+
+@pytest.mark.parametrize("exit_with, code, says", [
+    (None, 0, ""),
+    (5, 5, ""),
+    (cli._RuntimeAbort("no start"), 3, "Error: no start"),
+])
+def test_main_runs_the_rebound_callback(monkeypatch, exit_with, code, says):
+    """main looks each command up in main.commands when it runs and calls
+    its callback, so a callback rebound there (as perfbench/tracer.py
+    rebinds it) runs; main always ends in SystemExit, with exit 0 if the
+    callback returns and 3 if it raises _RuntimeAbort."""
+    calls = []
+
+    def stub(**options):
+        calls.append(options)
+        if isinstance(exit_with, Exception):
+            raise exit_with
+        if exit_with is not None:
+            sys.exit(exit_with)
+
+    monkeypatch.setattr(cli.main.commands["verify-realization"], "callback", stub)
+    res = _run(["verify-realization", "--n", "3"])
+    assert res.exit_code == code
+    assert says in res.output
+    assert calls == [{"n": 3, "seed": 7, "tol": 1e-12, "output": None}]
 
 
 def test_verify_quadratic(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 from helpers import S_operator, norm, random_qvector, s_tensor_oracle, vec_inner
 
-from sp1kepler import jordan
+from sp1kepler import jordan, quat
 from sp1kepler.quat import RE_SIGNS, mat_apply
 from sp1kepler.jordan import (
     L_operator,
@@ -104,6 +104,20 @@ def test_s_tensor_matches_operator():
             a, b = rng.integers(0, len(basis), size=2)
             direct = S_operator(basis[a], basis[b])
             assert np.abs(t[a, b] - direct).max() < 1e-12
+
+
+def test_l_operator_reads_the_basis_reps_from_a_cache(monkeypatch):
+    """After its first call, L_operator takes real_rep of u alone: the basis
+    stack is cached, read-only and equal to real_rep of the basis."""
+    u = identity(3)
+    first = L_operator(u)
+    shapes = []
+    monkeypatch.setattr(jordan, "real_rep", lambda m: shapes.append(m.shape) or quat.real_rep(m))
+    assert np.array_equal(L_operator(u), first)
+    assert shapes == [(3, 3, 4)]
+    reps = jordan._basis_reps(3)
+    assert not reps.flags.writeable
+    assert np.array_equal(reps, quat.real_rep(orthonormal_basis(3)))
 
 
 def test_s_tensor_matches_quaternion_oracle():
