@@ -8,7 +8,11 @@ and momenta from W, which makes {<U, Z>, <V, W>} = <U, V> hold exactly.
 A quadratic observable f(z) = z^T A z / 2 is its symmetric (8n, 8n)
 matrix A.  Quadratic observables are closed under the bracket
 (bracket_exact), so every algebra relation downstream is checked as an
-exact matrix identity.
+exact matrix identity.  Where one side is a family of sparse matrices,
+such as the generators of so*(4n), they are given by their nonzero
+entries (f, row, col, value), and family_bracket returns the terms of
+every bracket, joined on the shared index, for family_residual to sum
+by key.
 """
 
 from __future__ import annotations
@@ -31,92 +35,37 @@ def poisson_j(n):
     return j
 
 
-def block_bracket(a, b):
-    """A J B - B J A, the bracket of bracket_exact before its symmetric part
-    is taken, on matrices given by their (4n, 4n) blocks: dicts
-    {(r, s): block or stack of blocks}, 0 for Z and 1 for W, a missing key
-    for a zero block.  J is the signed block permutation (J B)_0s = B_1s,
-    (J B)_1s = -B_0s, so
-
-        [A, B]_rs = A_r0 B_1s - A_r1 B_0s - B_r0 A_1s + B_r1 A_0s,
-
-    and a product with a zero block is skipped."""
-    out = {}
-    for r in (0, 1):
-        for s in (0, 1):
-            for sign, p, q in ((1, a.get((r, 0)), b.get((1, s))), (-1, a.get((r, 1)), b.get((0, s))),
-                               (-1, b.get((r, 0)), a.get((1, s))), (1, b.get((r, 1)), a.get((0, s)))):
-                if p is None or q is None:
-                    continue
-                t = p @ q
-                if (r, s) not in out:
-                    out[r, s] = np.negative(t, out=t) if sign < 0 else t
-                elif sign < 0:
-                    out[r, s] -= t
-                else:
-                    out[r, s] += t
-    return out
+def family_entries(mats):
+    """The entry family (f, row, col, value) of the matrices f = 0, 1, ...
+    of an iterable, their nonzero entries, collected one matrix at a time."""
+    return tuple(np.concatenate(x) for x in zip(*(
+        (np.full(np.count_nonzero(x), f), *np.nonzero(x), x[x != 0]) for f, x in enumerate(mats))))
 
 
-def block_relation_max(rows, cols, predicted, width, budget):
-    """Max over all pairs i, j of |{rows_i, cols_j} - P| / max(1, |{.,.}|, |P|),
-    Frobenius norms over all four blocks, with P the predicted bracket.
+def family_product(d, fam):
+    """The terms of d B_f + B_f d^T for every matrix B_f of an entry family
+    fam = (f, row, col, value), the nonzero entries of the B_f, each B_f
+    symmetric, with d dense: each entry B_f[k, c] joined, through
+    np.searchsorted on the nonzeros of d in column order, with every
+    nonzero d[r, k], as the term (f, r, c, d[r, k] B_f[k, c]) of d B_f,
+    then the same terms transposed, those of B_f d^T = (d B_f)^T.
+    Unsummed, and in the form of fam."""
+    f, row, col, val = fam
+    k, r = np.nonzero(d.T)
+    start = np.searchsorted(k, row)
+    cnt = np.searchsorted(k, row, "right") - start
+    e = np.repeat(np.arange(len(row)), cnt)
+    i = np.arange(len(e)) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)
+    f, r, c, v = f[e], r[i], col[e], d[r, k][i] * val[e]
+    return np.concatenate([f, f]), np.concatenate([r, c]), np.concatenate([c, r]), np.concatenate([v, v])
 
-    rows, cols: triples (count, data, blocks), where data(c) is a (len(c),
-    width, width) stack of data of the elements in the slice c and
-    blocks(x) their quadratic parts as blocks (see block_bracket), stacks of
-    the same shape, from their data x; predicted(a, b) gives the blocks of
-    P from the data a of one row and the data b of a chunk of columns.
-    Nothing is held for the whole sweep: it runs one row by a chunk of k
-    columns at a time, each chunk of columns built once and its rows one
-    by one.  In (width, width) float64
-    arrays, a tile holds the data and the blocks of each column (2), of the
-    row the same and a transposed copy of the data that predicted may take
-    (3), and per pair the prediction beside the bracket: two blocks and one
-    product while the bracket is formed (4; the prediction is formed first,
-    in at most 3), then each difference formed in its bracket block (3),
-    with one numpy iterator buffer while the blocks differ in layout;
-    beside them a few float64 norms per pair, with their array headers.
-    That is all the so*(4n) relations need; k is the largest that keeps it
-    within budget bytes.  A batch of rows would only shorten sweeps that
-    already fit a few tiles, and take up to the whole budget to do it.
-    """
-    def sq(x):
-        return np.einsum("...ij,...ij->...", x, x)
 
-    def sq_diff(x, p, shape):
-        """sq(x - p), the difference formed in x if x is a whole bracket block."""
-        return sq(np.subtract(x, p, out=x if np.shape(x) == shape else None))
-
-    def tile_bytes(k):
-        block = 8 * width * width
-        return block * (2 * k + 3) + 3 * block * k + max(block * k, 8 * np.getbufsize()) + 128 * k
-
-    (n_rows, row_data, row_blocks), (n_cols, col_data, col_blocks) = rows, cols
-    k = max([1] + [j for j in range(1, n_cols + 1) if tile_bytes(j) <= budget])
-    # glibc's malloc hands free memory at the top of its heap back to the
-    # system once there is more than twice the largest chunk it has mapped
-    # and freed (128 KiB at first), and every tile frees its arrays: one
-    # mapped and freed chunk of half the budget keeps each tile from faulting
-    # its pages in anew (at n = 6, 137,000 minor faults and twice the time)
-    np.empty(budget // 16)
-    worst = 0.0
-    for lo in range(0, n_cols, k):
-        b_data = col_data(slice(lo, min(lo + k, n_cols)))
-        b = col_blocks(b_data)
-        for i in range(n_rows):
-            a_data = row_data(slice(i, i + 1))
-            a = row_blocks(a_data)
-            rhs = predicted(a_data[0], b_data)
-            lhs = block_bracket({key: x[0] for key, x in a.items()}, b)
-            del a_data, a
-            size = np.maximum(sum(sq(x) for x in lhs.values()), sum(sq(x) for x in rhs.values()))
-            num = sum(sq_diff(lhs.get(key, 0.0), rhs.get(key, 0.0), b_data.shape)
-                      for key in lhs.keys() | rhs.keys())
-            worst = max(worst, float(np.max(np.sqrt(num) / np.maximum(1.0, np.sqrt(size)))))
-            del lhs, rhs  # freed before the next row is built
-        del b_data, b
-    return worst
+def family_bracket(a, fam):
+    """The terms of a J B_f - B_f J a, the bracket of bracket_exact before
+    its symmetric part is taken, for one symmetric (8n, 8n) a and every B_f
+    of an entry family: those of (a J) B_f + B_f (a J)^T, as J^T = -J
+    (see family_product)."""
+    return family_product(a @ poisson_j(a.shape[0] // 8), fam)
 
 
 def bracket_exact(a, b):
@@ -131,3 +80,21 @@ def bracket_exact(a, b):
 def quad_residual(a, b):
     """Relative Frobenius distance between two quadratic observables."""
     return np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a), np.linalg.norm(b))
+
+
+def family_residual(lhs, rhs, width):
+    """quad_residual for each f: max over f of |L_f - P_f| / max(1, |L_f|,
+    |P_f|), with L_f and P_f the (width, width) sums by (f, row, col) of
+    the terms lhs and rhs, as family_product gives them; each side is
+    summed on its own, and the squares per f by np.bincount."""
+    f, r, c, v = (np.concatenate(x) for x in zip(lhs, rhs))
+    keys, inv = np.unique((f * width + r) * width + c, return_inverse=True)
+    cut = len(lhs[3])
+    left, right = np.bincount(inv[:cut], v[:cut], len(keys)), np.bincount(inv[cut:], v[cut:], len(keys))
+    col = keys // (width * width)
+
+    def sq(x):
+        return np.bincount(col, x * x)
+
+    size = np.maximum(sq(left), sq(right))
+    return float((np.sqrt(sq(left - right)) / np.maximum(1.0, np.sqrt(size))).max(initial=0.0))

@@ -12,7 +12,8 @@ quadratic forms z^T A z / 2 on the flat phase point z, each given by its
 symmetric (8n, 8n) matrix A, so every bracket relation is checked as an
 exact matrix identity: the bracket of A and B is the symmetric part of
 A J B - B J A (poisson.bracket_exact), which the relation sweep
-evaluates on the (4n, 4n) Z and W blocks.
+evaluates on the nonzero entries of B (poisson.family_bracket), as each
+generator's matrix has at most 8 nonzeros.
 
 S_uv depends on (u, v) only through the matrix product m = u.v, and
 m -> S_m := <W, mZ>/2 is linear in m over all of M_n(H).  The relation
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import jordan
+from . import jordan, poisson
 from .quat import (
     _BLOCK_BYTES,
     CONJ,
@@ -38,7 +39,6 @@ from .quat import (
     norms,
     real_rep,
 )
-from .poisson import block_relation_max, bracket_exact, quad_residual
 
 
 def _embed(r, row, col):
@@ -301,52 +301,57 @@ def verify_so_star_relations(n):
     Binary families run over all orthonormal-basis pairs.  Families with an
     S argument run over a basis of M_n(H) in the product slot, which covers
     all hermitian basis pairs/quadruples exactly by bilinearity of
-    (u, v) -> S_{u.v}.  Each bracket is computed on (4n, 4n) blocks, one
-    row against a chunk of columns at a time (see
-    poisson.block_relation_max): X_u fills the WW block, Y_v the ZZ block
-    and S_m the WZ block and its transpose ZW, each the block x_quad,
-    y_quad or s_quad builds on the identity times R = real_rep, as the
-    builders are linear.  R is taken on demand, of the basis elements in a
-    row or chunk only; that of E_ij q is a 4 x 4 unit block at (i, j).  The
-    predicted brackets do not go through the builders: they follow the
-    definitions, WW block R_u / 2 for X_u, ZZ block 2 R_v for Y_v and WZ
-    block R_m / 2 for S_m, through R(uv) = R(u) R(v) and R(u^dag) = R(u)^T.
-    Beside a row and a chunk, the sweep holds only the three builder
-    blocks, within _BLOCK_BYTES together.  Returns the max residual of each
-    family, keyed by family.
+    (u, v) -> S_{u.v}.  Every matrix here is sparse: R = real_rep of a
+    basis element has at most 8 nonzeros, and so has each builder matrix.
+    A family's columns are given by nonzero entries (f, row, col, value),
+    built one element at a time: those of their x_quad, y_quad or s_quad
+    matrices, and those of their R where the generator has it (X in WW, Y
+    in ZZ, S in WZ and, transposed, in ZW).  Each row is the full builder
+    matrix A of one element, and poisson.family_bracket gives the terms of
+    its bracket with every column.  The predicted brackets do not go
+    through the builders: they follow the definitions, WW block R_u / 2
+    for X_u, ZZ block 2 R_v for Y_v and WZ block R_m / 2 for S_m, through
+    R(uv) = R(u) R(v) and R(u^dag) = R(u)^T, each as L R' + R' L^T for R'
+    a column's R in place, which is symmetric, and L from the row's R
+    (poisson.family_product).  Both sides are summed by key and compared
+    column by column (poisson.family_residual).  Returns the max residual
+    of each family, keyed by family.
     """
     herm, m = jordan.orthonormal_basis(n), 4 * n
-    z, w = slice(0, m), slice(m, None)
-    bx, by, bs = (quad(np.eye(m))[blk].copy() for quad, blk in
-                  ((x_quad, (w, w)), (y_quad, (z, z)), (s_quad, (w, z))))
+    zero = np.zeros((2 * m, 2 * m))
 
-    def s_blocks(wz):
-        return {(1, 0): wz, (0, 1): np.swapaxes(wz, -1, -2)}
+    def reps(kind):
+        """R of each basis element of a kind, one at a time; E_ij q for S,
+        flat index (i n + j) 4 + q."""
+        if kind == "S":
+            return (real_rep(np.eye(1, m * n, q).reshape(n, n, 4)) for q in range(m * n))
+        return map(real_rep, herm)
 
-    def herm_rep(c):
-        return real_rep(herm[c])
-
-    def unit_rep(c):  # E_ij q, flat index (i n + j) 4 + q
-        return real_rep(np.eye(c.stop - c.start, m * n, c.start).reshape(-1, n, n, 4))
-
-    x = (len(herm), herm_rep, lambda r: {(1, 1): bx @ r})
-    y = (len(herm), herm_rep, lambda r: {(0, 0): by @ r})
-    s = (m * n, unit_rep, lambda r: s_blocks(bs @ r))
+    # each kind's builder, and its R where its generator has it
+    kinds = {"X": (x_quad, lambda r: _embed(r, 1, 1)), "Y": (y_quad, lambda r: _embed(r, 0, 0)),
+             "S": (s_quad, _coupling)}
+    cols = {kind: [poisson.family_entries(map(f, reps(kind))) for f in fs] for kind, fs in kinds.items()}
+    # the predicted bracket with a column, L R' + R' L^T for R' its R in
+    # place, as the matrix L from the row's R
     sweeps = (
-        ("XX_zero", x, x, lambda a, b: {}),
-        ("YY_zero", y, y, lambda a, b: {}),
+        ("XX_zero", "X", "X", lambda a: zero),
+        ("YY_zero", "Y", "Y", lambda a: zero),
         # {X_u, Y_v} = -2 S_uv
-        ("XY_is_minus_2S", x, y, lambda a, b: s_blocks(-(a @ b))),
-        # {S_m, X_z} = X_{(mz + z m^dag)/2}; R_m^T copied, as a contiguous
-        # times a transposed matrix is slow
-        ("SX_triple", s, x, lambda a, b: {(1, 1): (a @ b + b @ a.T.copy()) * 0.25}),
+        ("XY_is_minus_2S", "X", "Y", lambda a: _embed(-a, 1, 0)),
+        # {S_m, X_z} = X_{(mz + z m^dag)/2}
+        ("SX_triple", "S", "X", lambda a: _embed(0.25 * a, 1, 1)),
         # {S_m, Y_z} = -Y_{(m^dag z + z m)/2}
-        ("SY_triple", s, y, lambda a, b: {(0, 0): -(a.T @ b + b @ a)}),
+        ("SY_triple", "S", "Y", lambda a: _embed(-a.T, 0, 0)),
         # {S_m, S_m'} = S_{[m, m']/2}
-        ("SS_structure", s, s, lambda a, b: s_blocks((a @ b - b @ a) * 0.25)),
+        ("SS_structure", "S", "S", lambda a: _embed(0.25 * a, 1, 1) - _embed(0.25 * a.T, 0, 0)),
     )
-    budget = _BLOCK_BYTES - 3 * bx.nbytes
-    return {name: block_relation_max(*sweep, m, budget) for name, *sweep in sweeps}
+    out = {}
+    for name, row, col, predicted in sweeps:
+        fam, placed = cols[col]
+        out[name] = max(poisson.family_residual(poisson.family_bracket(kinds[row][0](r), fam),
+                                                poisson.family_product(predicted(r), placed), 2 * m)
+                        for r in reps(row))
+    return out
 
 
 def verify_ss_quadruples(n, rng):
@@ -357,9 +362,9 @@ def verify_ss_quadruples(n, rng):
     for _ in range(100):
         a, b, c, e = rng.integers(0, len(basis), size=4)
         u, v, z, w = basis[a], basis[b], basis[c], basis[e]
-        lhs = bracket_exact(s_pair_observable(u, v), s_pair_observable(z, w))
+        lhs = poisson.bracket_exact(s_pair_observable(u, v), s_pair_observable(z, w))
         rhs = s_pair_observable(jordan.triple_product(u, v, z), w) - s_pair_observable(
             z, jordan.triple_product(v, u, w)
         )
-        worst = max(worst, quad_residual(lhs, rhs))
+        worst = max(worst, poisson.quad_residual(lhs, rhs))
     return worst

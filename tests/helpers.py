@@ -14,8 +14,9 @@ quaternion-arithmetic oracle for jordan.s_tensor and the
 structure operator S_uv from triple products;
 the observables X_u, Y_v, L_u and L_{u,v} one at a time, the
 central-difference bracket, the horizontal lift, the analytic gradient of
-the Kepler Hamiltonian, and the so*(4n) relation sweep over whole stacks,
-the reference for realization.verify_so_star_relations; a fresh
+the Kepler Hamiltonian, and the so*(4n) relation sweep over whole stacks
+of dense (4n, 4n) Z and W blocks (block_bracket), the reference for the
+sparse realization.verify_so_star_relations; a fresh
 interpreter that reports the modules a piece of code loaded, and an
 in-process run of the CLI."""
 
@@ -30,7 +31,7 @@ import types
 import numpy as np
 
 import sp1kepler
-from sp1kepler import cli, conformal, jordan, poisson, realization, sternberg
+from sp1kepler import cli, conformal, jordan, realization, sternberg
 from sp1kepler.poisson import DOMAIN_EPS, poisson_j
 from sp1kepler.quat import (
     QTAB,
@@ -394,9 +395,38 @@ def hamiltonian_gradient(y):
     return dz, dw
 
 
+def block_bracket(a, b):
+    """A J B - B J A, the bracket of bracket_exact before its symmetric part
+    is taken, on matrices given by their (4n, 4n) blocks: dicts
+    {(r, s): block or stack of blocks}, 0 for Z and 1 for W, a missing key
+    for a zero block.  J is the signed block permutation (J B)_0s = B_1s,
+    (J B)_1s = -B_0s, so
+
+        [A, B]_rs = A_r0 B_1s - A_r1 B_0s - B_r0 A_1s + B_r1 A_0s,
+
+    and a product with a zero block is skipped."""
+    out = {}
+    for r in (0, 1):
+        for s in (0, 1):
+            for sign, p, q in ((1, a.get((r, 0)), b.get((1, s))), (-1, a.get((r, 1)), b.get((0, s))),
+                               (-1, b.get((r, 0)), a.get((1, s))), (1, b.get((r, 1)), a.get((0, s)))):
+                if p is None or q is None:
+                    continue
+                t = p @ q
+                if (r, s) not in out:
+                    out[r, s] = np.negative(t, out=t) if sign < 0 else t
+                elif sign < 0:
+                    out[r, s] -= t
+                else:
+                    out[r, s] += t
+    return out
+
+
 def _stack_relation_max(rows, cols, predicted, budget):
-    """poisson.block_relation_max on stacks held whole: rows, cols are dicts
-    of block stacks, predicted(i, c) the blocks of P for row i and the
+    """Max over all pairs i, j of |{rows_i, cols_j} - P| / max(1, |{.,.}|, |P|),
+    Frobenius norms over all four blocks, with P the predicted bracket, on
+    stacks held whole: rows, cols are dicts of block stacks (see
+    block_bracket), predicted(i, c) the blocks of P for row i and the
     columns c, a slice; a chunk of columns per row at a time."""
     def sq(x):
         return np.einsum("...ij,...ij->...", x, x)
@@ -407,8 +437,8 @@ def _stack_relation_max(rows, cols, predicted, budget):
     for i in range(len(first_rows)):
         for lo in range(0, len(first_cols), step):
             c = slice(lo, lo + step)
-            lhs = poisson.block_bracket({key: x[i] for key, x in rows.items()},
-                                        {key: x[c] for key, x in cols.items()})
+            lhs = block_bracket({key: x[i] for key, x in rows.items()},
+                                {key: x[c] for key, x in cols.items()})
             rhs = predicted(i, c)
             num = sum(sq(lhs.get(key, 0.0) - rhs.get(key, 0.0)) for key in lhs.keys() | rhs.keys())
             size = np.maximum(sum(sq(x) for x in lhs.values()), sum(sq(x) for x in rhs.values()))

@@ -15,6 +15,8 @@ from helpers import (
 from sp1kepler import dynamics, sternberg
 from sp1kepler.poisson import (
     bracket_exact,
+    family_bracket,
+    family_entries,
     poisson_j,
     quad_residual,
 )
@@ -137,3 +139,22 @@ def test_gauge_transform_preserves_bracket_values():
     lhs = bracket_numeric(transport(f), transport(g), p2, h=1e-5)
     rhs = quad_value(bracket_exact(f, g), p)
     assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_family_bracket_sums_to_bracket_exact(n):
+    # a random symmetric A against sparse symmetric B_f, one of them zero:
+    # the terms summed by (f, row, col) are the exact bracket of each pair
+    w = 8 * n
+    gen = np.random.default_rng(n)
+    a = random_quad_observable(gen, n)
+    bs = np.zeros((4, w, w))
+    for b in bs[:3]:
+        r, c = gen.integers(0, w, size=(2, 5))
+        b[r, c] = gen.standard_normal(5)
+        b += b.T
+    f, r, c, v = family_bracket(a, family_entries(bs))
+    got = np.bincount((f * w + r) * w + c, v, bs.size).reshape(bs.shape)
+    for b, g in zip(bs, got):
+        assert np.abs(g - bracket_exact(a, b)).max() <= 1e-13 * max(1.0, np.abs(g).max())
+    assert not got[3].any()

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import helpers
 import numpy as np
 import pytest
 from helpers import (
@@ -35,24 +36,48 @@ def test_exact_relation_families_small():
     assert max(res.values()) < 1e-12, res
 
 
-def test_relation_sweep_detects_a_wrong_bracket(monkeypatch):
-    # a bracket off by a fixed symmetric matrix, in all four (4n, 4n)
-    # blocks, must fail every family
-    n = 2
-    m = 4 * n
-    real = poisson.block_bracket
+def _shifted_family_bracket(n):
+    """poisson.family_bracket off by the fixed symmetric matrix I + ones,
+    the same for every column element, in all four (4n, 4n) blocks."""
+    real = poisson.family_bracket
     shift = np.eye(8 * n) + np.ones((8 * n, 8 * n))
+    rows, cols = np.indices(shift.shape).reshape(2, -1)
 
-    def wrong(a, b):
-        out = real(a, b)
-        return {(r, s): out.get((r, s), 0.0) + shift[r * m : (r + 1) * m, s * m : (s + 1) * m]
-                for r in (0, 1) for s in (0, 1)}
+    def wrong(a, fam):
+        f = np.unique(fam[0])
+        extra = (np.repeat(f, shift.size), np.tile(rows, len(f)), np.tile(cols, len(f)),
+                 np.tile(shift.ravel(), len(f)))
+        return tuple(np.concatenate(x) for x in zip(real(a, fam), extra))
 
-    monkeypatch.setattr(poisson, "block_bracket", wrong)
+    return wrong
+
+
+def test_relation_sweep_detects_a_wrong_bracket(monkeypatch):
+    # a bracket off by a fixed symmetric matrix must fail every family
+    n = 2
+    monkeypatch.setattr(poisson, "family_bracket", _shifted_family_bracket(n))
     res = realization.verify_so_star_relations(n)
     assert len(res) == 6
     for name, r in res.items():
         assert r > 1e-12, name
+
+
+def test_relation_sweep_reads_j_from_poisson_j(monkeypatch):
+    # J has one home: with -J in its place the bracket of X and Y, and of
+    # S with anything, flips sign against the predicted side, which does
+    # not use J; X with X and Y with Y stay zero
+    n = 2
+    rep = real_rep(jordan.orthonormal_basis(n)[0])
+    a, b = realization.x_quad(rep), realization.y_quad(rep)
+    before = bracket_exact(a, b)
+    j = poisson_j(n)
+    monkeypatch.setattr(poisson, "poisson_j", lambda n: -j)
+    assert np.abs(before).max() > 0.0
+    assert np.array_equal(bracket_exact(a, b), -before)
+    res = realization.verify_so_star_relations(n)
+    for name in ("XY_is_minus_2S", "SX_triple", "SY_triple", "SS_structure"):
+        assert res[name] > 1e-12, name
+    assert res["XX_zero"] == res["YY_zero"] == 0.0
 
 
 def test_relation_sweep_detects_a_wrong_y_factor(monkeypatch):
@@ -86,11 +111,11 @@ def test_relation_sweep_equals_the_stack_sweep(n):
 
 @pytest.mark.parametrize("n", range(1, 4))
 def test_relation_sweep_equals_the_stack_sweep_on_a_wrong_bracket(monkeypatch, n):
-    # the bracket off by a fixed symmetric matrix, as above: the tiled and
-    # the stacked sweeps see the same nonzero residuals, each pair's in the
-    # same arithmetic
+    # the bracket off by a fixed symmetric matrix, as above, in both the
+    # sparse sweep and the dense stacked one: they see the same nonzero
+    # residuals, up to the order of summation
     m = 4 * n
-    real = poisson.block_bracket
+    real = helpers.block_bracket
     shift = np.eye(8 * n) + np.ones((8 * n, 8 * n))
 
     def wrong(a, b):
@@ -98,9 +123,10 @@ def test_relation_sweep_equals_the_stack_sweep_on_a_wrong_bracket(monkeypatch, n
         return {(r, s): out.get((r, s), 0.0) + shift[r * m : (r + 1) * m, s * m : (s + 1) * m]
                 for r in (0, 1) for s in (0, 1)}
 
-    monkeypatch.setattr(poisson, "block_bracket", wrong)
+    monkeypatch.setattr(helpers, "block_bracket", wrong)
+    monkeypatch.setattr(poisson, "family_bracket", _shifted_family_bracket(n))
     got = realization.verify_so_star_relations(n)
-    assert got == relation_sweep_oracle(n)
+    assert got == pytest.approx(relation_sweep_oracle(n), rel=1e-12)
     assert min(got.values()) >= 1.0
 
 
