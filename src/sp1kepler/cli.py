@@ -206,6 +206,9 @@ def verify_pullback(n, samples, seed, tol, output):
     from . import realization, sternberg, quat
     import numpy as np
     t0 = time.time()
+    # blocks of the leaf check's size, on purpose: sized by their own working
+    # set (near 1 KB a point for the draw and pullback_check at n = 2), they
+    # would grow from 324 to about 500 points, and the peak RSS with them
     rng, step, worst = quat.SeededRng(seed), realization.block_points(n), np.zeros(2)
     for lo in range(0, samples, step):
         block = sternberg.pullback_check(*realization.sample_point(n, rng, min(step, samples - lo)))

@@ -7,7 +7,7 @@ the sternberg module when needed.  The integrators are
 classical RK4 and implicit midpoint.  flow_blocks steps the flow and
 yields it in blocks of realization.block_points(n) samples, sized so that
 a block's whole working set, family_values and the drift fold included,
-stays within realization._BLOCK_BYTES (1 MiB), the budget of the leaf
+stays within realization._BLOCK_BYTES (512 KiB), the budget of the leaf
 check; write_csv_block exports a block, and DriftFold folds it into the
 running drifts of every quantity the realization predicts to be constant
 (H, the moment map, the angular momenta, the LRL components) and the

@@ -24,6 +24,8 @@ arguments exactly, at a small fraction of the cost.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import jordan, poisson
@@ -151,18 +153,39 @@ def block_points(n):
     return max(1, _BLOCK_BYTES // _point_bytes(n))
 
 
+@lru_cache(maxsize=8)
+def _basis_gather(n):
+    """Each row of R = real_rep(e_a) has at most one nonzero, so flat(e_a Z)
+    is a signed gather of flat(Z): entry x is val[a, x] flat(Z)[idx[a, x]].
+    Returns the cached read-only (d, 4n) arrays idx and val (0 and 0.0 in
+    an all-zero row), built one basis element at a time."""
+    basis, rows = jordan.orthonormal_basis(n), np.arange(4 * n)
+    idx = np.empty((len(basis), 4 * n), dtype=np.intp)
+    val = np.empty(idx.shape)
+    for a, e in enumerate(basis):
+        r = real_rep(e)
+        idx[a] = np.argmax(r != 0, axis=1)
+        val[a] = r[rows, idx[a]]
+    idx.setflags(write=False)
+    val.setflags(write=False)
+    return idx, val
+
+
 def family_values(n, zs, ws):
     """Scalar values of the family on stacked points.
 
     zs, ws: arrays (N, n, 4).  Returns a dict of arrays keyed by family.
     """
-    rep = real_rep(jordan.orthonormal_basis(n))  # (d, 4n, 4n)
+    idx, val = _basis_gather(n)
     nn = zs.shape[0]
     zf = zs.reshape(nn, -1)
     wf = ws.reshape(nn, -1)
-    az = np.einsum("dxy,Ny->Ndx", rep, zf)  # flat(e_d Z)
-    bw = np.einsum("dxy,Ny->Ndx", rep, wf)
-    del rep  # freed before the (N, d, d) Gram below sets the peak
+    # flat(e_d Z) and flat(e_d W), C-ordered by np.take: the transposed
+    # layout of zf[:, idx] would change the order of the sums below
+    az = np.take(zf, idx, axis=1)
+    az *= val
+    bw = np.take(wf, idx, axis=1)
+    bw *= val
     y = np.einsum("Nx,Ndx->Nd", zf, az)
     x = 0.25 * np.einsum("Nx,Ndx->Nd", wf, bw)
     lv = 0.5 * np.einsum("Nx,Ndx->Nd", wf, az)
@@ -274,8 +297,12 @@ def leaf_residual_maxima(n, mu, rng, samples):
     """Max over `samples` seeded leaf points of each quadratic-identity residual.
 
     Points are drawn in order and checked block_points(n) at a time; each
-    residual is per point and a maximum folds exactly, so the result does
-    not depend on the block size and memory does not grow with `samples`.
+    residual is per point and a maximum folds exactly, so memory does not
+    grow with `samples` and the result is the same for any block size of
+    two or more points.  A one-point block agrees with them only to
+    rounding once d^2 exceeds numpy's buffer (8192 elements by default; n
+    >= 7): numpy then sums the d^2 terms of secondary (vi) and of the
+    energy relation of a lone point a buffer at a time.
     """
     step = block_points(n)
     worst = np.full(8, -np.inf)

@@ -12,7 +12,8 @@ S_uv of the conformal algebra with the action of S_m on V by quaternion
 arithmetic and read off C, the dense reference of the closure check, the
 quaternion-arithmetic oracle for jordan.s_tensor and the
 structure operator S_uv from triple products;
-the observables X_u, Y_v, L_u and L_{u,v} one at a time, the
+the observables X_u, Y_v, L_u and L_{u,v} one at a time, the dense
+reference of realization.family_values (family_values_oracle), the
 central-difference bracket, the horizontal lift, the analytic gradient of
 the Kepler Hamiltonian, and the so*(4n) relation sweep over whole stacks
 of dense (4n, 4n) Z and W blocks (block_bracket), the reference for the
@@ -34,6 +35,7 @@ import sp1kepler
 from sp1kepler import cli, conformal, jordan, realization, sternberg
 from sp1kepler.poisson import DOMAIN_EPS, poisson_j
 from sp1kepler.quat import (
+    CONJ,
     QTAB,
     RE_SIGNS,
     dagger_product,
@@ -322,6 +324,33 @@ def l_observable(u):
 def l_pair_observable(u, v):
     """L_{u,v} = (S_uv - S_vu)/2, i.e. S of half the commutator."""
     return realization.s_quad(real_rep((mat_mul(u, v) - mat_mul(v, u)) * 0.5))
+
+
+def family_values_oracle(n, zs, ws):
+    """realization.family_values through the dense contraction of the
+    (d, 4n, 4n) real_rep stack of the basis with the points, in place of
+    its signed gather; every later sum is the same."""
+    rep = real_rep(jordan.orthonormal_basis(n))
+    nn = zs.shape[0]
+    zf = zs.reshape(nn, -1)
+    wf = ws.reshape(nn, -1)
+    az = np.einsum("dxy,Ny->Ndx", rep, zf)  # flat(e_d Z)
+    bw = np.einsum("dxy,Ny->Ndx", rep, wf)
+    g = np.einsum("Nax,Nbx->Nab", bw, az)
+    lpair = g - np.transpose(g, (0, 2, 1))
+    lpair *= 0.25
+    wz = np.einsum("Nip,Niq,pqc->Nc", ws * CONJ, zs, QTAB)
+    return {
+        "X": 0.25 * np.einsum("Nx,Ndx->Nd", wf, bw),
+        "Y": np.einsum("Nx,Ndx->Nd", zf, az),
+        "L": 0.5 * np.einsum("Nx,Ndx->Nd", wf, az),
+        "Lpair": lpair,
+        "X_e": 0.25 * np.einsum("Nx,Nx->N", wf, wf),
+        "Y_e": np.einsum("Nx,Nx->N", zf, zf),
+        "L_e": 0.5 * np.einsum("Nx,Nx->N", wf, zf),
+        "mu": 0.5 * np.linalg.norm(wz[:, 1:], axis=1),
+        "rho": -wz[:, 1:],
+    }
 
 
 def _eval_any(f, z):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import (
     block_bytes,
+    family_values_oracle,
     l_observable,
     l_pair_observable,
     leaf_point,
@@ -396,6 +397,38 @@ def test_fiber_invariance_of_family():
         assert np.abs(np.asarray(v1[key]) - np.asarray(v2[key])).max() < 1e-12
 
 
+def _byte_mismatches(n, zs, ws):
+    """The keys of family_values whose arrays differ from those of the dense
+    oracle in dtype, shape or any byte."""
+    got, want = realization.family_values(n, zs, ws), family_values_oracle(n, zs, ws)
+    assert got.keys() == want.keys()
+    return [key for key, x in want.items()
+            if (got[key].dtype, got[key].shape, got[key].tobytes()) != (x.dtype, x.shape, x.tobytes())]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_family_values_equal_the_dense_contraction_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    for k in (1, 2, 5):
+        assert _byte_mismatches(n, *realization.sample_leaf(n, 1.0, gen, k)) == []
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_real_reps_have_at_most_one_nonzero_per_row(n):
+    """What makes flat(e_a Z) a signed gather of flat(Z)."""
+    for e in jordan.orthonormal_basis(n):
+        assert np.count_nonzero(real_rep(e), axis=1).max() <= 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_gather_in_non_c_order_fails_the_byte_check(n, monkeypatch):
+    """zf[:, idx] gathers the same values as np.take(zf, idx, axis=1) in a
+    transposed layout, which changes the order of family_values' sums."""
+    points = realization.sample_leaf(n, 1.0, np.random.default_rng(n), 5)
+    monkeypatch.setattr(np, "take", lambda a, idx, axis: a[:, idx])
+    assert _byte_mismatches(n, *points) != []
+
+
 def test_sample_leaf_validation():
     with pytest.raises(ValueError):
         realization.sample_leaf(2, -1.0, rng, 1)
@@ -426,6 +459,21 @@ def test_leaf_residual_maxima_exact_across_blocks(monkeypatch):
     assert used.random() == gen.random()  # the same draws, in the same order
 
 
+def test_leaf_residual_maxima_single_point_blocks_agree_to_rounding(monkeypatch):
+    """At n = 8, d^2 = 14,400 exceeds numpy's 8192-element buffer: blocks of
+    two or more points give the same maxima bit for bit, while a one-point
+    block sums the d^2 terms of secondary (vi) and of the energy relation a
+    buffer at a time, so they agree only to rounding."""
+    n, got = 8, {}
+    for k in (1, 2, 3):
+        monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(k, n))
+        got[k] = realization.leaf_residual_maxima(n, 1.0, np.random.default_rng(7), 12)
+    assert got[2] == got[3]
+    assert got[1].keys() == got[3].keys()
+    for key, x in got[3].items():
+        assert got[1][key] == pytest.approx(x, rel=0, abs=1e-13), key
+
+
 def _maxima_peak(n, samples):
     tracemalloc.start()
     try:
@@ -449,7 +497,7 @@ def test_block_bytes_round_trip(monkeypatch):
             assert realization.block_points(n) == k
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_leaf_block_stays_within_its_budget(n):
     """One full leaf block, from its sample points through family_values
     to the residuals, peaks within _BLOCK_BYTES."""
