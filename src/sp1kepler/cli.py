@@ -222,11 +222,13 @@ def _bound_start(n, mu, rng):
     """A seeded leaf point with H <= -0.1 (rejection sampling), as its flat state."""
     from . import dynamics, realization
     import numpy as np
-    for _ in range(10000):
+    draws = 10000
+    for _ in range(draws):
         y = np.concatenate(realization.sample_leaf(n, mu, rng, 1), axis=None)
         if dynamics.hamiltonian_upstairs(y) <= -0.1:
             return y
-    raise _RuntimeAbort("failed to sample a bound start")
+    raise _RuntimeAbort(f"failed to sample a bound start: no leaf point with H <= -0.1"
+                        f" in {draws:,} draws at n = {n}, mu = {mu:g}")
 
 
 def _infall_start(n):

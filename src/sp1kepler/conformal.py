@@ -101,14 +101,14 @@ def _products(n, a, b):
 
 @lru_cache(maxsize=8)
 def structure_constants(n):
-    """C as exact sparse COO arrays (i, j, k, v), sorted by (i, j, k), with
-    [e_i, e_j] = sum of v e_k over the entries and no zero entry.
+    """C as exact sparse COO arrays (i, j, k, v), [e_i, e_j] = sum of v e_k
+    over the entries, in the form every check relies on: sorted by (i, j, k)
+    with unique keys, no zero entry and C[j, i, k] = -C[i, j, k] exactly.
 
     Every rule is a product in M_n(H) from QTAB: the entries of e_a e_b for
     [X, Y]; the V-coordinates of m e_b and m^dag e_b, which are those of
     their hermitian parts, for [S, X] and [S, Y]; and the entries of m m'
-    for [S, S].  Each product is entered together with its antisymmetric
-    partner, so C + C^T = 0 exactly."""
+    for [S, S], each entered with its antisymmetric partner, summed per key."""
     d, r = jordan.dim_v(n), str_dimension(n)
     dim = 2 * d + r
     herm, mb = jordan.orthonormal_basis(n), np.eye(r).reshape(r, n, n, 4)
@@ -216,10 +216,10 @@ def _jacobi_block(c, views, dim, row, x0, x1):
         J(a, x, y) = [a, [x, y]] - [[a, x], y] - [x, [a, y]]
 
     is the cyclic Jacobi sum when C is antisymmetric.  Each term joins row
-    a with other entries of C on its summed index m; the terms are then
-    summed per (x, y, p) key."""
+    a with other entries of C on its summed index m, in C's (i, j) order or
+    (k, i) view, with C[x, m, p] = -C[m, x, p]; terms are summed per (x, y, p)."""
     i, j, k, v = c
-    by_ij, by_ki, by_ji = views
+    by_ij, by_ki = views
     s, t, w = row
     inner = (s >= x0) & (s < x1)
     keys, vals = [], []
@@ -229,9 +229,9 @@ def _jacobi_block(c, views, dim, row, x0, x1):
     left, e = _join(by_ij, t[inner], 0, dim, dim)  # [[a, x], y]: C[a, x, m] C[m, y, p]
     keys.append(((s[inner][left] - x0) * dim + j[e]) * dim + k[e])
     vals.append(-w[inner][left] * v[e])
-    left, e = _join(by_ji, t, x0, x1, dim)  # [x, [a, y]]: C[a, y, m] C[x, m, p]
-    keys.append(((i[e] - x0) * dim + s[left]) * dim + k[e])
-    vals.append(-w[left] * v[e])
+    left, e = _join(by_ij, t, x0, x1, dim)  # [x, [a, y]]: -C[a, y, m] C[m, x, p]
+    keys.append(((j[e] - x0) * dim + s[left]) * dim + k[e])
+    vals.append(w[left] * v[e])
     del left, e
     keys = np.concatenate(keys)
     vals = np.concatenate(vals)
@@ -242,27 +242,27 @@ def jacobi_tensor_residual(n):
     """Max Jacobi residual over ALL basis triples, via structure constants;
     by trilinearity it bounds the residual of every generator triple (each
     is a combination of basis elements with O(1) coefficients).  The sum is
-    taken in derivation form from joins of the COO entries, row a of C with
-    second indices in a range at a time, each block within _BLOCK_BYTES (a
-    summed term holds at most 80 bytes: its key and value, the join's
-    indices, and np.unique's copies) unless one index alone needs more.  As
-    the derivation form is the cyclic sum only for an antisymmetric C, C + C^T
-    is checked as well, and so is that C vanishes off the 3-grading (X, S and
-    Y of degree 1, 0 and -1)."""
+    taken in derivation form from joins of the COO entries, row a of C (a
+    slice of C) with second indices in a range at a time, each block within
+    _BLOCK_BYTES (a summed term holds at most 80 bytes: its key and value,
+    the join's indices, and np.unique's copies) unless one index alone needs
+    more.  The derivation form is the cyclic sum only for an antisymmetric C,
+    so each entry is checked against its transpose, looked up in C's keys,
+    and so is that C vanishes off the 3-grading (X, S, Y of degree 1, 0, -1)."""
     c = structure_constants(n)
     i, j, k, v = c
     d, r = jordan.dim_v(n), str_dimension(n)
     dim = 2 * d + r
     grade = np.repeat([1, 0, -1], [d, r, d])
     worst = float(np.abs(v[grade[k] != grade[i] + grade[j]]).max(initial=0.0))
-    _, sym = _sum_by(np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k]),
-                     np.concatenate([v, v]))
-    worst = max(worst, float(np.abs(sym).max(initial=0.0)))
-    views = [_view(f, g, dim) for f, g in ((i, j), (k, i), (j, i))]
+    key, tkey = (i * dim + j) * dim + k, (j * dim + i) * dim + k
+    at = np.minimum(np.searchsorted(key, tkey), len(key) - 1)
+    worst = max(worst, float(np.abs(v + v[at] * (key[at] == tkey)).max(initial=0.0)))
+    views = ((np.arange(len(v)), i * dim + j), _view(k, i, dim))
     rows = np.searchsorted(views[0][1], np.arange(dim + 1) * dim)
     most = max(1, _BLOCK_BYTES // 80)
     for a in range(dim):
-        e = views[0][0][rows[a] : rows[a + 1]]
+        e = slice(rows[a], rows[a + 1])
         s, t = j[e], k[e]
         # the terms each second index x adds to the sum of row a
         at_s, at_t = np.bincount(s, minlength=dim), np.bincount(t, minlength=dim)
@@ -287,8 +287,8 @@ def closure_residual(n):
     Both sides are sparse and summed by joins, one a at a time for every b:
     L_a L_b and L_b L_a join the nonzeros of L_a with those of each L_b
     (collected one L_operator at a time) on their shared index, and S_m
-    joins the M_n(H) coefficients of m, from _products, with C's rows at
-    (S_q, X).  S_{e_a} - L_{e_a} is summed as plane b = d of the same keys."""
+    joins the M_n(H) coefficients of m, from _products, with the slices of
+    C at (S_q, X).  S_{e_a} - L_{e_a} is summed as plane b = d of the keys."""
     basis = jordan.orthonormal_basis(n)
     d, r, dim = len(basis), str_dimension(n), co_dimension(n)
     lb, lr, lc, lv = (np.concatenate(x) for x in zip(*(  # the nonzeros (b, row, col, value)
@@ -296,7 +296,7 @@ def closure_residual(n):
         for b, m in enumerate(map(jordan.L_operator, basis)))))
     by_row, by_col = _view(lr, lb, d), _view(lc, lb, d)
     i, j, k, v = structure_constants(n)
-    by_ij = _view(i, j, dim)
+    by_ij = (np.arange(len(v)), i * dim + j)
     worst = 0.0
     for a, ea in enumerate(basis):
         row, col, w = lr[lb == a], lc[lb == a], lv[lb == a]

@@ -8,7 +8,8 @@ classical RK4 and implicit midpoint.  flow_blocks steps the flow and
 yields it in blocks of realization.block_points(n) samples, sized so that
 a block's whole working set, family_values and the drift fold included,
 stays within realization._BLOCK_BYTES (512 KiB), the budget of the leaf
-check; write_csv_block exports a block, and DriftFold folds it into the
+check, but at n = 1 and n >= 9 (see block_points); write_csv_block
+exports a block, and DriftFold folds it into the
 running drifts of every quantity the realization predicts to be constant
 (H, the moment map, the angular momenta, the LRL components) and the
 residual of the closed quadratic relation tying them.  The CLI drives
@@ -228,8 +229,8 @@ def _chunk_series(n, s):
 class DriftFold:
     """Running maxima behind conserved_report, fed one block of flat states
     at a time, so its memory is one block's working set, within
-    realization._BLOCK_BYTES for a block of block_points(n) samples,
-    whatever the run length.
+    realization._BLOCK_BYTES for a block of block_points(n) samples but at
+    n = 1 and n >= 9 (see block_points), whatever the run length.
 
     The drift of a series x is max |x - x[0]| / max(1, |x[0]|) over
     samples and components, x[0] taken from the first block added.

@@ -149,7 +149,9 @@ def _point_bytes(n):
 def block_points(n):
     """Points per block, so that the whole working set of a block, from
     family_values through the leaf residuals or the drift fold, stays
-    within _BLOCK_BYTES."""
+    within _BLOCK_BYTES, but at n = 1, where the per-point scalars that
+    _point_bytes leaves out triple it at most, and from n = 9, where a
+    DriftFold's first-sample rows (16 d^2 bytes) or one point pass it."""
     return max(1, _BLOCK_BYTES // _point_bytes(n))
 
 

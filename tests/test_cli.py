@@ -319,6 +319,17 @@ def test_simulate_bound_start_failure_exits_3(tmp_path):
     res = _run(["simulate", "--mu", "40", "--t-end", "0.01", "--output", str(base)])
     assert res.exit_code == 3
     assert "failed to sample a bound start" in res.output
+    assert "in 10,000 draws at n = 2, mu = 40" in res.output
+
+
+def test_simulate_bound_start_fails_from_n5(tmp_path):
+    # |Z|^2 and |W|^2 of the Gaussian draw grow as 4n, while H <= -0.1
+    # needs |W|^2 <= 8 - 0.8 |Z|^2: no bound start, no file
+    res = _run(["simulate", "--n", "5", "--t-end", "0.001", "--output", str(tmp_path / "n5")])
+    assert res.exit_code == 3
+    assert "failed to sample a bound start" in res.output
+    assert "n = 5, mu = 1" in res.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_midpoint_nonconvergence_exits_3(tmp_path):

@@ -49,7 +49,15 @@ def _select(n, c, gi, gj, gk):
 
 
 def _patched(monkeypatch, c):
-    monkeypatch.setattr(conformal, "structure_constants", lambda m: c)
+    """Hand the checks c in the form structure_constants documents:
+    duplicates summed, sorted by (i, j, k), zeros dropped."""
+    i, j, k, v = c
+    dim = 1 + max(i.max(), j.max(), k.max())
+    keys, inv = np.unique((i * dim + j) * dim + k, return_inverse=True)
+    v = np.bincount(inv, v)
+    keys, v = keys[v != 0.0], v[v != 0.0]
+    form = (keys // (dim * dim), keys // dim % dim, keys % dim, v)
+    monkeypatch.setattr(conformal, "structure_constants", lambda m: form)
 
 
 def test_dimensions():
@@ -76,6 +84,21 @@ def test_dimension_is_that_of_so_star(n):
 def test_structure_constants_are_exactly_antisymmetric(n):
     c = _dense(n)
     assert np.array_equal(c, -np.swapaxes(c, 0, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_structure_constants_are_in_their_documented_form(n):
+    # strictly increasing (i, j, k) keys, no zero value, and every entry's
+    # transpose present with exactly the negated value: the checks read C
+    # in this form without sorting or symmetrizing it again
+    i, j, k, v = conformal.structure_constants(n)
+    dim = conformal.co_dimension(n)
+    keys, tkeys = (i * dim + j) * dim + k, (j * dim + i) * dim + k
+    assert np.all(np.diff(keys) > 0) and np.all(v != 0.0)
+    at = np.searchsorted(keys, tkeys)
+    assert np.all(at < len(keys))
+    assert np.array_equal(keys[at], tkeys)
+    assert np.array_equal(v[at], -v)
 
 
 def test_structure_constants_are_sparse():
@@ -231,7 +254,7 @@ def test_closure_detects_a_wrong_jordan_product(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_closure_stays_within_its_budget(n):
     """closure_residual peaks within _BLOCK_BYTES beside 8 d^3 bytes, the
-    size of the (d, d, d) stack of the L_{e_a} that it no longer holds."""
+    size of a (d, d, d) stack of the L_{e_a}, which it does not build."""
     conformal.closure_residual(n)  # warm the cached basis and constants
     d = jordan.dim_v(n)
     tracemalloc.start()
@@ -325,15 +348,18 @@ def test_jacobi_detects_a_wrong_sign_in_the_s_s_block(monkeypatch):
 
 
 def test_jacobi_detects_an_asymmetric_bracket(monkeypatch):
-    # [X_0, Y_0] moved by 1e-3 along S_0 without its partner [Y_0, X_0]; the
-    # derivation form of the Jacobi sum relies on antisymmetry and alone
-    # need not see it
+    # [X_0, Y_0] moved by 1e-3 along S_1, which C does not have, without its
+    # partner [Y_0, X_0]; the derivation form of the Jacobi sum relies on
+    # antisymmetry and alone need not see it
     n = 2
     i, j, k, v = conformal.structure_constants(n)
     d, r = jordan.dim_v(n), conformal.str_dimension(n)
-    _patched(monkeypatch, (np.append(i, 0), np.append(j, d + r), np.append(k, d),
+    assert not np.any((i == 0) & (j == d + r) & (k == d + 1))
+    _patched(monkeypatch, (np.append(i, 0), np.append(j, d + r), np.append(k, d + 1),
                            np.append(v, 1e-3)))
-    assert conformal.jacobi_tensor_residual(n) >= 1e-3
+    # of the size of the defect: the lone entry is checked against its
+    # missing transpose, not against a neighbouring key of C
+    assert 1e-3 <= conformal.jacobi_tensor_residual(n) < 2e-3
 
 
 def test_jacobi_detects_an_off_grade_bracket(monkeypatch):

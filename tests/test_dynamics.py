@@ -263,10 +263,9 @@ def test_conserved_report_blocks_are_bounded_in_bytes():
     assert _report_peak(tr) <= 1.5 * _report_peak(one)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_drift_fold_block_stays_within_its_budget(n):
-    """One DriftFold.add of a full block, family_values included, peaks
-    within _BLOCK_BYTES."""
+def _first_add_peak(n):
+    """Peak of the first DriftFold.add of a full block, whose fold keeps the
+    first sample's rows x0 and den."""
     gen = np.random.default_rng(17)
     states = np.array([leaf_state(n, 1.0, gen) for _ in range(realization.block_points(n))])
     dynamics.DriftFold(n).add(states[:1])  # warm the cached basis outside the measurement
@@ -274,7 +273,22 @@ def test_drift_fold_block_stays_within_its_budget(n):
     tracemalloc.start()
     try:
         fold.add(states)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= realization._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_drift_fold_block_stays_within_its_budget(n):
+    """One DriftFold.add of a full block, family_values included, peaks
+    within _BLOCK_BYTES."""
+    assert _first_add_peak(n) <= realization._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n, over", [(1, 2 * realization._BLOCK_BYTES), (9, 16 * 153**2)])
+def test_drift_fold_block_exceptions_to_its_budget(n, over):
+    """The two exceptions block_points states for the fold: at n = 1 the
+    per-point scalars the model leaves out (about 0.6 MB), and at n = 9,
+    where a block is one point, the fold's x0 and den rows, 16 d^2 bytes
+    (d = 153) for the L pairs, beside it (about 0.76 MB)."""
+    assert realization._BLOCK_BYTES < _first_add_peak(n) <= realization._BLOCK_BYTES + over

@@ -503,3 +503,20 @@ def test_leaf_block_stays_within_its_budget(n):
     to the residuals, peaks within _BLOCK_BYTES."""
     realization.leaf_residual_maxima(n, 1.0, np.random.default_rng(3), 1)  # warm the cached basis
     assert _maxima_peak(n, realization.block_points(n)) <= realization._BLOCK_BYTES
+
+
+def test_leaf_block_at_n1_is_an_exception_to_its_budget():
+    """At n = 1 the per-point scalars that _point_bytes leaves out outweigh
+    what it counts: a full leaf block of 3,120 points, drawn by SeededRng as
+    the CLI draws it, passes _BLOCK_BYTES, within the 3 times of it that
+    block_points states (about 1.0 MB)."""
+    n = 1
+    assert realization.block_points(n) == 3120
+    realization.leaf_residual_maxima(n, 1.0, SeededRng(3), 1)  # warm the cached basis
+    tracemalloc.start()
+    try:
+        realization.leaf_residual_maxima(n, 1.0, SeededRng(7), 3120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert realization._BLOCK_BYTES < peak <= 3 * realization._BLOCK_BYTES

@@ -269,3 +269,18 @@ def test_pullback_block_stays_within_its_budget(n):
     finally:
         tracemalloc.stop()
     assert peak <= realization._BLOCK_BYTES
+
+
+def test_pullback_block_at_n1_is_an_exception_to_its_budget():
+    """At n = 1 a verify-pullback block of 3,120 points passes
+    _BLOCK_BYTES, within the 3 times of it that block_points states
+    (about 1.4 MB): the model does not count the per-point scalars."""
+    gen = SeededRng(3)
+    sternberg.pullback_check(*realization.sample_point(1, gen, 1))  # warm the cached basis
+    tracemalloc.start()
+    try:
+        sternberg.pullback_check(*realization.sample_point(1, gen, realization.block_points(1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert realization._BLOCK_BYTES < peak <= 3 * realization._BLOCK_BYTES
