@@ -79,17 +79,19 @@ def _number(kind, lo=None, above=False):
     return convert
 
 
-def _output(path):
-    """The type of --output: a path that is a directory, or whose directory
-    is missing, exits 2 before any work."""
-    if os.path.isdir(path):
-        raise argparse.ArgumentTypeError("file %r is a directory." % path)
-    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise argparse.ArgumentTypeError("directory %r does not exist" % os.path.dirname(path))
-    return path
+def _output(*suffixes):
+    """The type of --output, a path and the paths path + suffix: one that is a
+    directory, or a missing directory, exits 2 before any work."""
+    def convert(path):
+        for name in (path,) + tuple(path + s for s in suffixes):
+            if os.path.isdir(name):
+                raise argparse.ArgumentTypeError("file %r is a directory." % name)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise argparse.ArgumentTypeError("directory %r does not exist" % os.path.dirname(path))
+        return path
 
-
-_output.metavar = "FILE"
+    convert.metavar = "BASE" if suffixes else "FILE"
+    return convert
 
 
 def main(args=None, prog_name=None):
@@ -152,7 +154,7 @@ def _common(tol):
     """The options that end every verify command, with its pass threshold."""
     return (("--seed", _number(int, 0), 7, ""),
             ("--tol", _number(float), tol, "Pass threshold."),
-            ("--output", _output, None, "Write the JSON report here instead of stdout."))
+            ("--output", _output(), None, "Write the JSON report here instead of stdout."))
 
 
 @_command("verify-algebra",
@@ -250,7 +252,7 @@ def _infall_start(n):
            "bound: seeded H<0 leaf point; infall: aimed at Z=0."),
           ("--seed", _number(int, 0), 7, ""),
           ("--tol", _number(float), 1e-8, ""),
-          ("--output", _output, "trajectory", "Base path; writes <base>.csv and <base>.json."))
+          ("--output", _output(".csv", ".json"), "trajectory", "Writes <base>.csv and <base>.json."))
 def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     """Integrate the Kepler flow and report conserved-quantity drifts."""
     from . import realization, dynamics, quat  # realization too: the largest first
@@ -264,7 +266,10 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
             "initial_state": p0.tolist()}
     # refused before the CSV is opened: each of the 8n + 1 values of a row
     # takes at least one character and one separator
-    samples = dynamics.sample_count(dt, t_end)
+    try:
+        samples = dynamics.sample_count(dt, t_end)
+    except ValueError as err:
+        raise _RuntimeAbort(err) from None
     need = samples * 2 * (8 * n + 1)
     free = shutil.disk_usage(os.path.dirname(os.path.abspath(output))).free
     if need > free:

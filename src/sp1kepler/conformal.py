@@ -14,19 +14,20 @@ co = sl(2, R) + su(2) = so*(4).  The bracket is
 
 Its structure constants come from quaternion products alone (QTAB) and are
 stored sparse and exact, as COO arrays (i, j, k, v) with [e_i, e_j] the sum
-of v e_k over the entries; every check reads them through index joins and
-np.bincount, a block at a time.  With this C the Jacobi identity is
-associativity of M_n(H); the Jordan algebra enters through closure_residual.
+of v e_k over the entries; every check reads them a block at a time through
+np.bincount and quat's entries, range join and sum by key (entries, join,
+sum_by).  With this C the Jacobi identity is associativity of M_n(H); the
+Jordan algebra enters through closure_residual.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from . import jordan
-from .quat import _BLOCK_BYTES, QTAB, mat_dagger, real_rep
+from .quat import _BLOCK_BYTES, QTAB, entries, join, mat_dagger, real_rep, sum_by, view
+
+import numpy as np  # after the package's modules, so they compile before it loads
 
 
 @lru_cache(maxsize=8)
@@ -80,18 +81,12 @@ def s_matrix(u, v):
     return np.einsum("a,b,abij->ij", jordan.coords(u), jordan.coords(v), t)
 
 
-def _sum_by(keys, vals):
-    """The distinct keys in increasing order and the sum of the values of each."""
-    keys, inv = np.unique(keys, return_inverse=True)
-    return keys, np.bincount(inv, vals)
-
-
 def _products(n, a, b):
     """Every product a_s b_t of two stacks of (n, n, 4) matrices, from their
     nonzero entries through QTAB: arrays s, t, the flat M_n(H) index of each
     product entry and its value, repeated (s, t, index) to be summed."""
     (ao, ar, ac, au), (bo, br, bc, bu) = np.nonzero(a), np.nonzero(b)
-    x, y = np.nonzero(ac[:, None] == br[None, :])  # entry pairs meeting at the inner index
+    x, y = join(view(br), ac, ac + 1)  # entry pairs meeting at the inner index
     val = a[ao[x], ar[x], ac[x], au[x]] * b[bo[y], br[y], bc[y], bu[y]]
     prod = QTAB[au[x], bu[y]] * val[:, None]
     pair, unit = np.nonzero(prod)
@@ -124,8 +119,8 @@ def structure_constants(n):
     m, m2, k, v = _products(n, mb, mb)
     parts.append((d + m, d + m2, d + k, 0.5 * v))  # [S_m, S_m'] = S_{[m, m']/2}
     i, j, k, v = (np.concatenate(x) for x in zip(*parts))
-    keys, v = _sum_by(np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k]),
-                      np.concatenate([v, -v]))
+    keys, v = sum_by(np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k]),
+                     np.concatenate([v, -v]))
     keys, v = keys[v != 0.0], v[v != 0.0]
     out = (keys // (dim * dim), keys // dim % dim, keys % dim, v)
     for arr in out:
@@ -192,23 +187,6 @@ def jacobi_random_max(n, rng, triples):
     return worst
 
 
-def _view(f, g, dim):
-    """Entries sorted by the key f dim + g: their order and sorted keys."""
-    key = f * dim + g
-    order = np.argsort(key, kind="stable")
-    return order, key[order]
-
-
-def _join(view, f, lo, hi, dim):
-    """Pairs (l, e) of a position l in f and an entry e of C whose key in
-    the view lies in [f_l dim + lo, f_l dim + hi)."""
-    perm, key = view
-    start = np.searchsorted(key, f * dim + lo)
-    cnt = np.searchsorted(key, f * dim + hi) - start
-    left = np.repeat(np.arange(len(f)), cnt)
-    return left, perm[np.arange(len(left)) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)]
-
-
 def _jacobi_block(c, views, dim, row, x0, x1):
     """Max |J(a, x, y)| over x0 <= x < x1 and every y, where row = (s, t, w)
     are the entries (a, s, t) of row a of C and their values, and
@@ -223,19 +201,19 @@ def _jacobi_block(c, views, dim, row, x0, x1):
     s, t, w = row
     inner = (s >= x0) & (s < x1)
     keys, vals = [], []
-    left, e = _join(by_ki, s, x0, x1, dim)  # [a, [x, y]]: C[x, y, m] C[a, m, p]
+    left, e = join(by_ki, s * dim + x0, s * dim + x1)  # [a, [x, y]]: C[x, y, m] C[a, m, p]
     keys.append(((i[e] - x0) * dim + j[e]) * dim + t[left])
     vals.append(w[left] * v[e])
-    left, e = _join(by_ij, t[inner], 0, dim, dim)  # [[a, x], y]: C[a, x, m] C[m, y, p]
+    left, e = join(by_ij, t[inner] * dim, t[inner] * dim + dim)  # [[a, x], y]: C[a, x, m] C[m, y, p]
     keys.append(((s[inner][left] - x0) * dim + j[e]) * dim + k[e])
     vals.append(-w[inner][left] * v[e])
-    left, e = _join(by_ij, t, x0, x1, dim)  # [x, [a, y]]: -C[a, y, m] C[m, x, p]
+    left, e = join(by_ij, t * dim + x0, t * dim + x1)  # [x, [a, y]]: -C[a, y, m] C[m, x, p]
     keys.append(((j[e] - x0) * dim + s[left]) * dim + k[e])
     vals.append(w[left] * v[e])
     del left, e
     keys = np.concatenate(keys)
     vals = np.concatenate(vals)
-    return float(np.abs(_sum_by(keys, vals)[1]).max(initial=0.0))
+    return float(np.abs(sum_by(keys, vals)[1]).max(initial=0.0))
 
 
 def jacobi_tensor_residual(n):
@@ -258,7 +236,7 @@ def jacobi_tensor_residual(n):
     key, tkey = (i * dim + j) * dim + k, (j * dim + i) * dim + k
     at = np.minimum(np.searchsorted(key, tkey), len(key) - 1)
     worst = max(worst, float(np.abs(v + v[at] * (key[at] == tkey)).max(initial=0.0)))
-    views = ((np.arange(len(v)), i * dim + j), _view(k, i, dim))
+    views = ((None, i * dim + j), view(k * dim + i))
     rows = np.searchsorted(views[0][1], np.arange(dim + 1) * dim)
     most = max(1, _BLOCK_BYTES // 80)
     for a in range(dim):
@@ -291,12 +269,10 @@ def closure_residual(n):
     C at (S_q, X).  S_{e_a} - L_{e_a} is summed as plane b = d of the keys."""
     basis = jordan.orthonormal_basis(n)
     d, r, dim = len(basis), str_dimension(n), co_dimension(n)
-    lb, lr, lc, lv = (np.concatenate(x) for x in zip(*(  # the nonzeros (b, row, col, value)
-        (np.full(np.count_nonzero(m), b), *np.nonzero(m), m[m != 0])
-        for b, m in enumerate(map(jordan.L_operator, basis)))))
-    by_row, by_col = _view(lr, lb, d), _view(lc, lb, d)
+    lb, lr, lc, lv = entries(map(jordan.L_operator, basis))
+    by_row, by_col = view(lr * d + lb), view(lc * d + lb)
     i, j, k, v = structure_constants(n)
-    by_ij = (np.arange(len(v)), i * dim + j)
+    by_ij = (None, i * dim + j)
     worst = 0.0
     for a, ea in enumerate(basis):
         row, col, w = lr[lb == a], lc[lb == a], lv[lb == a]
@@ -304,17 +280,18 @@ def closure_residual(n):
         _, b1, q1, p1 = _products(n, ea[None], basis)
         b2, _, q2, p2 = _products(n, basis, ea[None])
         q0 = np.flatnonzero(ea)
-        sq, coef = _sum_by(np.concatenate([b1 * r + q1, b2 * r + q2, d * r + q0]),
-                           np.concatenate([-0.5 * p1, 0.5 * p2, ea.ravel()[q0]]))
-        left, e = _join(by_row, col, 0, d, d)  # L_a L_b: L_a[row, m] L_b[m, x]
+        sq, coef = sum_by(np.concatenate([b1 * r + q1, b2 * r + q2, d * r + q0]),
+                          np.concatenate([-0.5 * p1, 0.5 * p2, ea.ravel()[q0]]))
+        left, e = join(by_row, col * d, col * d + d)  # L_a L_b: L_a[row, m] L_b[m, x]
         terms = [((lb[e] * d + row[left]) * d + lc[e], w[left] * lv[e])]
-        left, e = _join(by_col, row, 0, d, d)  # -L_b L_a: L_b[x, m] L_a[m, col]
+        left, e = join(by_col, row * d, row * d + d)  # -L_b L_a: L_b[x, m] L_a[m, col]
         terms.append(((lb[e] * d + lr[e]) * d + col[left], -w[left] * lv[e]))
-        left, e = _join(by_ij, d + sq % r, 0, d, dim)  # S_m: m_q C[S_q, X_x, X_c]
+        lo = (d + sq % r) * dim
+        left, e = join(by_ij, lo, lo + d)  # S_m: m_q C[S_q, X_x, X_c]
         terms.append(((sq[left] // r * d + k[e]) * d + j[e], coef[left] * v[e]))
         terms.append(((d * d + row) * d + col, -w))
         keys, vals = (np.concatenate(x) for x in zip(*terms))
-        worst = max(worst, float(np.abs(_sum_by(keys, vals)[1]).max()))
+        worst = max(worst, float(np.abs(sum_by(keys, vals)[1]).max()))
     return worst
 
 

@@ -139,6 +139,8 @@ def sample_count(dt, t_end):
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
+    if not np.isfinite(t_end / dt):
+        raise ValueError("t_end / dt = %g / %g is not a finite number of steps" % (t_end, dt))
     return int(round(t_end / dt)) + 1
 
 

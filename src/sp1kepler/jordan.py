@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .quat import (
     RE_SIGNS,
     UNITS,
@@ -30,6 +28,8 @@ from .quat import (
     real_rep,
     unit_matrix,
 )
+
+import numpy as np  # after the package's modules, so they compile before it loads
 
 
 def identity(n):

@@ -10,9 +10,9 @@ matrix A.  Quadratic observables are closed under the bracket
 (bracket_exact), so every algebra relation downstream is checked as an
 exact matrix identity.  Where one side is a family of sparse matrices,
 such as the generators of so*(4n), they are given by their nonzero
-entries (f, row, col, value), and family_bracket returns the terms of
-every bracket, joined on the shared index, for family_residual to sum
-by key.
+entries (f, row, col, value) (quat.entries), and family_bracket returns
+the terms of every bracket, joined on the shared index by quat.join, for
+family_residual to sum by key.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .quat import join
 
 DOMAIN_EPS = 1e-9
 
@@ -35,27 +37,17 @@ def poisson_j(n):
     return j
 
 
-def family_entries(mats):
-    """The entry family (f, row, col, value) of the matrices f = 0, 1, ...
-    of an iterable, their nonzero entries, collected one matrix at a time."""
-    return tuple(np.concatenate(x) for x in zip(*(
-        (np.full(np.count_nonzero(x), f), *np.nonzero(x), x[x != 0]) for f, x in enumerate(mats))))
-
-
 def family_product(d, fam):
     """The terms of d B_f + B_f d^T for every matrix B_f of an entry family
     fam = (f, row, col, value), the nonzero entries of the B_f, each B_f
-    symmetric, with d dense: each entry B_f[k, c] joined, through
-    np.searchsorted on the nonzeros of d in column order, with every
-    nonzero d[r, k], as the term (f, r, c, d[r, k] B_f[k, c]) of d B_f,
-    then the same terms transposed, those of B_f d^T = (d B_f)^T.
-    Unsummed, and in the form of fam."""
+    symmetric, with d dense: each entry B_f[k, c] joined, by quat.join on
+    the nonzeros of d in column order, with every nonzero d[r, k], as the
+    term (f, r, c, d[r, k] B_f[k, c]) of d B_f, then the same terms
+    transposed, those of B_f d^T = (d B_f)^T.  Unsummed, and in the form
+    of fam (quat.entries)."""
     f, row, col, val = fam
     k, r = np.nonzero(d.T)
-    start = np.searchsorted(k, row)
-    cnt = np.searchsorted(k, row, "right") - start
-    e = np.repeat(np.arange(len(row)), cnt)
-    i = np.arange(len(e)) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)
+    e, i = join((None, k), row, row + 1)
     f, r, c, v = f[e], r[i], col[e], d[r, k][i] * val[e]
     return np.concatenate([f, f]), np.concatenate([r, c]), np.concatenate([c, r]), np.concatenate([v, v])
 

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic on float64 arrays.
+"""Quaternion arithmetic on float64 arrays, and sparse entry joins.
 
 Conventions pinned here and used everywhere else:
 
@@ -139,6 +139,35 @@ def real_rep(m):
     n = m.shape[-2]
     r = np.einsum("...ijp,pqc->...icjq", m, QTAB)
     return r.reshape(m.shape[:-3] + (4 * n, 4 * n))
+
+
+def entries(mats):
+    """The nonzero entries (f, row, col, value) of matrices f = 0, 1, ..., one at a time."""
+    return tuple(np.concatenate(x) for x in zip(*(
+        (np.full(np.count_nonzero(x), f), *np.nonzero(x), x[x != 0]) for f, x in enumerate(mats))))
+
+
+def sum_by(keys, vals):
+    """The distinct keys in increasing order and the sum of the values of each."""
+    keys, inv = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(inv, vals)
+
+
+def view(keys):
+    """The (stable order, sorted keys) of a key array, for join."""
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def join(by, lo, hi):
+    """Pairs (l, e), by l and then in the order of by = view(keys), with key e
+    in [lo_l, hi_l); by = (None, keys) for keys sorted already."""
+    order, key = by
+    start = np.searchsorted(key, lo)
+    cnt = np.searchsorted(key, hi) - start
+    left = np.repeat(np.arange(len(cnt)), cnt)
+    e = np.arange(len(left)) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)
+    return left, e if order is None else order[e]
 
 
 class SeededRng:

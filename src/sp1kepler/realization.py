@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from . import jordan, poisson
 from .quat import (
     _BLOCK_BYTES,
@@ -35,12 +33,15 @@ from .quat import (
     QTAB,
     UNITS,
     dagger_product,
+    entries,
     im,
     mat_mul,
     mul,
     norms,
     real_rep,
 )
+
+import numpy as np  # after the package's modules, so they compile before it loads
 
 
 def _embed(r, row, col):
@@ -160,14 +161,11 @@ def _basis_gather(n):
     """Each row of R = real_rep(e_a) has at most one nonzero, so flat(e_a Z)
     is a signed gather of flat(Z): entry x is val[a, x] flat(Z)[idx[a, x]].
     Returns the cached read-only (d, 4n) arrays idx and val (0 and 0.0 in
-    an all-zero row), built one basis element at a time."""
-    basis, rows = jordan.orthonormal_basis(n), np.arange(4 * n)
-    idx = np.empty((len(basis), 4 * n), dtype=np.intp)
-    val = np.empty(idx.shape)
-    for a, e in enumerate(basis):
-        r = real_rep(e)
-        idx[a] = np.argmax(r != 0, axis=1)
-        val[a] = r[rows, idx[a]]
+    an all-zero row), scattered from the entries of the R (quat.entries)."""
+    a, row, col, v = entries(map(real_rep, jordan.orthonormal_basis(n)))
+    idx = np.zeros((jordan.dim_v(n), 4 * n), dtype=np.intp)
+    val = np.zeros(idx.shape)
+    idx[a, row], val[a, row] = col, v
     idx.setflags(write=False)
     val.setflags(write=False)
     return idx, val
@@ -359,7 +357,7 @@ def verify_so_star_relations(n):
     # each kind's builder, and its R where its generator has it
     kinds = {"X": (x_quad, lambda r: _embed(r, 1, 1)), "Y": (y_quad, lambda r: _embed(r, 0, 0)),
              "S": (s_quad, _coupling)}
-    cols = {kind: [poisson.family_entries(map(f, reps(kind))) for f in fs] for kind, fs in kinds.items()}
+    cols = {kind: [entries(map(f, reps(kind))) for f in fs] for kind, fs in kinds.items()}
     # the predicted bracket with a column, L R' + R' L^T for R' its R in
     # place, as the matrix L from the row's R
     sweeps = (

@@ -9,7 +9,8 @@ stack of points, the right Sp(1) action on a phase point, the cone-side
 LRL component, the block byte budgets that give blocks of k points or of
 k Jacobi triples, the generators X_u, Y_v and
 S_uv of the conformal algebra with the action of S_m on V by quaternion
-arithmetic and read off C, the dense reference of the closure check, the
+arithmetic and read off C, the dense-join reference of conformal._products
+(products_dense), the dense reference of the closure check, the
 quaternion-arithmetic oracle for jordan.s_tensor and the
 structure operator S_uv from triple products;
 the observables X_u, Y_v, L_u and L_{u,v} one at a time, the dense
@@ -234,6 +235,19 @@ def s_action(n, s):
     # float64 also when nothing is selected: bincount then counts in int64
     out = np.bincount(keys.ravel(), w.ravel(), len(s) * d * d).astype(float, copy=False)
     return out.reshape(len(s), d, d)
+
+
+def products_dense(n, a, b):
+    """The reference for conformal._products: the same products, with every
+    pair of nonzero entries of a and b compared at the inner index in one
+    equality matrix."""
+    (ao, ar, ac, au), (bo, br, bc, bu) = np.nonzero(a), np.nonzero(b)
+    x, y = np.nonzero(ac[:, None] == br[None, :])
+    val = a[ao[x], ar[x], ac[x], au[x]] * b[bo[y], br[y], bc[y], bu[y]]
+    prod = QTAB[au[x], bu[y]] * val[:, None]
+    pair, unit = np.nonzero(prod)
+    x, y = x[pair], y[pair]
+    return ao[x], bo[y], (ar[x] * n + bc[y]) * 4 + unit, prod[pair, unit]
 
 
 def closure_residual_dense(n):

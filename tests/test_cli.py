@@ -198,6 +198,15 @@ def test_output_that_is_a_directory_is_usage_error(tmp_path):
     assert res.exit_code == 2
     assert "is a directory" in res.output
     assert list(tmp_path.iterdir()) == []
+    # simulate writes <base>.csv and <base>.json: either one a directory is
+    # refused at parsing, before the run
+    for name in ("run.csv", "run.json"):
+        (tmp_path / name).mkdir()
+        res = _run(["simulate", "--t-end", "0.01", "--output", str(tmp_path / "run")])
+        assert res.exit_code == 2
+        assert "%r is a directory" % str(tmp_path / name) in res.output
+        assert list(tmp_path.rglob("*")) == [tmp_path / name]
+        (tmp_path / name).rmdir()
 
 
 def test_an_option_takes_a_value_that_starts_with_a_dash(tmp_path):
@@ -357,6 +366,15 @@ def test_simulate_oversized_run_exits_3(tmp_path):
     assert "100000000001 samples" in res.output
     assert peak < 16 * 2**20
     assert not (tmp_path / "huge.csv").exists()
+
+
+def test_simulate_non_finite_step_count_exits_3(tmp_path):
+    # each value is finite, but t_end / dt overflows to inf: refused with a
+    # one-line error before any file is opened
+    res = _run(["simulate", "--dt", "1e-300", "--t-end", "1e10", "--output", str(tmp_path / "r")])
+    assert res.exit_code == 3
+    assert res.output == "Error: t_end / dt = 1e+10 / 1e-300 is not a finite number of steps\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("chunk, args, rows", [

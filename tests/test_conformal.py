@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     S_operator,
     closure_residual_dense,
+    products_dense,
     s_action,
     s_element,
     s_operator,
@@ -26,6 +27,20 @@ def _parts(n, c):
     return (jordan.from_coords(c[:d], n), c[d:-d].reshape(n, n, 4),
             jordan.from_coords(c[-d:], n))
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_products_equal_the_dense_join(n):
+    """_products through quat.join gives the arrays of the dense equality
+    join, bit for bit and in its order, on every stack it is called with."""
+    r = conformal.str_dimension(n)
+    herm, mb = jordan.orthonormal_basis(n), np.eye(r).reshape(r, n, n, 4)
+    stacks = [(herm, herm), (mb, herm), (mat_dagger(mb), herm), (mb, mb)]
+    stacks += [p for e in herm for p in ((e[None], herm), (herm, e[None]))]
+    for a, b in stacks:
+        got, want = conformal._products(n, a, b), products_dense(n, a, b)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 def _dense(n, c=None):
     """C as a dense (dim, dim, dim) array, duplicates summed."""

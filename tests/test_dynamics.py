@@ -89,6 +89,15 @@ def test_integrate_validation():
         dynamics.integrate(p, 1e-4, 1.0, method="leapfrog")
 
 
+def test_sample_count_refuses_a_non_finite_step_count():
+    # both values finite, their quotient not: no int of it, no flow
+    assert dynamics.sample_count(1e-3, 1.0) == 1001
+    with pytest.raises(ValueError, match="not a finite number of steps"):
+        dynamics.sample_count(1e-300, 1e10)
+    with pytest.raises(ValueError, match="not a finite number of steps"):
+        dynamics.flow_blocks(_hand_point(), 5e-324, 1.0)
+
+
 def test_integrate_refuses_a_trajectory_beyond_physical_memory():
     # 1e11 samples: refused before the arrays are allocated
     tracemalloc.start()

@@ -16,11 +16,10 @@ from sp1kepler import dynamics, sternberg
 from sp1kepler.poisson import (
     bracket_exact,
     family_bracket,
-    family_entries,
     poisson_j,
     quad_residual,
 )
-from sp1kepler.quat import conj
+from sp1kepler.quat import conj, entries
 
 rng = np.random.default_rng(4242)
 
@@ -153,7 +152,7 @@ def test_family_bracket_sums_to_bracket_exact(n):
         r, c = gen.integers(0, w, size=(2, 5))
         b[r, c] = gen.standard_normal(5)
         b += b.T
-    f, r, c, v = family_bracket(a, family_entries(bs))
+    f, r, c, v = family_bracket(a, entries(bs))
     got = np.bincount((f * w + r) * w + c, v, bs.size).reshape(bs.shape)
     for b, g in zip(bs, got):
         assert np.abs(g - bracket_exact(a, b)).max() <= 1e-13 * max(1.0, np.abs(g).max())

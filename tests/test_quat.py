@@ -12,6 +12,7 @@ from sp1kepler.quat import (
     conj,
     dagger_product,
     im,
+    join,
     mat_apply,
     mat_dagger,
     mat_mul,
@@ -21,6 +22,7 @@ from sp1kepler.quat import (
     real_rep,
     trace_re,
     unit_matrix,
+    view,
 )
 
 rng = np.random.default_rng(20240817)
@@ -203,3 +205,25 @@ def test_norms_equal_norm_bit_for_bit():
         x = rng.standard_normal(shape)
         lead = x.reshape((-1,) + shape[len(shape) - axes:])
         assert np.array_equal(np.ravel(norms(x, axes)), [norm(e) for e in lead])
+
+
+def _join_oracle(keys, lo, hi):
+    """Every pair (l, e) with keys[e] in [lo[l], hi[l]), by l, then by the
+    stable sorted order of the keys."""
+    order = sorted(range(len(keys)), key=lambda e: keys[e])
+    return [(l, e) for l in range(len(lo)) for e in order if lo[l] <= keys[e] < hi[l]]
+
+
+@pytest.mark.parametrize("size", [0, 1, 40])
+def test_join_matches_a_brute_force_oracle(size):
+    gen = np.random.default_rng(size)
+    keys = 2 * gen.integers(0, 10, size)  # even, with repeats
+    # lo in any order; hi == lo, ranges between two keys ([3, 4)), past
+    # every key and before every key match none
+    lo = np.concatenate([gen.integers(-2, 22, 30), [3, 4, 25, -5]])
+    hi = np.concatenate([lo[:30] + gen.integers(0, 4, 30), [4, 4, 30, -1]])
+    assert (hi == lo).any()
+    for by, ks in (((None, np.sort(keys)), np.sort(keys)), (view(keys), keys)):
+        left, e = join(by, lo, hi)
+        assert list(zip(left.tolist(), e.tolist())) == _join_oracle(ks.tolist(), lo, hi)
+
