@@ -4,15 +4,15 @@ Subcommands expose the verification suites (algebra, realization,
 quadratic identities, pullback) and the Kepler flow simulation.  Reports
 are JSON with a versioned schema and no volatile fields, so identical
 configurations produce byte-identical output; wall-clock timings go to
-stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage error,
-3 runtime abort.  This module loads the standard library alone, and
-argparse parses the options: each command imports its own layers, the
-largest first, then numpy, and calls them through the module.  So --help
-and usage errors load no layer, and where no bytecode is cached the
-largest layer compiles before numpy loads, which then reuses the
-compiler's memory (a 0.3-0.6 MB lower peak than numpy first).  main runs
-each command through main.commands[name].callback and always ends in
-SystemExit.
+stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage error, 3
+runtime abort, a MemoryError and a failed report write included.  This
+module loads the standard library alone, and argparse parses the
+options: each command imports its own layers, the largest first, then
+numpy, and calls them through the module.  So --help and usage errors
+load no layer, and where no bytecode is cached the largest layer
+compiles before numpy loads, which then reuses the compiler's memory (a
+0.3-0.6 MB lower peak than numpy first).  main runs each command through
+main.commands[name].callback and always ends in SystemExit.
 """
 
 from __future__ import annotations
@@ -33,19 +33,22 @@ class _RuntimeAbort(Exception):
     """A run that cannot proceed; main prints "Error: <message>" and exits 3."""
 
 
-def _atomic_write(path, text):
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _emit(report, output):
+    """Write the JSON report to stdout, or to output through a temporary file
+    beside it, which a failed write removes before it aborts the run."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if output:
-        _atomic_write(output, text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    tmp = "%s.tmp.%d" % (output, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, output)
+    except OSError as err:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise _RuntimeAbort("cannot write %s: %s" % (output, err)) from None
 
 
 def _finish(command, config, residuals, output, t0, **extra):
@@ -101,8 +104,8 @@ def main(args=None, prog_name=None):
     # called through main.commands, so a callback rebound there runs
     try:
         main.commands[options.pop("command")].callback(**options)
-    except _RuntimeAbort as err:
-        print("Error: %s" % err, file=sys.stderr)
+    except (_RuntimeAbort, MemoryError) as err:
+        print("Error: %s" % (str(err) or "out of memory"), file=sys.stderr)
         sys.exit(3)
     sys.exit(0)
 

@@ -20,13 +20,13 @@ same primitives over a whole trajectory held in memory.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import realization
 from .poisson import DOMAIN_EPS
+from .quat import check_memory
 
 _COLLISION_RADIUS = 10.0 * DOMAIN_EPS
 
@@ -189,13 +189,7 @@ def integrate(y0, dt, t_end, method="rk4"):
     blocks = flow_blocks(y0, dt, t_end, method)
     total = sample_count(dt, t_end)
     n = len(y0) // 8
-    need = total * (8 * n + 1) * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise MemoryError(
-            "a trajectory of %d samples needs %.1f GiB; physical memory is %.1f GiB"
-            % (total, need / 2**30, have / 2**30)
-        )
+    check_memory(total * (8 * n + 1) * 8, "a trajectory of %d samples" % total)
     times = np.empty(total)
     states = np.empty((total, 8 * n))
     done = 0

@@ -18,16 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .quat import (
-    RE_SIGNS,
-    UNITS,
-    conj,
-    mat_dagger,
-    mat_mul,
-    outer,
-    real_rep,
-    unit_matrix,
-)
+from .quat import CONJ, RE_SIGNS, check_memory, mat_dagger, mat_mul, outer, real_rep
 
 import numpy as np  # after the package's modules, so they compile before it loads
 
@@ -62,7 +53,8 @@ def inner(u, v):
 @lru_cache(maxsize=8)
 def orthonormal_basis(n):
     """The standard orthonormal basis of H_n(H), as a read-only (d, n, n, 4)
-    stack of its d = n(2n-1) elements.
+    stack of its d = n(2n-1) elements, written into one zeroed stack
+    (MemoryError, before it is allocated, past physical memory).
 
     Diagonal generators sqrt(n) E_aa come first, then for each a < b the
     four off-diagonal generators sqrt(n/2) (E_ab q + E_ba conj(q)) with
@@ -70,15 +62,17 @@ def orthonormal_basis(n):
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    elements = []
+    d = dim_v(n)
+    check_memory(32 * d * n * n, "the basis of H_%d(H)" % n)
+    stack = np.zeros((d, n, n, 4))
     for a in range(n):
-        elements.append(unit_matrix(n, a, a) * np.sqrt(n))
+        stack[a, a, a, 0] = np.sqrt(n)
+    k, r = n, np.sqrt(n / 2.0)
     for a in range(n):
         for b in range(a + 1, n):
-            for q in UNITS:
-                m = unit_matrix(n, a, b, q) + unit_matrix(n, b, a, conj(q))
-                elements.append(m * np.sqrt(n / 2.0))
-    stack = np.array(elements)
+            for q in range(4):
+                stack[k, a, b, q], stack[k, b, a, q] = r, r * CONJ[q]
+                k += 1
     stack.setflags(write=False)
     return stack
 

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic on float64 arrays, and sparse entry joins.
+"""Quaternion arithmetic on float64 arrays, sparse entry joins and memory bounds.
 
 Conventions pinned here and used everywhere else:
 
@@ -19,6 +19,7 @@ Mersenne Twister, so that no command loads numpy.random.
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import numpy as np
@@ -55,6 +56,19 @@ UNITS = np.eye(4)
 UNITS.setflags(write=False)
 
 
+def physical_bytes():
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(need, what):
+    """Raise MemoryError, before allocating, if `what` needs more than physical memory."""
+    have = physical_bytes()
+    if need > have:
+        raise MemoryError("%s needs %.1f GiB; physical memory is %.1f GiB"
+                          % (what, need / 2**30, have / 2**30))
+
+
 def mul(a, b):
     """Componentwise quaternion product of two (..., 4) arrays.
 
@@ -62,11 +76,6 @@ def mul(a, b):
     action Z -> Z q.
     """
     return np.einsum("...p,...q,pqc->...c", a, b, QTAB)
-
-
-def conj(q):
-    """Quaternion conjugate, componentwise on a (..., 4) array."""
-    return q * CONJ
 
 
 def im(q):
@@ -94,13 +103,6 @@ def dagger_product(w, z):
     """The quaternion W^dag Z = sum_i conj(W_i) Z_i."""
     _check_n(w, z)
     return mul(w * CONJ, z).sum(axis=-2)
-
-
-def unit_matrix(n, i, j, q=UNITS[0]):
-    """E_ij * q: the n x n matrix with quaternion q in slot (i, j)."""
-    out = np.zeros((n, n, 4))
-    out[i, j] = q
-    return out
 
 
 def mat_apply(u, z):

@@ -32,6 +32,7 @@ from .quat import (
     CONJ,
     QTAB,
     UNITS,
+    check_memory,
     dagger_product,
     entries,
     im,
@@ -152,7 +153,9 @@ def block_points(n):
     family_values through the leaf residuals or the drift fold, stays
     within _BLOCK_BYTES, but at n = 1, where the per-point scalars that
     _point_bytes leaves out triple it at most, and from n = 9, where a
-    DriftFold's first-sample rows (16 d^2 bytes) or one point pass it."""
+    DriftFold's first-sample rows (16 d^2 bytes) or one point pass it.
+    MemoryError if one point passes physical memory."""
+    check_memory(_point_bytes(n), "one point's working set at n = %d" % n)
     return max(1, _BLOCK_BYTES // _point_bytes(n))
 
 
@@ -171,21 +174,25 @@ def _basis_gather(n):
     return idx, val
 
 
+def basis_images(n, f):
+    """flat(e_a Z) over the basis, a (..., d, 4n) stack, for flat points f
+    (..., 4n): the signed gather, C-ordered by np.take (the transposed
+    layout of f[..., idx] would change the order of the sums that read it)."""
+    idx, val = _basis_gather(n)
+    out = np.take(f, idx, axis=-1)
+    out *= val
+    return out
+
+
 def family_values(n, zs, ws):
     """Scalar values of the family on stacked points.
 
     zs, ws: arrays (N, n, 4).  Returns a dict of arrays keyed by family.
     """
-    idx, val = _basis_gather(n)
     nn = zs.shape[0]
     zf = zs.reshape(nn, -1)
     wf = ws.reshape(nn, -1)
-    # flat(e_d Z) and flat(e_d W), C-ordered by np.take: the transposed
-    # layout of zf[:, idx] would change the order of the sums below
-    az = np.take(zf, idx, axis=1)
-    az *= val
-    bw = np.take(wf, idx, axis=1)
-    bw *= val
+    az, bw = basis_images(n, zf), basis_images(n, wf)  # flat(e_d Z), flat(e_d W)
     y = np.einsum("Nx,Ndx->Nd", zf, az)
     x = 0.25 * np.einsum("Nx,Ndx->Nd", wf, bw)
     lv = 0.5 * np.einsum("Nx,Ndx->Nd", wf, az)

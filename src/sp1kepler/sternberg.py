@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jordan, realization
 from .poisson import DOMAIN_EPS
-from .quat import QTAB, dagger_product, im, mat_apply, mul, norms, outer
+from .quat import dagger_product, im, mat_apply, mul, norms, outer
 
 _TANGENT_TOL = 1e-10
 
@@ -107,14 +107,13 @@ def pullback_check(z, w):
     """Residuals of the two pullback identities at each point (Z, W) of the
     stacks z, w, as arrays over the stack.
 
-    residual 1: max_u |<x|u> - <Z, uZ>| over the orthonormal basis;
+    residual 1: max_u |<x|u> - <Z, uZ>| over the orthonormal basis, uZ
+    through the leaf check's signed gather (realization.basis_images);
     residual 2: |cone-side X_e - |W|^2/4| with mu = |Im(W^dag Z)|/2.
     """
-    x = cone_point(z)
-    # <Z, uZ> with uZ = mat_apply(u, Z) over the basis, QTAB taken on the points first
-    uz = np.einsum("aijp,...jpc->...aic", jordan.orthonormal_basis(z.shape[-2]),
-                   np.einsum("...jq,pqc->...jpc", z, QTAB))
-    r1 = realization._rel(jordan.coords(x), np.einsum("...ic,...aic->...a", z, uz)).max(axis=-1)
+    x, zf = cone_point(z), z.reshape(z.shape[:-2] + (-1,))
+    uz = realization.basis_images(z.shape[-2], zf)  # the leaf check's flat(e_a Z)
+    r1 = realization._rel(jordan.coords(x), np.einsum("...x,...ax->...a", zf, uz)).max(axis=-1)
     del uz  # freed before the stacks of pi are built
     pi, mu = pi_from_W(z, w), 0.5 * norms(im(dagger_product(w, z)), 1)
     r2 = realization._rel(sternberg_x_e(x, pi, norms(z, 2) ** 2, mu), 0.25 * norms(w, 2) ** 2)

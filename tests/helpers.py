@@ -1,7 +1,10 @@
 """Helpers used only by the tests: the norm and real inner product of one
-quaternion array, seeded random quaternion vectors and matrices, unit
-quaternions, quadratic observables (symmetric (8n, 8n) matrices) and flat
-phase points, the per-point samplers that are the reference for
+quaternion array, the quaternion conjugate and the unit matrices E_ij q,
+the list-and-loop reference for jordan.orthonormal_basis, the QTAB route
+for <Z, e_a Z> and the pullback check on it (the reference for the signed
+gather of sternberg.pullback_check), seeded random quaternion vectors and
+matrices, unit quaternions, quadratic observables (symmetric (8n, 8n)
+matrices) and flat phase points, the per-point samplers that are the reference for
 realization.sample_point and sample_leaf on stacks, seeded leaf points as
 (n, 4) pairs and flat states and their time reversal; single-point
 formulas for the moment maps and the magnetic charge, evaluation of a quadratic observable at a point or a
@@ -39,12 +42,14 @@ from sp1kepler.quat import (
     CONJ,
     QTAB,
     RE_SIGNS,
+    UNITS,
     dagger_product,
     im,
     mat_apply,
     mat_dagger,
     mat_mul,
     mul,
+    norms,
     real_rep,
     trace_re,
 )
@@ -58,6 +63,50 @@ def norm(q):
 def vec_inner(u, v):
     """Standard real inner product on H^n: <U, V> = Re(U^dag V)."""
     return float(np.dot(u.reshape(-1), v.reshape(-1)))
+
+
+def conj(q):
+    """Quaternion conjugate, componentwise on a (..., 4) array."""
+    return q * CONJ
+
+
+def unit_matrix(n, i, j, q=UNITS[0]):
+    """E_ij * q: the n x n matrix with quaternion q in slot (i, j)."""
+    out = np.zeros((n, n, 4))
+    out[i, j] = q
+    return out
+
+
+def orthonormal_basis_oracle(n):
+    """The reference for jordan.orthonormal_basis: the list of its d
+    elements, each a sum of unit matrices scaled by sqrt(n) or sqrt(n/2),
+    copied into one stack."""
+    elements = [unit_matrix(n, a, a) * np.sqrt(n) for a in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for q in UNITS:
+                m = unit_matrix(n, a, b, q) + unit_matrix(n, b, a, conj(q))
+                elements.append(m * np.sqrt(n / 2.0))
+    return np.array(elements)
+
+
+def basis_pairings_oracle(z):
+    """<Z, e_a Z> over the orthonormal basis by quaternion arithmetic: e_a Z
+    by a QTAB einsum over the dense basis, QTAB taken on the points first.
+    The reference for the signed gather that sternberg.pullback_check reads."""
+    uz = np.einsum("aijp,...jpc->...aic", jordan.orthonormal_basis(z.shape[-2]),
+                   np.einsum("...jq,pqc->...jpc", z, QTAB))
+    return np.einsum("...ic,...aic->...a", z, uz)
+
+
+def pullback_check_oracle(z, w):
+    """sternberg.pullback_check with <Z, e_a Z> from basis_pairings_oracle."""
+    x = sternberg.cone_point(z)
+    r1 = realization._rel(jordan.coords(x), basis_pairings_oracle(z)).max(axis=-1)
+    pi, mu = sternberg.pi_from_W(z, w), 0.5 * norms(im(dagger_product(w, z)), 1)
+    r2 = realization._rel(sternberg.sternberg_x_e(x, pi, norms(z, 2) ** 2, mu),
+                          0.25 * norms(w, 2) ** 2)
+    return r1, r2
 
 
 def random_qvector(rng, n, scale=1.0):

@@ -221,12 +221,14 @@ def test_an_option_takes_a_value_that_starts_with_a_dash(tmp_path):
     (None, 0, ""),
     (5, 5, ""),
     (cli._RuntimeAbort("no start"), 3, "Error: no start"),
+    (MemoryError("too big"), 3, "Error: too big"),
+    (MemoryError(), 3, "Error: out of memory"),
 ])
 def test_main_runs_the_rebound_callback(monkeypatch, exit_with, code, says):
     """main looks each command up in main.commands when it runs and calls
     its callback, so a callback rebound there (as perfbench/tracer.py
     rebinds it) runs; main always ends in SystemExit, with exit 0 if the
-    callback returns and 3 if it raises _RuntimeAbort."""
+    callback returns and 3 if it raises _RuntimeAbort or MemoryError."""
     calls = []
 
     def stub(**options):
@@ -366,6 +368,35 @@ def test_simulate_oversized_run_exits_3(tmp_path):
     assert "100000000001 samples" in res.output
     assert peak < 16 * 2**20
     assert not (tmp_path / "huge.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "verify-realization", "verify-quadratic",
+                                     "verify-pullback"])
+def test_oversize_n_exits_3(tmp_path, command):
+    # refused by the physical-memory probe before the basis or a block is
+    # allocated: one line, no traceback, no report
+    res = _run([command, "--n", "100000", "--output", str(tmp_path / "r.json")])
+    assert res.exit_code == 3
+    assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+    assert "physical memory is" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, left", [
+    (["verify-algebra", "--n", "1", "--triples", "5", "--output", "r.json"], []),
+    (["simulate", "--t-end", "0.01", "--output", "r"], ["r.csv"]),
+])
+def test_failed_report_write_exits_3_and_leaves_no_temporary_file(tmp_path, monkeypatch,
+                                                                  args, left):
+    def refuse(src, dst):
+        raise IsADirectoryError(21, "Is a directory", dst)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    res = _run(args)
+    assert res.exit_code == 3
+    assert res.output.startswith("Error: cannot write r") and res.output.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
 
 
 def test_simulate_non_finite_step_count_exits_3(tmp_path):

@@ -13,7 +13,7 @@ from helpers import (
     time_reversed,
 )
 
-from sp1kepler import dynamics, realization
+from sp1kepler import dynamics, jordan, quat, realization
 
 rng = np.random.default_rng(2024)
 
@@ -108,6 +108,23 @@ def test_integrate_refuses_a_trajectory_beyond_physical_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("build, need, what", [
+    (lambda: jordan.orthonormal_basis.__wrapped__(3), 32 * 15 * 3 * 3, r"the basis of H_3\(H\)"),
+    (lambda: realization.block_points(3), realization._point_bytes(3),
+     "one point's working set at n = 3"),
+    (lambda: dynamics.integrate(np.eye(1, 24).ravel(), 1e-3, 0.1), 101 * 25 * 8,
+     "a trajectory of 101 samples"),
+])
+def test_one_physical_memory_probe_bounds_each_large_allocation(monkeypatch, build, need, what):
+    # at n = 3 the basis, one point's block working set and a trajectory all
+    # read quat.physical_bytes: refused one byte short, built at the bound
+    monkeypatch.setattr(quat, "physical_bytes", lambda: need - 1)
+    with pytest.raises(MemoryError, match=what + " needs 0.0 GiB; physical memory is 0.0 GiB"):
+        build()
+    monkeypatch.setattr(quat, "physical_bytes", lambda: need)
+    build()
 
 
 def test_zero_t_end_single_sample():

@@ -1,5 +1,13 @@
 import numpy as np
-from helpers import S_operator, norm, random_qvector, s_tensor_oracle, vec_inner
+import pytest
+from helpers import (
+    S_operator,
+    norm,
+    orthonormal_basis_oracle,
+    random_qvector,
+    s_tensor_oracle,
+    vec_inner,
+)
 
 from sp1kepler import jordan, quat
 from sp1kepler.quat import RE_SIGNS, mat_apply
@@ -33,6 +41,14 @@ def test_basis_orthonormal():
         assert len(basis) == dim_v(n) == n * (2 * n - 1)
         g = np.einsum("aijp,bjip,p->ab", basis, basis, RE_SIGNS) / n
         assert np.abs(g - np.eye(len(basis))).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_basis_equals_the_list_and_loop_oracle(n):
+    got, want = orthonormal_basis(n), orthonormal_basis_oracle(n)
+    assert got.dtype == want.dtype and not got.flags.writeable
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_coords_round_trip():

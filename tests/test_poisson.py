@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import (
     bracket_numeric,
+    conj,
     evaluate_batch,
     quad_value,
     random_phase_point,
@@ -19,7 +20,7 @@ from sp1kepler.poisson import (
     poisson_j,
     quad_residual,
 )
-from sp1kepler.quat import conj, entries
+from sp1kepler.quat import entries
 
 rng = np.random.default_rng(4242)
 

@@ -3,13 +3,20 @@ import random
 
 import numpy as np
 import pytest
-from helpers import norm, random_qmatrix, random_qvector, random_unit_quaternion, vec_inner
+from helpers import (
+    conj,
+    norm,
+    random_qmatrix,
+    random_qvector,
+    random_unit_quaternion,
+    unit_matrix,
+    vec_inner,
+)
 
 from sp1kepler.jordan import identity
 from sp1kepler.quat import (
     UNITS,
     SeededRng,
-    conj,
     dagger_product,
     im,
     join,
@@ -21,7 +28,6 @@ from sp1kepler.quat import (
     outer,
     real_rep,
     trace_re,
-    unit_matrix,
     view,
 )
 

@@ -6,8 +6,10 @@ from helpers import (
     horizontal_lift,
     lrl_downstairs,
     norm,
+    pullback_check_oracle,
     random_qvector,
     random_unit_quaternion,
+    unit_matrix,
     vec_inner,
 )
 
@@ -19,7 +21,6 @@ from sp1kepler.quat import (
     im,
     mat_apply,
     mul,
-    unit_matrix,
 )
 
 rng = np.random.default_rng(55)
@@ -117,6 +118,17 @@ def test_pullback_identities():
         # a stack gives each point what the point alone gives, to rounding
         for z, w, a, b in zip(zs, ws, r1, r2):
             assert np.allclose(sternberg.pullback_check(z, w), (a, b), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pullback_equals_the_quaternion_oracle(n):
+    # the signed gather gives <Z, e_a Z> bit for bit as the QTAB route, on a
+    # block of the size verify-pullback checks and on single points
+    zs, ws = realization.sample_point(n, SeededRng(n), realization.block_points(n))
+    for got, want in zip(sternberg.pullback_check(zs, ws), pullback_check_oracle(zs, ws)):
+        assert np.array_equal(got, want)
+    for z, w in zip(zs[:3], ws[:3]):
+        assert sternberg.pullback_check(z, w) == pullback_check_oracle(z, w)
 
 
 def test_pullback_fiber_invariance():
