@@ -224,14 +224,18 @@ def verify_pullback(n, samples, seed, tol, output):
 
 
 def _bound_start(n, mu, rng):
-    """A seeded leaf point with H <= -0.1 (rejection sampling), as its flat state."""
+    """A seeded leaf point with H <= -0.1 (rejection sampling), as its flat
+    state: leaf stacks of block_points(n) points, which equal as many
+    one-point draws normal for normal, are drawn one call a block and
+    their points tested in order."""
     from . import dynamics, realization
     import numpy as np
-    draws = 10000
-    for _ in range(draws):
-        y = np.concatenate(realization.sample_leaf(n, mu, rng, 1), axis=None)
-        if dynamics.hamiltonian_upstairs(y) <= -0.1:
-            return y
+    draws, step = 10000, realization.block_points(n)
+    for lo in range(0, draws, step):
+        for z, w in zip(*realization.sample_leaf(n, mu, rng, min(step, draws - lo))):
+            y = np.concatenate((z, w), axis=None)
+            if dynamics.hamiltonian_upstairs(y) <= -0.1:
+                return y
     raise _RuntimeAbort(f"failed to sample a bound start: no leaf point with H <= -0.1"
                         f" in {draws:,} draws at n = {n}, mu = {mu:g}")
 
@@ -289,6 +293,8 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
         _emit(dict(base, aborted="%s: %s" % (err.kind, err), passed=False), output + ".json")
         print("aborted: %s" % err, file=sys.stderr)
         sys.exit(3)
+    except OSError as err:  # the CSV could not be opened, written or closed
+        raise _RuntimeAbort("cannot write %s.csv: %s" % (output, err)) from None
     rep = fold.report()
     drift_keys = [k for k in rep if k.startswith("drift_")]
     passed = all(rep[k] < tol for k in drift_keys) and rep["max_energy_residual"] < tol

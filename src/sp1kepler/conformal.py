@@ -168,7 +168,7 @@ def _triple_bytes(n):
     that np.take makes (one per block, whatever its size), 16 (dim,)
     float64 rows with their array headers (the triple's coordinates, the
     brackets and their sum), and eight copies of its 36 n^2 normals (the
-    draw, the rng's refill temporaries and the hermitian parts)."""
+    draw, the rng's Box-Muller temporaries and the hermitian parts)."""
     nnz, dim = len(structure_constants(n)[3]), co_dimension(n)
     return 32 * nnz + 16 * (8 * dim + 128) + 8 * 8 * 36 * n * n
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .quat import CONJ, RE_SIGNS, check_memory, mat_dagger, mat_mul, outer, real_rep
+from .quat import CONJ, check_memory, mat_dagger, mat_mul, outer, real_rep
 
 import numpy as np  # after the package's modules, so they compile before it loads
 
@@ -46,8 +46,8 @@ def triple_product(u, v, z):
 
 def inner(u, v):
     """<u|v> = Re tr(u v) / n; positive definite, <e|e> = 1."""
-    # Re tr(uv) = sum_{i,j,p} sign_p u[i,j,p] v[j,i,p]
-    return np.einsum("...ijp,...jip,p->...", u, v, RE_SIGNS) / u.shape[-2]
+    # Re tr(uv) = sum_{i,j,p} CONJ[p] u[i,j,p] v[j,i,p], by the Re(pq) rule
+    return np.einsum("...ijp,...jip,p->...", u, v, CONJ) / u.shape[-2]
 
 
 @lru_cache(maxsize=8)
@@ -88,7 +88,7 @@ def _basis_reps(n):
 def coords(u):
     """Coordinates of u in the orthonormal basis (plain projections)."""
     n = u.shape[-2]
-    return np.einsum("aijp,...jip,p->...a", orthonormal_basis(n), u, RE_SIGNS) / n
+    return np.einsum("aijp,...jip,p->...a", orthonormal_basis(n), u, CONJ) / n
 
 
 def from_coords(c, n):

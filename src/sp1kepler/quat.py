@@ -13,7 +13,8 @@ products go through the structure tensor QTAB.  The products take leading
 stack axes (...) and broadcast them, so a stack of k points is one call.
 
 SeededRng draws the CLI's seeded test points from the standard library's
-Mersenne Twister, so that no command loads numpy.random.
+Mersenne Twister, so that no command loads numpy.random; each caller draws
+a block of points by one call, and the rng holds no state but the Twister's.
 """
 
 from __future__ import annotations
@@ -43,11 +44,8 @@ QTAB[3, 1, 2] = 1.0
 QTAB[1, 3, 2] = -1.0
 QTAB.setflags(write=False)
 
-# Signs such that Re(p*q) = sum_a RE_SIGNS[a] * p_a * q_a.
-RE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-RE_SIGNS.setflags(write=False)
-
-# Componentwise factor of quaternion conjugation.
+# Componentwise factor of quaternion conjugation, and the signs of
+# Re(p*q) = sum_a CONJ[a] * p_a * q_a.
 CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 CONJ.setflags(write=False)
 
@@ -178,34 +176,28 @@ class SeededRng:
 
     Word pairs (a, b) of Random(seed).getrandbits give the uniforms
     ((a >> 5) 2^26 + (b >> 6)) / 2^53, those of Random(seed).random().
-    Normals: Box-Muller on (1 - u1, u2), cosine then sine, served from a
-    block refilled _BLOCK at a time, so that a draw does not depend on how
-    earlier draws were sized.  Integers: randrange.
+    Normals: Box-Muller on (1 - u1, u2), cosine then sine, each draw of an
+    even count from exactly that many uniforms, so that draws of any even
+    sizes read one stream and leave the same state.  Integers: randrange.
     """
 
-    _BLOCK = 1024  # normals per refill
-
     def __init__(self, seed):
-        self._random, self._normals, self._next = random.Random(seed), np.empty(0), 0
+        self._random = random.Random(seed)
 
     def _uniforms(self, count):
         """The next `count` uniforms; word pair (a, b) is read as a + 2^32 b."""
         ab = np.frombuffer(self._random.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
         return ((ab & 0xFFFFFFFF) >> 5 << 26 | ab >> 38) * 2.0**-53
 
-    def standard_normal(self, size=None):
-        """A float for size=None, else an array of that shape."""
-        shape = () if size is None else size if isinstance(size, tuple) else (size,)
+    def standard_normal(self, size):
+        """An array of that shape, of an even number of normals."""
+        shape = size if isinstance(size, tuple) else (size,)
         count = math.prod(shape)
-        start, end = self._next, self._next + count
-        if end > len(self._normals):
-            u = self._uniforms(max(self._BLOCK, count + 1) & ~1)
-            r, theta = np.sqrt(-2.0 * np.log(1.0 - u[0::2])), 2.0 * math.pi * u[1::2]
-            fresh = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).reshape(-1)
-            self._normals, start, end = np.concatenate([self._normals[start:], fresh]), 0, count
-        self._next = end
-        out = self._normals[start:end]
-        return float(out[0]) if size is None else out.reshape(shape)
+        if count % 2:
+            raise ValueError("SeededRng draws normals in pairs; %d is odd" % count)
+        u = self._uniforms(count)
+        r, theta = np.sqrt(-2.0 * np.log(1.0 - u[0::2])), 2.0 * math.pi * u[1::2]
+        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).reshape(shape)
 
     def integers(self, low, high, size):
         """An array of `size` integers uniform on [low, high)."""

@@ -36,12 +36,11 @@ import types
 import numpy as np
 
 import sp1kepler
-from sp1kepler import cli, conformal, jordan, realization, sternberg
+from sp1kepler import cli, conformal, dynamics, jordan, realization, sternberg
 from sp1kepler.poisson import DOMAIN_EPS, poisson_j
 from sp1kepler.quat import (
     CONJ,
     QTAB,
-    RE_SIGNS,
     UNITS,
     dagger_product,
     im,
@@ -161,6 +160,18 @@ def sample_leaf_oracle(n, mu, rng):
         target = np.array([0.0, 2.0 * mu, 0.0, 0.0])
     alpha = (nu - target) / (norm(z) ** 2)
     return z, w + mul(z, alpha)
+
+
+def bound_start_oracle(n, mu, rng):
+    """The reference for cli._bound_start: its per-point loop, one
+    realization.sample_leaf draw of one point a try."""
+    draws = 10000
+    for _ in range(draws):
+        y = np.concatenate(realization.sample_leaf(n, mu, rng, 1), axis=None)
+        if dynamics.hamiltonian_upstairs(y) <= -0.1:
+            return y
+    raise cli._RuntimeAbort(f"failed to sample a bound start: no leaf point with H <= -0.1"
+                            f" in {draws:,} draws at n = {n}, mu = {mu:g}")
 
 
 def leaf_point(n, mu, rng):
@@ -365,7 +376,7 @@ def s_tensor_oracle(n):
     t2 = np.einsum("cikp,bakjq,pqr->abcijr", e, p, QTAB)
     triple = 0.5 * (t1 + t2)
     # coeff[a, b, c, d] = <e_d | {e_a e_b e_c}>; T[a, b] has rows d, columns c
-    coeff = np.einsum("abcijp,djip,p->abcd", triple, e, RE_SIGNS) / n
+    coeff = np.einsum("abcijp,djip,p->abcd", triple, e, CONJ) / n
     return np.transpose(coeff, (0, 1, 3, 2))
 
 

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import re
@@ -6,11 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import block_bytes, modules_loaded_by
+from helpers import block_bytes, bound_start_oracle, modules_loaded_by
 from helpers import run_cli as _run
 
 import sp1kepler
 from sp1kepler import cli, dynamics, realization
+from sp1kepler.quat import SeededRng
 
 
 def _load(path):
@@ -343,6 +345,40 @@ def test_simulate_bound_start_fails_from_n5(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _bound_starts_agree(n, mu, seed):
+    """cli._bound_start and the per-point loop at one seed: the same flat
+    state bit for bit, the signs of zeros included, or the same message."""
+    try:
+        ref = bound_start_oracle(n, mu, SeededRng(seed))
+    except cli._RuntimeAbort as err:
+        with pytest.raises(cli._RuntimeAbort) as got:
+            cli._bound_start(n, mu, SeededRng(seed))
+        assert str(got.value) == str(err)
+    else:
+        y = cli._bound_start(n, mu, SeededRng(seed))
+        assert np.array_equal(y, ref) and np.array_equal(np.signbit(y), np.signbit(ref))
+
+
+@pytest.mark.parametrize("points", [None, 1, 7])
+def test_bound_start_equals_the_per_point_oracle(monkeypatch, points):
+    """Leaf stacks of block_points(n) points, at the default budget and in
+    blocks of one and of seven points, give the first one-point draw with
+    H <= -0.1.  Every start at n = 1-3 is found; n = 4 is left out, as 53
+    of its 120 starts at these mu and seeds fail only after 10,000
+    one-point draws of the oracle each (over a minute together)."""
+    for n in range(1, 4):
+        if points:
+            monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(points, n))
+        for mu in (0.0, 0.7, 1.0):
+            for seed in range(1, 41):
+                _bound_starts_agree(n, mu, seed)
+
+
+@pytest.mark.parametrize("n, mu, seed", [(5, 1.0, 1), (2, 40.0, 7)])
+def test_failed_bound_start_gives_the_oracle_message(n, mu, seed):
+    _bound_starts_agree(n, mu, seed)
+
+
 def test_simulate_midpoint_nonconvergence_exits_3(tmp_path):
     base = tmp_path / "coarse"
     res = _run(["simulate", "--method", "midpoint", "--dt", "3", "--t-end", "20", "--mu", "0",
@@ -371,10 +407,11 @@ def test_simulate_oversized_run_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify-algebra", "verify-realization", "verify-quadratic",
-                                     "verify-pullback"])
+                                     "verify-pullback", "simulate"])
 def test_oversize_n_exits_3(tmp_path, command):
     # refused by the physical-memory probe before the basis or a block is
-    # allocated: one line, no traceback, no report
+    # allocated (for simulate, by block_points in the bound start): one
+    # line, no traceback, no report
     res = _run([command, "--n", "100000", "--output", str(tmp_path / "r.json")])
     assert res.exit_code == 3
     assert res.output.startswith("Error: ") and res.output.count("\n") == 1
@@ -397,6 +434,34 @@ def test_failed_report_write_exits_3_and_leaves_no_temporary_file(tmp_path, monk
     assert res.exit_code == 3
     assert res.output.startswith("Error: cannot write r") and res.output.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+
+def _dangling_csv(tmp_path, monkeypatch):
+    # a link into a missing directory passes the --output check
+    (tmp_path / "r.csv").symlink_to(tmp_path / "nowhere" / "x")
+
+
+def _full_disk_at_second_block(tmp_path, monkeypatch):
+    write, calls = dynamics.write_csv_block, []
+
+    def second_block_fails(fh, times, states):
+        calls.append(len(times))
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(fh, times, states)
+
+    monkeypatch.setattr(dynamics, "write_csv_block", second_block_fails)
+
+
+@pytest.mark.parametrize("fault", [_dangling_csv, _full_disk_at_second_block])
+def test_simulate_csv_write_failure_exits_3(tmp_path, monkeypatch, fault):
+    # 1,001 samples, four blocks at n = 2: one Error line, no traceback, no report
+    monkeypatch.chdir(tmp_path)
+    fault(tmp_path, monkeypatch)
+    res = _run(["simulate", "--t-end", "0.1", "--output", "r"])
+    assert res.exit_code == 3
+    assert res.output.startswith("Error: cannot write r.csv: ") and res.output.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_simulate_non_finite_step_count_exits_3(tmp_path):

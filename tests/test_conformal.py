@@ -443,9 +443,9 @@ def test_random_jacobi_max_does_not_depend_on_the_block(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 5))
 def test_random_jacobi_block_stays_near_its_budget(n):
     """One full block of random triples peaks within _BLOCK_BYTES, with a
-    numpy Generator and with SeededRng, whose refill the draw includes: the
-    budget counts the triples' coordinates, their one draw and the bincount
-    buffers of their brackets."""
+    numpy Generator and with SeededRng, whose Box-Muller temporaries the
+    draw includes: the budget counts the triples' coordinates, their one
+    draw and the bincount buffers of their brackets."""
     triples = max(1, conformal._BLOCK_BYTES // triple_block_bytes(1, n))
     for make_rng in (np.random.default_rng, SeededRng):
         conformal.jacobi_random_max(n, make_rng(5), 1)  # warm the cached constants

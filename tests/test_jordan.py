@@ -10,7 +10,7 @@ from helpers import (
 )
 
 from sp1kepler import jordan, quat
-from sp1kepler.quat import RE_SIGNS, mat_apply
+from sp1kepler.quat import CONJ, mat_apply
 from sp1kepler.jordan import (
     L_operator,
     coords,
@@ -39,7 +39,7 @@ def test_basis_orthonormal():
     for n in (2, 3, 4):
         basis = orthonormal_basis(n)
         assert len(basis) == dim_v(n) == n * (2 * n - 1)
-        g = np.einsum("aijp,bjip,p->ab", basis, basis, RE_SIGNS) / n
+        g = np.einsum("aijp,bjip,p->ab", basis, basis, CONJ) / n
         assert np.abs(g - np.eye(len(basis))).max() < 1e-13
 
 

@@ -175,20 +175,24 @@ def test_seeded_normals_are_pinned():
 
 def test_seeded_draw_types_and_ranges():
     rng = SeededRng(3)
-    assert type(rng.standard_normal()) is float
+    assert rng.standard_normal(2).shape == (2,)
     assert rng.standard_normal((2, 3, 4)).shape == (2, 3, 4)
-    assert rng.standard_normal(5).shape == (5,)
+    assert rng.standard_normal(6).shape == (6,)
+    with pytest.raises(ValueError, match="odd"):
+        rng.standard_normal(5)
     k = rng.integers(2, 9, size=5000)
     assert k.shape == (5000,) and k.min() == 2 and k.max() == 8
 
 
-def test_seeded_draws_across_a_refill_equal_single_draws():
-    block = SeededRng._BLOCK
+def test_seeded_draws_in_any_even_split_read_one_stream():
+    """Draws of even counts, one pair at a time, in odd shapes or in one
+    call, give the same normals and leave the Twister in the same state."""
     a, b = SeededRng(11), SeededRng(11)
-    drawn = [a.standard_normal() for _ in range(block - 5)]
-    drawn += a.standard_normal((3, 7)).ravel().tolist()  # crosses the first refill
-    drawn += a.standard_normal(3 * block + 1).tolist()  # larger than a block
-    assert drawn == [b.standard_normal() for _ in range(len(drawn))]
+    drawn = [a.standard_normal(2) for _ in range(509)]
+    drawn += [a.standard_normal((3, 2, 7)).ravel(), a.standard_normal(3 * 1024 + 2)]
+    drawn = np.concatenate(drawn)
+    assert np.array_equal(drawn, b.standard_normal(len(drawn)))
+    assert a._random.getstate() == b._random.getstate()
 
 
 def test_products_take_stack_axes():
