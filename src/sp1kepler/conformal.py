@@ -16,8 +16,9 @@ Its structure constants come from quaternion products alone (QTAB) and are
 stored sparse and exact, as COO arrays (i, j, k, v) with [e_i, e_j] the sum
 of v e_k over the entries; every check reads them a block at a time through
 np.bincount and quat's entries, range join and sum by key (entries, join,
-sum_by).  With this C the Jacobi identity is associativity of M_n(H); the
-Jordan algebra enters through closure_residual.
+sum_by), the join and the sum on one stable sort (quat.view).  With this C
+the Jacobi identity is associativity of M_n(H); the Jordan algebra enters
+through closure_residual.
 """
 
 from __future__ import annotations
@@ -223,10 +224,15 @@ def jacobi_tensor_residual(n):
     taken in derivation form from joins of the COO entries, row a of C (a
     slice of C) with second indices in a range at a time, each block within
     _BLOCK_BYTES (a summed term holds at most 80 bytes: its key and value,
-    the join's indices, and np.unique's copies) unless one index alone needs
-    more.  The derivation form is the cyclic sum only for an antisymmetric C,
-    so each entry is checked against its transpose, looked up in C's keys,
-    and so is that C vanishes off the 3-grading (X, S, Y of degree 1, 0, -1)."""
+    and quat.group's stable order, sorted keys, first-of-run mask, running
+    count and inverse, 57 bytes in all) unless one index alone needs more.
+    Beside the blocks live about 8 arrays of C's size: the keys of C and of
+    its transposes with their lookup, the (i, j) keys, the (k, i) view, and
+    the gathers of the cost count, so from n = 4 the whole sum peaks above
+    _BLOCK_BYTES.  The derivation form is the cyclic sum only for an
+    antisymmetric C, so each entry is checked against its transpose, looked
+    up in C's keys, and so is that C vanishes off the 3-grading (X, S, Y of
+    degree 1, 0, -1)."""
     c = structure_constants(n)
     i, j, k, v = c
     d, r = jordan.dim_v(n), str_dimension(n)

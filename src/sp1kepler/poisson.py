@@ -12,7 +12,8 @@ exact matrix identity.  Where one side is a family of sparse matrices,
 such as the generators of so*(4n), they are given by their nonzero
 entries (f, row, col, value) (quat.entries), and family_bracket returns
 the terms of every bracket, joined on the shared index by quat.join, for
-family_residual to sum by key.
+family_residual to sum by key on the groups of quat.group: the join and
+the sum sort keys by one stable argsort (quat.view).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quat import join
+from .quat import group, join
 
 DOMAIN_EPS = 1e-9
 
@@ -77,10 +78,11 @@ def quad_residual(a, b):
 def family_residual(lhs, rhs, width):
     """quad_residual for each f: max over f of |L_f - P_f| / max(1, |L_f|,
     |P_f|), with L_f and P_f the (width, width) sums by (f, row, col) of
-    the terms lhs and rhs, as family_product gives them; each side is
-    summed on its own, and the squares per f by np.bincount."""
+    the terms lhs and rhs, as family_product gives them, grouped by key
+    (quat.group); each side is summed on its own, and the squares per f,
+    by np.bincount."""
     f, r, c, v = (np.concatenate(x) for x in zip(lhs, rhs))
-    keys, inv = np.unique((f * width + r) * width + c, return_inverse=True)
+    keys, inv = group((f * width + r) * width + c)
     cut = len(lhs[3])
     left, right = np.bincount(inv[:cut], v[:cut], len(keys)), np.bincount(inv[cut:], v[cut:], len(keys))
     col = keys // (width * width)

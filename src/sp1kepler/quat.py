@@ -147,16 +147,30 @@ def entries(mats):
         (np.full(np.count_nonzero(x), f), *np.nonzero(x), x[x != 0]) for f, x in enumerate(mats))))
 
 
-def sum_by(keys, vals):
-    """The distinct keys in increasing order and the sum of the values of each."""
-    keys, inv = np.unique(keys, return_inverse=True)
-    return keys, np.bincount(inv, vals)
-
-
 def view(keys):
-    """The (stable order, sorted keys) of a key array, for join."""
+    """The (stable order, sorted keys) of a key array, for join and group."""
     order = np.argsort(keys, kind="stable")
     return order, keys[order]
+
+
+def group(keys):
+    """The distinct keys in increasing order and, for each key, the index of
+    its group, read off view(keys): the first of each run of equal sorted
+    keys opens a group, so one stable sort serves join, group and sum_by."""
+    order, key = view(keys)
+    first = np.empty(len(key), bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    inv = np.empty(len(key), np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return key[first], inv
+
+
+def sum_by(keys, vals):
+    """The distinct keys in increasing order and the sum of the values of
+    each, in input order (np.bincount over group's inverse)."""
+    keys, inv = group(keys)
+    return keys, np.bincount(inv, vals)
 
 
 def join(by, lo, hi):

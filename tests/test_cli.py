@@ -11,7 +11,7 @@ from helpers import block_bytes, bound_start_oracle, modules_loaded_by
 from helpers import run_cli as _run
 
 import sp1kepler
-from sp1kepler import cli, dynamics, realization
+from sp1kepler import cli, conformal, dynamics, realization
 from sp1kepler.quat import SeededRng
 
 
@@ -51,6 +51,20 @@ def test_verify_realization(tmp_path):
     assert res.exit_code == 0
     rep = _load(out)
     assert all(v < 1e-12 for v in rep["residuals"].values())
+
+
+def test_algebra_commands_sort_keys_by_one_kernel(tmp_path, monkeypatch):
+    """Every sparse sum of verify-algebra and verify-realization groups its
+    keys by quat.group, on the stable sort of quat.view: np.unique, with its
+    own sort, is never called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    conformal.structure_constants.cache_clear()  # so that C is built under the patch
+    for args in (["verify-algebra", "--n", "2", "--triples", "5"], ["verify-realization", "--n", "2"]):
+        res = _run(args + ["--output", str(tmp_path / "r.json")])
+        assert res.exit_code == 0, res.output
 
 
 def test_verify_realization_bad_tol():

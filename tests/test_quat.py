@@ -18,6 +18,7 @@ from sp1kepler.quat import (
     UNITS,
     SeededRng,
     dagger_product,
+    group,
     im,
     join,
     mat_apply,
@@ -27,6 +28,7 @@ from sp1kepler.quat import (
     norms,
     outer,
     real_rep,
+    sum_by,
     trace_re,
     view,
 )
@@ -237,3 +239,28 @@ def test_join_matches_a_brute_force_oracle(size):
         left, e = join(by, lo, hi)
         assert list(zip(left.tolist(), e.tolist())) == _join_oracle(ks.tolist(), lo, hi)
 
+
+@pytest.mark.parametrize("size, spread", [(0, 10), (1, 10), (40, 10), (7, 1)])
+def test_group_and_sum_by_match_np_unique(size, spread):
+    """group gives np.unique's keys and inverse, and sum_by sums each key's
+    values in input order, as np.bincount over np.unique's inverse does;
+    spread 1 makes every key the same."""
+    gen = np.random.default_rng(size)
+    keys = 2 * gen.integers(0, spread, size)  # even, with repeats
+    vals = gen.standard_normal(size)
+    ref_keys, ref_inv = np.unique(keys, return_inverse=True)
+    got_keys, got_inv = group(keys)
+    assert np.array_equal(got_keys, ref_keys) and np.array_equal(got_inv, ref_inv)
+    assert np.array_equal(got_keys[got_inv], keys)
+    got_keys, sums = sum_by(keys, vals)
+    assert np.array_equal(got_keys, ref_keys)
+    assert np.array_equal(sums, np.bincount(ref_inv, vals, len(ref_keys)))
+
+
+def test_sum_by_adds_in_input_order():
+    """1e16 + 1.0 rounds to 1e16, so the three values sum to 0.0 only in the
+    order given; a sort that moved -1e16 forward would give 1.0."""
+    keys = np.array([5, 3, 5, 3, 5])
+    got_keys, sums = sum_by(keys, np.array([1e16, 2.0, 1.0, 4.0, -1e16]))
+    assert got_keys.tolist() == [3, 5] and sums.tolist() == [6.0, 0.0]
+    assert group(keys)[1].tolist() == [1, 0, 1, 0, 1]
