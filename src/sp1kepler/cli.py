@@ -26,7 +26,7 @@ import sys
 import time
 import types
 
-SCHEMA = "2"
+SCHEMA = "3"
 
 
 class _RuntimeAbort(Exception):

@@ -8,17 +8,19 @@ The inner product is normalized as <a|b> = Re tr(a b) / n, so that
 
 Structure operators S_{uv} = [L_u, L_v] + L_{u o v} act on the algebra;
 in an orthonormal basis they are plain real matrices (L_operator and
-s_tensor from real_rep traces), and the conformal algebra checks its
-structure constants against L_operator.  The basis is itself an array, a
-read-only (d, n, n, 4) stack, cached with its real_rep stack, and coords /
-from_coords map an element to its d coordinates and back.
+s_tensor from traces of real_rep products), and the conformal algebra
+checks its structure constants against L_operator.  The basis is itself
+an array, a cached read-only (d, n, n, 4) stack, and coords / from_coords
+map an element to its d coordinates and back.  Its action Z -> e_a Z on
+H^n is cached once, as the signed gather basis_gather that L_operator and
+realization read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .quat import CONJ, check_memory, mat_dagger, mat_mul, outer, real_rep
+from .quat import CONJ, check_memory, entries, join, mat_dagger, mat_mul, outer, real_rep, view
 
 import numpy as np  # after the package's modules, so they compile before it loads
 
@@ -78,11 +80,19 @@ def orthonormal_basis(n):
 
 
 @lru_cache(maxsize=8)
-def _basis_reps(n):
-    """real_rep of the orthonormal basis, a cached read-only (d, 4n, 4n) stack."""
-    r = real_rep(orthonormal_basis(n))
-    r.setflags(write=False)
-    return r
+def basis_gather(n):
+    """The basis action on H^n as a signed gather: each row of R_a =
+    real_rep(e_a) has at most one nonzero, so flat(e_a Z) is entry x
+    val[a, x] flat(Z)[idx[a, x]].  Returns the cached read-only (d, 4n)
+    arrays idx and val (0 and 0.0 in an all-zero row), scattered from the
+    entries of the R_a (quat.entries)."""
+    a, row, col, v = entries(map(real_rep, orthonormal_basis(n)))
+    idx = np.zeros((dim_v(n), 4 * n), dtype=np.intp)
+    val = np.zeros(idx.shape)
+    idx[a, row], val[a, row] = col, v
+    idx.setflags(write=False)
+    val.setflags(write=False)
+    return idx, val
 
 
 def coords(u):
@@ -103,22 +113,24 @@ def dim_v(n):
 def L_operator(u):
     """Matrix of Jordan multiplication L_u in the orthonormal basis.
 
-    As Re tr m = tr real_rep(m) / 4, <e_a | u o e_b> = (tr R_a R_u R_b +
-    tr R_u R_a R_b) / (8n) with R = real_rep, and as R_b is symmetric both
-    traces are Frobenius products with R_b.
+    For hermitian u, as Re tr m = tr real_rep(m) / 4 and Re tr(u e_b e_c) =
+    Re tr(e_b u e_c), <e_b | u o e_c> = tr(R_b R_u R_c) / (4n), R = real_rep.
+    A row x of R_b has one nonzero at most and R_c is symmetric, so the
+    trace sums over the pairs of basis_gather entries that share a row x.
     """
-    n = u.shape[0]
-    r = _basis_reps(n)
-    ru = real_rep(u)
-    rr = r @ ru
-    rr += ru @ r
-    return rr.reshape(len(r), -1) @ r.reshape(len(r), -1).T / (8 * n)
+    idx, val = basis_gather(u.shape[0])
+    b, x = np.nonzero(val)
+    col, v, d = idx[b, x], val[b, x], len(idx)
+    left, e = join(view(x), x, x + 1)  # entry pairs (l, e) that share a row x
+    terms = real_rep(u)[col[left], col[e]]
+    terms *= v[left] * v[e]
+    return np.bincount(b[left] * d + b[e], terms, d * d).reshape(d, d) / val.shape[1]  # 4n
 
 
 def pair_products(n):
     """The products R_a R_b of R_a = real_rep(e_a) over every basis pair,
     as a (d^2, (4n)^2) matrix with row a * d + b."""
-    r = _basis_reps(n)  # (d, 4n, 4n)
+    r = real_rep(orthonormal_basis(n))  # (d, 4n, 4n)
     return (r[:, None] @ r[None]).reshape(len(r) ** 2, -1)
 
 

@@ -20,11 +20,12 @@ m -> S_m := <W, mZ>/2 is linear in m over all of M_n(H).  The relation
 sweeps therefore run over a basis of M_n(H) (4n^2 elements); by
 bilinearity this covers every basis pair/quadruple of hermitian
 arguments exactly, at a small fraction of the cost.
+
+At sample points, basis_images reads e_a Z off Z through jordan.basis_gather,
+the package's one encoding of the basis action.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from . import jordan, poisson
 from .quat import (
@@ -159,26 +160,11 @@ def block_points(n):
     return max(1, _BLOCK_BYTES // _point_bytes(n))
 
 
-@lru_cache(maxsize=8)
-def _basis_gather(n):
-    """Each row of R = real_rep(e_a) has at most one nonzero, so flat(e_a Z)
-    is a signed gather of flat(Z): entry x is val[a, x] flat(Z)[idx[a, x]].
-    Returns the cached read-only (d, 4n) arrays idx and val (0 and 0.0 in
-    an all-zero row), scattered from the entries of the R (quat.entries)."""
-    a, row, col, v = entries(map(real_rep, jordan.orthonormal_basis(n)))
-    idx = np.zeros((jordan.dim_v(n), 4 * n), dtype=np.intp)
-    val = np.zeros(idx.shape)
-    idx[a, row], val[a, row] = col, v
-    idx.setflags(write=False)
-    val.setflags(write=False)
-    return idx, val
-
-
 def basis_images(n, f):
     """flat(e_a Z) over the basis, a (..., d, 4n) stack, for flat points f
-    (..., 4n): the signed gather, C-ordered by np.take (the transposed
+    (..., 4n): jordan.basis_gather, C-ordered by np.take (the transposed
     layout of f[..., idx] would change the order of the sums that read it)."""
-    idx, val = _basis_gather(n)
+    idx, val = jordan.basis_gather(n)
     out = np.take(f, idx, axis=-1)
     out *= val
     return out

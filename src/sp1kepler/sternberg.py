@@ -107,8 +107,8 @@ def pullback_check(z, w):
     """Residuals of the two pullback identities at each point (Z, W) of the
     stacks z, w, as arrays over the stack.
 
-    residual 1: max_u |<x|u> - <Z, uZ>| over the orthonormal basis, uZ
-    through the leaf check's signed gather (realization.basis_images);
+    residual 1: max_u |<x|u> - <Z, uZ>| over the orthonormal basis, uZ read
+    off jordan.basis_gather by realization.basis_images, as the leaf check;
     residual 2: |cone-side X_e - |W|^2/4| with mu = |Im(W^dag Z)|/2.
     """
     x, zf = cone_point(z), z.reshape(z.shape[:-2] + (-1,))

@@ -310,6 +310,24 @@ def products_dense(n, a, b):
     return ao[x], bo[y], (ar[x] * n + bc[y]) * 4 + unit, prod[pair, unit]
 
 
+def l_operator_definition(u):
+    """L_u by its definition, the coordinates of u o e_c as column c, for
+    every basis element e_c (einsum products: slow at large n)."""
+    return jordan.coords(jordan.jordan_product(u, jordan.orthonormal_basis(u.shape[-2]))).T
+
+
+def l_operator_dense(u):
+    """L_u from the dense (d, 4n, 4n) stack R of the basis real_reps:
+    <e_a | u o e_b> = tr((R_a R_u + R_u R_a) R_b) / (8n), as Frobenius
+    products with the symmetric R_b."""
+    n = u.shape[0]
+    r = real_rep(jordan.orthonormal_basis(n))
+    ru = real_rep(u)
+    rr = r @ ru
+    rr += ru @ r
+    return rr.reshape(len(r), -1) @ r.reshape(len(r), -1).T / (8 * n)
+
+
 def closure_residual_dense(n):
     """The dense reference for conformal.closure_residual: S_{e_a} = L_{e_a}
     and [L_a, L_b] = S_{[e_a, e_b]}/2 from the (d, d, d) stack of the L_{e_a},

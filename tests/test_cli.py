@@ -26,7 +26,7 @@ def test_verify_algebra_pass(tmp_path):
                 "--output", str(out)])
     assert res.exit_code == 0
     rep = _load(out)
-    assert rep["schema"] == "2"
+    assert rep["schema"] == "3"
     assert rep["dim"] == 28
     assert rep["passed"] is True
 

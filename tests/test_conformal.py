@@ -266,6 +266,18 @@ def test_closure_detects_a_wrong_jordan_product(monkeypatch):
     assert conformal.closure_residual(2) > 1e-10
 
 
+def test_closure_detects_a_wrong_sign_in_the_basis_gather(monkeypatch):
+    # L_operator reads the basis action off jordan.basis_gather, the gather
+    # that family_values and pullback_check read too; a sign flipped in any
+    # one of its entries fails the closure check against C
+    idx, val = jordan.basis_gather(2)
+    for a, x in np.argwhere(val):
+        bad = val.copy()
+        bad[a, x] = -bad[a, x]
+        monkeypatch.setattr(jordan, "basis_gather", lambda n, bad=bad: (idx, bad))
+        assert conformal.closure_residual(2) > 1e-10
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_closure_stays_within_its_budget(n):
     """closure_residual peaks within _BLOCK_BYTES beside 8 d^3 bytes, the

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from helpers import (
     S_operator,
+    l_operator_definition,
+    l_operator_dense,
     norm,
     orthonormal_basis_oracle,
     random_qvector,
@@ -122,18 +124,42 @@ def test_s_tensor_matches_operator():
             assert np.abs(t[a, b] - direct).max() < 1e-12
 
 
-def test_l_operator_reads_the_basis_reps_from_a_cache(monkeypatch):
+@pytest.mark.parametrize("n", range(1, 7))
+def test_l_operator_matches_its_definition_and_the_dense_traces(n):
+    """The gather form of L_operator against the dense real_rep traces it
+    replaced, bit for bit on the basis at n <= 4 (what closure_residual
+    reads), and against the definition; seeded random hermitian u too."""
+    basis = orthonormal_basis(n)
+    us = list(basis) + [random_herm(np.random.default_rng(n), n) for _ in range(3)]
+    for k, u in enumerate(us):
+        got, dense = L_operator(u), l_operator_dense(u)
+        if n <= 4 and k < len(basis):
+            assert np.array_equal(got, dense)
+        else:
+            assert np.abs(got - dense).max() <= 1e-15
+        assert np.abs(got - l_operator_definition(u)).max() <= 1e-15
+
+
+def test_l_operator_reads_the_basis_gather_from_a_cache(monkeypatch):
     """After its first call, L_operator takes real_rep of u alone: the basis
-    stack is cached, read-only and equal to real_rep of the basis."""
+    gather is cached, read-only and a scatter of the entries of the basis
+    real_reps, each row of which has at most one nonzero."""
     u = identity(3)
     first = L_operator(u)
     shapes = []
     monkeypatch.setattr(jordan, "real_rep", lambda m: shapes.append(m.shape) or quat.real_rep(m))
     assert np.array_equal(L_operator(u), first)
     assert shapes == [(3, 3, 4)]
-    reps = jordan._basis_reps(3)
-    assert not reps.flags.writeable
-    assert np.array_equal(reps, quat.real_rep(orthonormal_basis(3)))
+    idx, val = jordan.basis_gather(3)
+    assert not idx.flags.writeable and not val.flags.writeable
+    reps = quat.real_rep(orthonormal_basis(3))
+    a, row, col, v = quat.entries(reps)
+    want_idx, want_val = np.zeros(idx.shape, np.intp), np.zeros(val.shape)
+    want_idx[a, row], want_val[a, row] = col, v
+    assert np.array_equal(idx, want_idx) and np.array_equal(val, want_val)
+    dense = np.zeros(reps.shape)
+    np.put_along_axis(dense, idx[..., None], val[..., None], axis=-1)
+    assert np.array_equal(dense, reps)
 
 
 def test_s_tensor_matches_quaternion_oracle():
