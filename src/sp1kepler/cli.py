@@ -7,12 +7,12 @@ configurations produce byte-identical output; wall-clock timings go to
 stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage error, 3
 runtime abort, a MemoryError and a failed report write included.  This
 module loads the standard library alone, and argparse parses the
-options: each command imports its own layers, the largest first, then
-numpy, and calls them through the module.  So --help and usage errors
-load no layer, and where no bytecode is cached the largest layer
-compiles before numpy loads, which then reuses the compiler's memory (a
-0.3-0.6 MB lower peak than numpy first).  main runs each command through
-main.commands[name].callback and always ends in SystemExit.
+options: each command imports the layers it runs, the one that imports
+the rest first, then numpy, and calls them through the module.  So
+--help and usage errors load no layer, and where no bytecode is cached
+every layer but poisson (run by verify-realization alone) compiles
+before numpy, whose import reuses the compiler's memory.  main runs each
+command through main.commands[name].callback and always ends in SystemExit.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def verify_quadratic(n, mu, samples, seed, tol, output):
           *_common(1e-9))
 def verify_pullback(n, samples, seed, tol, output):
     """Cone-side pullback identities on seeded random points, a block at a time."""
-    from . import realization, sternberg, quat
+    from . import sternberg, realization, quat
     import numpy as np
     t0 = time.time()
     # blocks of the leaf check's size, on purpose: sized by their own working
@@ -262,7 +262,7 @@ def _infall_start(n):
           ("--output", _output(".csv", ".json"), "trajectory", "Writes <base>.csv and <base>.json."))
 def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     """Integrate the Kepler flow and report conserved-quantity drifts."""
-    from . import realization, dynamics, quat  # realization too: the largest first
+    from . import dynamics, quat  # dynamics first: it imports the rest
     t0 = time.time()
     p0 = _bound_start(n, mu, quat.SeededRng(seed)) if initial == "bound" else _infall_start(n)
     config = {

@@ -20,13 +20,10 @@ same primitives over a whole trajectory held in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import realization
-from .poisson import DOMAIN_EPS
-from .quat import check_memory
+from .quat import DOMAIN_EPS, check_memory
+
+import numpy as np  # after the package's modules, so they compile before it loads
 
 _COLLISION_RADIUS = 10.0 * DOMAIN_EPS
 
@@ -74,13 +71,11 @@ def _rhs(flat, m):
     return out
 
 
-@dataclass
 class Trajectory:
     """Sampled flow: times (N,) and flat states (N, 8n)."""
 
-    times: np.ndarray
-    states: np.ndarray
-    n: int
+    def __init__(self, times, states, n):
+        self.times, self.states, self.n = times, states, n
 
     def __len__(self):
         return self.times.size
@@ -108,8 +103,10 @@ def write_csv_header(fh, n):
 
 
 def write_csv_block(fh, times, states):
-    """One CSV row per sample, %.17g, so floats round-trip exactly."""
-    np.savetxt(fh, np.column_stack([times, states]), fmt="%.17g", delimiter=",")
+    """One CSV row per sample, %.17g, so floats round-trip exactly: the
+    block's values formatted by one % on the row format repeated."""
+    row = ",".join(["%.17g"] * (1 + states.shape[1])) + "\n"
+    fh.write(row * len(times) % tuple(np.column_stack([times, states]).ravel().tolist()))
 
 
 def _step_rk4(y, dt, m):

@@ -24,8 +24,6 @@ import numpy as np
 
 from .quat import group, join
 
-DOMAIN_EPS = 1e-9
-
 
 @lru_cache(maxsize=16)
 def poisson_j(n):

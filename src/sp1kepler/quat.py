@@ -29,6 +29,10 @@ import numpy as np
 # that the algebra and the realization checked against it stay independent
 _BLOCK_BYTES = 2**19
 
+# the floor |Z| > DOMAIN_EPS of the punctured phase space, read by sternberg
+# and dynamics
+DOMAIN_EPS = 1e-9
+
 # QTAB[a, b, c]: coefficient of unit c in the product (unit a)*(unit b).
 QTAB = np.zeros((4, 4, 4))
 QTAB[0, 0, 0] = 1.0

@@ -13,7 +13,9 @@ symmetric (8n, 8n) matrix A, so every bracket relation is checked as an
 exact matrix identity: the bracket of A and B is the symmetric part of
 A J B - B J A (poisson.bracket_exact), which the relation sweep
 evaluates on the nonzero entries of B (poisson.family_bracket), as each
-generator's matrix has at most 8 nonzeros.
+generator's matrix has at most 8 nonzeros.  The two sweeps alone import
+poisson, when they run, so the leaf, pullback and flow commands never
+compile it.
 
 S_uv depends on (u, v) only through the matrix product m = u.v, and
 m -> S_m := <W, mZ>/2 is linear in m over all of M_n(H).  The relation
@@ -27,7 +29,7 @@ the package's one encoding of the basis action.
 
 from __future__ import annotations
 
-from . import jordan, poisson
+from . import jordan
 from .quat import (
     _BLOCK_BYTES,
     CONJ,
@@ -337,6 +339,8 @@ def verify_so_star_relations(n):
     column by column (poisson.family_residual).  Returns the max residual
     of each family, keyed by family.
     """
+    from . import poisson
+
     herm, m = jordan.orthonormal_basis(n), 4 * n
     zero = np.zeros((2 * m, 2 * m))
 
@@ -378,6 +382,8 @@ def verify_ss_quadruples(n, rng):
     """Direct spot check of {S_uv, S_zw} = S_{uvz}w - S_z{vuw} on 100 seeded
     random basis quadruples, their 400 indices drawn by one call
     (corroborates the bilinearity reduction)."""
+    from . import poisson
+
     basis = jordan.orthonormal_basis(n)
     worst = 0.0
     for row in rng.integers(0, len(basis), 400).reshape(100, 4):

@@ -20,11 +20,10 @@ pi_from_W checks every pi it builds to be tangent.
 
 from __future__ import annotations
 
-import numpy as np
+from . import realization, jordan  # realization first, or it compiles after numpy
+from .quat import DOMAIN_EPS, dagger_product, im, mat_apply, mul, norms, outer
 
-from . import jordan, realization
-from .poisson import DOMAIN_EPS
-from .quat import dagger_product, im, mat_apply, mul, norms, outer
+import numpy as np  # after the package's modules, so they compile before it loads
 
 _TANGENT_TOL = 1e-10
 

@@ -21,8 +21,9 @@ reference of realization.family_values (family_values_oracle), the
 central-difference bracket, the horizontal lift, the analytic gradient of
 the Kepler Hamiltonian, and the so*(4n) relation sweep over whole stacks
 of dense (4n, 4n) Z and W blocks (block_bracket), the reference for the
-sparse realization.verify_so_star_relations; a fresh
-interpreter that reports the modules a piece of code loaded, and an
+sparse realization.verify_so_star_relations; the np.savetxt reference of
+dynamics.write_csv_block; a fresh interpreter that reports the modules a
+piece of code loaded, or the order in which their imports started, and an
 in-process run of the CLI."""
 
 import contextlib
@@ -37,9 +38,10 @@ import numpy as np
 
 import sp1kepler
 from sp1kepler import cli, conformal, dynamics, jordan, realization, sternberg
-from sp1kepler.poisson import DOMAIN_EPS, poisson_j
+from sp1kepler.poisson import poisson_j
 from sp1kepler.quat import (
     CONJ,
+    DOMAIN_EPS,
     QTAB,
     UNITS,
     dagger_product,
@@ -223,17 +225,48 @@ def transformed(z, w, g):
     return mul(z, g), mul(w, g)
 
 
+def _fresh_run(prelude, code, args):
+    """Run prelude and code in a fresh interpreter, with this package's source
+    on its path and args as its arguments; return the finished process and
+    the JSON on the last line of its stderr, which prelude prints at exit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp1kepler.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", prelude + code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return proc, json.loads(proc.stderr.splitlines()[-1])
+
+
 def modules_loaded_by(code, *args):
     """Run code in a fresh interpreter, with this package's source on its
     path and args as its arguments; return the finished process and the set
     of modules loaded when it exited."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sp1kepler.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     guard = ("import atexit, json, sys\n"
              "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n")
-    proc = subprocess.run([sys.executable, "-c", guard + code, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+    proc, loaded = _fresh_run(guard, code, args)
+    return proc, set(loaded)
+
+
+def imports_started_by(code, *args):
+    """Run code as modules_loaded_by does; return the finished process and
+    the modules whose import started, in the order they started, as a
+    sys.meta_path finder saw each first asked for.  sys.modules cannot give
+    this order: importlib re-inserts a module when its load ends."""
+    log = ("import atexit, json, sys\n"
+           "class _Log:\n"
+           "    started = []\n"
+           "    def find_spec(self, name, path=None, target=None):\n"
+           "        if name not in self.started:\n"
+           "            self.started.append(name)\n"
+           "sys.meta_path.insert(0, _Log())\n"
+           "atexit.register(lambda: print(json.dumps(_Log.started), file=sys.stderr))\n")
+    return _fresh_run(log, code, args)
+
+
+def csv_block_oracle(times, states):
+    """The reference for dynamics.write_csv_block: np.savetxt of the block."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([times, states]), fmt="%.17g", delimiter=",")
+    return buf.getvalue()
 
 
 def run_cli(args):

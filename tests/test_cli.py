@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import block_bytes, bound_start_oracle, modules_loaded_by
+from helpers import block_bytes, bound_start_oracle, imports_started_by, modules_loaded_by
 from helpers import run_cli as _run
 
 import sp1kepler
@@ -112,20 +112,23 @@ _NO_LAYER = {"numpy"} | {"sp1kepler." + m for m in sp1kepler.__all__}
 _UNLOADED = {
     "verify-algebra": {"realization", "poisson", "dynamics", "sternberg"},
     "verify-realization": {"conformal", "dynamics", "sternberg"},
-    "verify-quadratic": {"conformal", "dynamics", "sternberg"},
-    "verify-pullback": {"conformal", "dynamics"},
-    "simulate": {"conformal", "sternberg"},
+    "verify-quadratic": {"conformal", "poisson", "dynamics", "sternberg"},
+    "verify-pullback": {"conformal", "poisson", "dynamics"},
+    "simulate": {"conformal", "poisson", "sternberg"},
 }
 
-
-@pytest.mark.parametrize("args, code", [
+# every command, at a small size, and its exit code
+_COMMANDS = [
     (["verify-algebra", "--n", "2", "--triples", "5"], 0),
     (["verify-realization", "--n", "1"], 0),
     (["verify-quadratic", "--samples", "5"], 0),
     (["verify-pullback", "--samples", "5"], 0),
     (["simulate", "--dt", "1e-3", "--t-end", "0.01"], 0),
     (["simulate", "--initial", "infall"], 3),
-])
+]
+
+
+@pytest.mark.parametrize("args, code", _COMMANDS)
 def test_commands_load_neither_numpy_random_nor_hashlib(tmp_path, args, code):
     """Seeded draws come from the standard library's Mersenne Twister, so a
     command's process never imports numpy.random or, through it, OpenSSL.
@@ -134,6 +137,21 @@ def test_commands_load_neither_numpy_random_nor_hashlib(tmp_path, args, code):
     assert proc.returncode == code, proc.stderr
     unloaded = {"sp1kepler." + m for m in _UNLOADED[args[0]]}
     assert loaded & ({"numpy.random", "_hashlib"} | unloaded) == set()
+
+
+@pytest.mark.parametrize("args, code", _COMMANDS)
+def test_every_layer_a_command_runs_starts_before_numpy(tmp_path, args, code):
+    """Where no bytecode is cached, a layer whose import starts before
+    numpy's compiles before numpy loads, and numpy's import reuses the
+    compiler's memory.  Every layer imports quat, which imports numpy, so
+    one chain alone starts first: poisson, which verify-realization alone
+    runs, is the one layer to start after numpy.  No command loads
+    dataclasses, which compiles the methods it generates."""
+    proc, started = imports_started_by(_ENTRY, *args, "--output", str(tmp_path / "out"))
+    assert proc.returncode == code, proc.stderr
+    late = {m for m in started[started.index("numpy"):] if m.startswith("sp1kepler.")}
+    assert late == ({"sp1kepler.poisson"} if args[0] == "verify-realization" else set())
+    assert "dataclasses" not in started
 
 
 def test_importing_the_cli_loads_no_layer():

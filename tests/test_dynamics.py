@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import (
     block_bytes,
+    csv_block_oracle,
     hamiltonian_gradient,
     leaf_point,
     leaf_state,
@@ -187,13 +188,6 @@ def test_near_collision_abort_with_partial():
     assert np.allclose(partial.states[0], p)
 
 
-def _csv_reference(tr):
-    """The CSV body below the header: one np.savetxt of the whole trajectory."""
-    buf = io.StringIO()
-    np.savetxt(buf, np.column_stack([tr.times, tr.states]), fmt="%.17g", delimiter=",")
-    return buf.getvalue()
-
-
 def test_csv_export(tmp_path, monkeypatch):
     # 11 samples: one full block of 7, one partial
     monkeypatch.setattr(realization, "_BLOCK_BYTES", block_bytes(7, 2))
@@ -208,7 +202,7 @@ def test_csv_export(tmp_path, monkeypatch):
     vals = np.array([float(v) for v in lines[1].split(",")])
     assert np.allclose(vals[1:], tr.states[0], rtol=0, atol=0)
     header, body = path.read_text().split("\n", 1)
-    assert body == _csv_reference(tr)
+    assert body == csv_block_oracle(tr.times, tr.states)
     # an aborted run exports its accepted samples the same way
     with pytest.raises(dynamics.ConvergenceError) as exc:
         dynamics.integrate(_hand_point(), 1.0, 60.0, "midpoint")
@@ -218,7 +212,24 @@ def test_csv_export(tmp_path, monkeypatch):
     partial.to_csv(str(part_path))
     part_header, part_body = part_path.read_text().split("\n", 1)
     assert part_header == header
-    assert part_body == _csv_reference(partial)
+    assert part_body == csv_block_oracle(partial.times, partial.states)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rows", [0, 1, 40])
+def test_csv_block_matches_savetxt(n, rows):
+    """write_csv_block writes np.savetxt's bytes: on an empty block, a
+    one-row block and one of 40 rows, with -0.0, the least subnormal 5e-324
+    and 1e300 among the values."""
+    gen = np.random.default_rng(10 * n + rows)
+    times = gen.standard_normal(rows)
+    states = gen.standard_normal((rows, 8 * n)) * 10.0 ** gen.integers(-30, 30, (rows, 8 * n))
+    if rows:
+        times[0] = -0.0
+        states[0, :3] = (-0.0, 5e-324, 1e300)
+    buf = io.StringIO()
+    dynamics.write_csv_block(buf, times, states)
+    assert buf.getvalue() == csv_block_oracle(times, states)
 
 
 def test_conserved_report_exact_across_chunks(monkeypatch):

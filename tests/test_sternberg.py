@@ -14,8 +14,8 @@ from helpers import (
 )
 
 from sp1kepler import jordan, realization, sternberg
-from sp1kepler.poisson import DOMAIN_EPS
 from sp1kepler.quat import (
+    DOMAIN_EPS,
     SeededRng,
     dagger_product,
     im,
