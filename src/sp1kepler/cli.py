@@ -6,8 +6,8 @@ are JSON with a versioned schema and no volatile fields, so identical
 configurations produce byte-identical output; wall-clock timings go to
 stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage error, 3
 runtime abort, a MemoryError and a failed report write included.  This
-module loads the standard library alone, and argparse parses the
-options: each command imports the layers it runs, the one that imports
+module loads the standard library alone and parses its own option
+rows: each command imports the layers it runs, the one that imports
 the rest first, then numpy, and calls them through the module.  So
 --help and usage errors load no layer, and where no bytecode is cached
 every layer but poisson (run by verify-realization alone) compiles
@@ -15,9 +15,6 @@ before numpy, whose import reuses the compiler's memory.  main runs each
 command through main.commands[name].callback and always ends in SystemExit.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import math
 import os
@@ -31,6 +28,10 @@ SCHEMA = "3"
 
 class _RuntimeAbort(Exception):
     """A run that cannot proceed; main prints "Error: <message>" and exits 3."""
+
+
+class _UsageError(Exception):
+    """A refused command line, as (message, command or None); main exits 2 on it."""
 
 
 def _emit(report, output):
@@ -71,11 +72,11 @@ def _number(kind, lo=None, above=False):
         try:
             value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError("%r is not a valid %s." % (text, name)) from None
+            raise _UsageError("%r is not a valid %s." % (text, name)) from None
         if lo is not None and (value <= lo if above else value < lo):
-            raise argparse.ArgumentTypeError("%s is not in the range %s." % (value, bound))
+            raise _UsageError("%s is not in the range %s." % (value, bound))
         if not math.isfinite(value):
-            raise argparse.ArgumentTypeError("%s is not a finite number." % value)
+            raise _UsageError("%s is not a finite number." % value)
         return value
 
     convert.metavar, convert.bound = name.upper(), bound
@@ -88,9 +89,9 @@ def _output(*suffixes):
     def convert(path):
         for name in (path,) + tuple(path + s for s in suffixes):
             if os.path.isdir(name):
-                raise argparse.ArgumentTypeError("file %r is a directory." % name)
+                raise _UsageError("file %r is a directory." % name)
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise argparse.ArgumentTypeError("directory %r does not exist" % os.path.dirname(path))
+            raise _UsageError("directory %r does not exist" % os.path.dirname(path))
         return path
 
     convert.metavar = "BASE" if suffixes else "FILE"
@@ -99,11 +100,14 @@ def _output(*suffixes):
 
 def main(args=None, prog_name=None):
     """Verification and simulation for the quaternionic Kepler hierarchy."""
-    args = sys.argv[1:] if args is None else list(args)
-    options = vars(_parser(prog_name).parse_args(_joined(args)))
+    prog = prog_name or os.path.basename(sys.argv[0])
+    try:
+        name, options = _parse(sys.argv[1:] if args is None else list(args), prog)
+    except _UsageError as err:
+        _help(prog, err.args[1], err.args[0])
     # called through main.commands, so a callback rebound there runs
     try:
-        main.commands[options.pop("command")].callback(**options)
+        main.commands[name].callback(**options)
     except (_RuntimeAbort, MemoryError) as err:
         print("Error: %s" % (str(err) or "out of memory"), file=sys.stderr)
         sys.exit(3)
@@ -123,34 +127,64 @@ def _command(name, *options):
     return register
 
 
-def _parser(prog):
-    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__, allow_abbrev=False)
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, command in main.commands.items():
-        sub = commands.add_parser(name, help=command.help, description=command.help,
-                                  allow_abbrev=False)
-        for flag, kind, default, text in command.options:
-            notes = "; ".join(filter(None, [default is not None and "default: %(default)s",
+def _parse(args, prog):
+    """The command args name first and its options, each --flag VALUE (the next word,
+    whatever it starts with) or --flag=VALUE, exact flags only, the last one wins."""
+    if not args:
+        raise _UsageError("the following arguments are required: COMMAND", None)
+    if args[0] in ("-h", "--help"):
+        _help(prog, None)
+    name, words = _convert("COMMAND", tuple(main.commands), args[0], None), iter(args[1:])
+    rows, given, extras = {row[0]: row for row in main.commands[name].options}, {}, []
+    for word in words:
+        if word in ("-h", "--help"):
+            _help(prog, name)
+        flag, eq, value = word.partition("=")
+        if flag not in rows:
+            extras.append(word)
+            continue
+        if not eq and (value := next(words, None)) is None:
+            raise _UsageError("argument %s: expected one argument" % flag, name)
+        given[flag] = _convert(flag, rows[flag][1], value, name)
+    for flag, kind, value, _ in rows.values():  # the default, converted as given if a string
+        if flag not in given:
+            given[flag] = _convert(flag, kind, value, name) if isinstance(value, str) else value
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras), None)
+    return name, {flag[2:].replace("-", "_"): value for flag, value in given.items()}
+
+
+def _convert(flag, kind, value, name):
+    """value by kind, a converter or a tuple of choices, or a _UsageError on flag."""
+    try:
+        if isinstance(kind, tuple) and value not in kind:
+            raise _UsageError("invalid choice: %r (choose from %s)" % (value, str([*kind])[1:-1]))
+        return value if isinstance(kind, tuple) else kind(value)
+    except _UsageError as err:
+        raise _UsageError("argument %s: %s" % (flag, err.args[0]), name) from None
+
+
+def _help(prog, name, error=None):
+    """Print the usage of the command name (None: the CLI) and "<prog>[ <command>]: error:
+    <error>" on stderr and exit 2, or with no error the help on stdout and exit 0."""
+    rows = [(sub, command.help) for sub, command in main.commands.items()]
+    if name:
+        rows = []
+        for flag, kind, default, text in main.commands[name].options:
+            notes = "; ".join(filter(None, [default is not None and "default: %s" % default,
                                             getattr(kind, "bound", "")]))
-            kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind,
-                                                                   "metavar": kind.metavar}
-            sub.add_argument(flag, default=default,
-                             help=("%s [%s]" % (text, notes) if notes else text).lstrip(), **kw)
-    return parser
-
-
-def _joined(args):
-    """args with each option flag joined to the word after it by "=": an
-    option takes the next word as its value even where it starts with "-"
-    (such as --tol -1e-9), which argparse would otherwise read as a flag."""
-    flags = {row[0] for command in main.commands.values() for row in command.options}
-    out = []
-    for word in args:
-        if out and out[-1] in flags:
-            out[-1] += "=" + word
-        else:
-            out.append(word)
-    return out
+            metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else kind.metavar
+            rows.append(("%s %s" % (flag, metavar),
+                         ("%s [%s]" % (text, notes) if notes else text).lstrip()))
+    where = " ".join(filter(None, (prog, name)))
+    usage = "usage: %s [-h] %s" % (where, " ".join("[%s]" % left for left, _ in rows)
+                                   if name else "COMMAND ...")
+    if error:
+        print(usage, "%s: error: %s" % (where, error), sep="\n", file=sys.stderr)
+        sys.exit(2)
+    print(usage, "", main.commands[name].help if name else main.__doc__, "",
+          *("  %-24s  %s" % row for row in rows), sep="\n")
+    sys.exit(0)
 
 
 def _common(tol):

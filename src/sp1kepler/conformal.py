@@ -21,8 +21,6 @@ the Jacobi identity is associativity of M_n(H); the Jordan algebra enters
 through closure_residual.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from . import jordan

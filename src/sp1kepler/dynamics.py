@@ -18,8 +18,6 @@ its length; integrate, Trajectory.to_csv and conserved_report are the
 same primitives over a whole trajectory held in memory.
 """
 
-from __future__ import annotations
-
 from . import realization
 from .quat import DOMAIN_EPS, check_memory
 

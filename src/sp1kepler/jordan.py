@@ -16,8 +16,6 @@ H^n is cached once, as the signed gather basis_gather that L_operator and
 realization read.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .quat import CONJ, check_memory, entries, join, mat_dagger, mat_mul, outer, real_rep, view

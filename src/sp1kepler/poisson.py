@@ -16,8 +16,6 @@ family_residual to sum by key on the groups of quat.group: the join and
 the sum sort keys by one stable argsort (quat.view).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 import numpy as np

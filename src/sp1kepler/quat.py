@@ -17,8 +17,6 @@ Mersenne Twister, so that no command loads numpy.random; each caller draws
 a block of points by one call, and the rng holds no state but the Twister's.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import random

@@ -27,8 +27,6 @@ At sample points, basis_images reads e_a Z off Z through jordan.basis_gather,
 the package's one encoding of the basis action.
 """
 
-from __future__ import annotations
-
 from . import jordan
 from .quat import (
     _BLOCK_BYTES,

@@ -18,8 +18,6 @@ function takes a stack whole, and a check raises if any point fails it:
 pi_from_W checks every pi it builds to be tangent.
 """
 
-from __future__ import annotations
-
 from . import realization, jordan  # realization first, or it compiles after numpy
 from .quat import DOMAIN_EPS, dagger_product, im, mat_apply, mul, norms, outer
 

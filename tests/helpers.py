@@ -269,13 +269,13 @@ def csv_block_oracle(times, states):
     return buf.getvalue()
 
 
-def run_cli(args):
+def run_cli(args, prog_name=None):
     """Run cli.main on args in this process; return its exit_code and its
     stdout and stderr together as output.  main must end in SystemExit."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
         try:
-            cli.main(args)
+            cli.main(args, prog_name)
         except SystemExit as exc:
             code = exc.code or 0
         else:

@@ -192,6 +192,23 @@ def test_the_cli_alone_loads_only_the_standard_library(code, args, exit_code):
     assert tops - set(sys.stdlib_module_names) == {"sp1kepler"}
 
 
+@pytest.mark.parametrize("code, args, exit_code", [
+    ("import sp1kepler.cli\n", [], 0),
+    (_ENTRY, ["--help"], 0),
+    (_ENTRY, ["verify-quadratic", "--help"], 0),
+    (_ENTRY, ["verify-algebra", "--n", "0"], 2),
+] + [(_ENTRY, args + ["--output", "{tmp}/out"], code) for args, code in _COMMANDS],
+    ids=["import", "help", "command-help", "usage-error"] + [
+        "%s-%d" % (args[0], i) for i, (args, _) in enumerate(_COMMANDS)])
+def test_no_run_loads_argparse_gettext_or_future(tmp_path, code, args, exit_code):
+    """The CLI parses its own option rows and no module of the package has a
+    __future__ import: importing the CLI, its help, a usage error and every
+    command load none of argparse, gettext (which argparse imports) and __future__."""
+    proc, loaded = modules_loaded_by(code, *(a.format(tmp=tmp_path) for a in args))
+    assert proc.returncode == exit_code, proc.stderr
+    assert loaded & {"argparse", "gettext", "__future__"} == set()
+
+
 # every option of each command with its default; the verify commands also take --output
 _DEFAULTS = {
     "verify-algebra": {"--n": 2, "--triples": 1000, "--seed": 7, "--tol": 1e-10},
@@ -249,6 +266,66 @@ def test_an_option_takes_a_value_that_starts_with_a_dash(tmp_path):
     res = _run(["verify-realization", "--n", "1", "--tol", "-1e-9", "--output", str(out)])
     assert res.exit_code == 1
     assert _load(out)["config"]["tol"] == -1e-9
+
+
+def _options_of(monkeypatch, args):
+    """The options main passes to the callback of the command args name first."""
+    calls = []
+    monkeypatch.setattr(cli.main.commands[args[0]], "callback", lambda **kw: calls.append(kw))
+    res = _run(args)
+    assert res.exit_code == 0, res.output
+    return calls[0]
+
+
+def test_an_option_joined_to_its_value_by_equals_is_the_same_option(monkeypatch):
+    joined = _options_of(monkeypatch, ["verify-algebra", "--n=3", "--tol=-1e-9"])
+    assert joined == _options_of(monkeypatch, ["verify-algebra", "--n", "3", "--tol", "-1e-9"])
+    assert (joined["n"], joined["tol"]) == (3, -1e-9)
+
+
+def test_a_repeated_option_takes_its_last_value(monkeypatch):
+    options = _options_of(monkeypatch, ["simulate", "--n", "4", "--method", "midpoint",
+                                        "--n", "3", "--method", "rk4"])
+    assert (options["n"], options["method"]) == (3, "rk4")
+
+
+def test_an_option_value_may_read_as_help(monkeypatch, tmp_path):
+    # the word after --output is its value, even where it is --help or -h
+    monkeypatch.chdir(tmp_path)
+    for word in ("--help", "-h"):
+        assert _options_of(monkeypatch, ["verify-algebra", "--output", word])["output"] == word
+
+
+@pytest.mark.parametrize("args, where, message", [
+    ([], "sp1kepler", "the following arguments are required: COMMAND"),
+    (["bogus"], "sp1kepler", "argument COMMAND: invalid choice: 'bogus' (choose from "
+     "'verify-algebra', 'verify-realization', 'verify-quadratic', 'verify-pullback', 'simulate')"),
+    (["verify-algebra", "stray"], "sp1kepler", "unrecognized arguments: stray"),
+    (["simulate", "--t", "1"], "sp1kepler", "unrecognized arguments: --t 1"),
+    (["verify-algebra", "--n"], "sp1kepler verify-algebra",
+     "argument --n: expected one argument"),
+    (["verify-algebra", "--n", "2", "--n", "0"], "sp1kepler verify-algebra",
+     "argument --n: 0 is not in the range x>=1."),
+    (["verify-algebra", "--n", "0", "--help"], "sp1kepler verify-algebra",
+     "argument --n: 0 is not in the range x>=1."),
+    (["simulate", "--method", "euler"], "sp1kepler simulate",
+     "argument --method: invalid choice: 'euler' (choose from 'rk4', 'midpoint')"),
+])
+def test_a_usage_error_prints_the_usage_and_one_error_line(args, where, message):
+    """A usage error exits 2 with the usage, then "<prog>: error: <message>",
+    or "<prog> <command>: error: <message>" where an option of that command
+    refuses its value."""
+    res = _run(args, prog_name="sp1kepler")
+    assert res.exit_code == 2
+    assert res.output.startswith("usage: %s " % where)
+    assert res.output.splitlines()[-1] == "%s: error: %s" % (where, message)
+
+
+def test_help_lists_every_command():
+    res = _run(["--help"])
+    assert res.exit_code == 0
+    assert set(re.findall(r"^ +([\w-]+)", res.output, re.M)) >= set(cli.main.commands)
+    assert len(cli.main.commands) == 5
 
 
 @pytest.mark.parametrize("exit_with, code, says", [
