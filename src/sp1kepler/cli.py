@@ -1,24 +1,22 @@
 """Command-line verification and simulation driver.
 
-Subcommands expose the verification suites (algebra, realization,
-quadratic identities, pullback) and the Kepler flow simulation.  Reports
-are JSON with a versioned schema and no volatile fields, so identical
-configurations produce byte-identical output; wall-clock timings go to
-stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage error, 3
-runtime abort, a MemoryError and a failed report write included.  This
-module loads the standard library alone and parses its own option
-rows: each command imports the layers it runs, the one that imports
-the rest first, then numpy, and calls them through the module.  So
---help and usage errors load no layer, and where no bytecode is cached
-every layer but poisson (run by verify-realization alone) compiles
-before numpy, whose import reuses the compiler's memory.  main runs each
-command through main.commands[name].callback and always ends in SystemExit.
+Subcommands expose the verification suites (algebra, realization, quadratic
+identities, pullback) and the Kepler flow simulation.  Reports are JSON with a
+versioned schema and no volatile fields, so identical configurations produce
+byte-identical output; monotonic-clock timings go to stderr.  Exit codes: 0
+pass, 1 verification failure, 2 usage error, 3 runtime abort, a MemoryError and
+a failed report write included.  At import this module loads math and types
+alone past the interpreter's start-up modules (json and shutil load where used)
+and parses its own option rows: each command imports the layers it runs, the
+one that imports the rest first, then numpy, and calls them through the module.
+So --help and usage errors load no layer, and where no bytecode is cached every
+layer but poisson (run by verify-realization alone) compiles before numpy,
+whose import reuses the compiler's memory.  main runs each command through
+main.commands[name].callback and always ends in SystemExit.
 """
 
-import json
 import math
 import os
-import shutil
 import sys
 import time
 import types
@@ -37,6 +35,7 @@ class _UsageError(Exception):
 def _emit(report, output):
     """Write the JSON report to stdout, or to output through a temporary file
     beside it, which a failed write removes before it aborts the run."""
+    import json  # the last module a command loads: after its layers and numpy
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if not output:
         sys.stdout.write(text)
@@ -58,7 +57,7 @@ def _finish(command, config, residuals, output, t0, **extra):
     passed = all(v < config["tol"] for v in residuals.values())
     _emit(dict(extra, schema=SCHEMA, command=command, config=config,
                residuals=residuals, passed=passed), output)
-    print("runtime: %.2f s" % (time.time() - t0), file=sys.stderr)
+    print("runtime: %.2f s" % (time.perf_counter() - t0), file=sys.stderr)
     sys.exit(0 if passed else 1)
 
 
@@ -201,7 +200,7 @@ def _common(tol):
 def verify_algebra(n, triples, seed, tol, output):
     """Closure and Jacobi checks for the conformal algebra, with its dimension."""
     from . import conformal, quat
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = {
         "jacobi_random_max": conformal.jacobi_random_max(n, quat.SeededRng(seed), triples),
         "jacobi_generators_max": conformal.jacobi_tensor_residual(n),
@@ -216,7 +215,7 @@ def verify_algebra(n, triples, seed, tol, output):
 def verify_realization(n, seed, tol, output):
     """The six bracket relation families as exact quadratic identities."""
     from . import realization, quat
-    t0 = time.time()
+    t0 = time.perf_counter()
     residuals = realization.verify_so_star_relations(n)
     residuals["SS_quadruple_spot"] = realization.verify_ss_quadruples(n, quat.SeededRng(seed))
     _finish("verify-realization", {"n": n, "seed": seed, "tol": tol}, residuals, output, t0)
@@ -230,7 +229,7 @@ def verify_realization(n, seed, tol, output):
 def verify_quadratic(n, mu, samples, seed, tol, output):
     """Primary, secondary, and energy identities on sampled leaf points."""
     from . import realization, quat
-    t0 = time.time()
+    t0 = time.perf_counter()
     residuals = realization.leaf_residual_maxima(n, mu, quat.SeededRng(seed), samples)
     config = {"n": n, "mu": mu, "samples": samples, "seed": seed, "tol": tol}
     _finish("verify-quadratic", config, residuals, output, t0)
@@ -244,7 +243,7 @@ def verify_pullback(n, samples, seed, tol, output):
     """Cone-side pullback identities on seeded random points, a block at a time."""
     from . import sternberg, realization, quat
     import numpy as np
-    t0 = time.time()
+    t0 = time.perf_counter()
     # blocks of the leaf check's size, on purpose: sized by their own working
     # set (near 1 KB a point for the draw and pullback_check at n = 2), they
     # would grow from 324 to about 500 points, and the peak RSS with them
@@ -297,7 +296,8 @@ def _infall_start(n):
 def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     """Integrate the Kepler flow and report conserved-quantity drifts."""
     from . import dynamics, quat  # dynamics first: it imports the rest
-    t0 = time.time()
+    import shutil
+    t0 = time.perf_counter()
     p0 = _bound_start(n, mu, quat.SeededRng(seed)) if initial == "bound" else _infall_start(n)
     config = {
         "n": n, "mu": mu, "dt": dt, "t_end": t_end, "method": method,
@@ -333,7 +333,7 @@ def simulate(n, mu, dt, t_end, method, initial, seed, tol, output):
     drift_keys = [k for k in rep if k.startswith("drift_")]
     passed = all(rep[k] < tol for k in drift_keys) and rep["max_energy_residual"] < tol
     _emit(dict(base, conserved=rep, passed=passed), output + ".json")
-    print("runtime: %.2f s" % (time.time() - t0), file=sys.stderr)
+    print("runtime: %.2f s" % (time.perf_counter() - t0), file=sys.stderr)
     sys.exit(0 if passed else 1)
 
 

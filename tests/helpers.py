@@ -28,7 +28,6 @@ in-process run of the CLI."""
 
 import contextlib
 import io
-import json
 import os
 import subprocess
 import sys
@@ -228,20 +227,21 @@ def transformed(z, w, g):
 def _fresh_run(prelude, code, args):
     """Run prelude and code in a fresh interpreter, with this package's source
     on its path and args as its arguments; return the finished process and
-    the JSON on the last line of its stderr, which prelude prints at exit."""
+    the module names on the last line of its stderr, which prelude prints at
+    exit, space-separated: a prelude that imported json would hide the CLI's."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sp1kepler.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", prelude + code, *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    return proc, json.loads(proc.stderr.splitlines()[-1])
+    return proc, proc.stderr.splitlines()[-1].split()
 
 
 def modules_loaded_by(code, *args):
     """Run code in a fresh interpreter, with this package's source on its
     path and args as its arguments; return the finished process and the set
     of modules loaded when it exited."""
-    guard = ("import atexit, json, sys\n"
-             "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n")
+    guard = ("import atexit, sys\n"
+             "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n")
     proc, loaded = _fresh_run(guard, code, args)
     return proc, set(loaded)
 
@@ -251,14 +251,14 @@ def imports_started_by(code, *args):
     the modules whose import started, in the order they started, as a
     sys.meta_path finder saw each first asked for.  sys.modules cannot give
     this order: importlib re-inserts a module when its load ends."""
-    log = ("import atexit, json, sys\n"
+    log = ("import atexit, sys\n"
            "class _Log:\n"
            "    started = []\n"
            "    def find_spec(self, name, path=None, target=None):\n"
            "        if name not in self.started:\n"
            "            self.started.append(name)\n"
            "sys.meta_path.insert(0, _Log())\n"
-           "atexit.register(lambda: print(json.dumps(_Log.started), file=sys.stderr))\n")
+           "atexit.register(lambda: print(*_Log.started, file=sys.stderr))\n")
     return _fresh_run(log, code, args)
 
 

@@ -2,8 +2,10 @@ import errno
 import io
 import json
 import re
+import shutil
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -207,6 +209,40 @@ def test_no_run_loads_argparse_gettext_or_future(tmp_path, code, args, exit_code
     proc, loaded = modules_loaded_by(code, *(a.format(tmp=tmp_path) for a in args))
     assert proc.returncode == exit_code, proc.stderr
     assert loaded & {"argparse", "gettext", "__future__"} == set()
+
+
+@pytest.mark.parametrize("code, args, exit_code", [
+    ("import sp1kepler.cli\n", [], 0),
+    (_ENTRY, ["--help"], 0),
+    (_ENTRY, ["verify-quadratic", "--help"], 0),
+    (_ENTRY, ["verify-algebra", "--n", "0"], 2),
+], ids=["import", "help", "command-help", "usage-error"])
+def test_the_cli_alone_loads_neither_json_nor_shutil(code, args, exit_code):
+    """json loads where a report is written and shutil where simulate sizes
+    its CSV, so importing the CLI, its help and its usage errors load neither
+    beyond a bare interpreter's modules (some hosts preload shutil)."""
+    bare = modules_loaded_by("")[1]
+    proc, loaded = modules_loaded_by(code, *args)
+    assert proc.returncode == exit_code, proc.stderr
+    assert (loaded - bare) & {"json", "shutil"} == set()
+
+
+@pytest.mark.parametrize("args, code", _COMMANDS)
+def test_json_starts_after_numpy(tmp_path, args, code):
+    """A module loaded before numpy holds its memory underneath numpy's, so
+    json, which only the report needs, is the last import a command starts."""
+    proc, started = imports_started_by(_ENTRY, *args, "--output", str(tmp_path / "out"))
+    assert proc.returncode == code, proc.stderr
+    assert started.index("numpy") < started.index("json")
+
+
+@pytest.mark.parametrize("args, code", [c for c in _COMMANDS if c[0][0] != "simulate"])
+def test_no_verify_command_loads_shutil(tmp_path, args, code):
+    """Only simulate's disk-space check uses shutil."""
+    bare = modules_loaded_by("")[1]
+    proc, loaded = modules_loaded_by(_ENTRY, *args, "--output", str(tmp_path / "out"))
+    assert proc.returncode == code, proc.stderr
+    assert "shutil" not in loaded - bare
 
 
 # every option of each command with its default; the verify commands also take --output
@@ -571,6 +607,17 @@ def test_simulate_csv_write_failure_exits_3(tmp_path, monkeypatch, fault):
     assert res.exit_code == 3
     assert res.output.startswith("Error: cannot write r.csv: ") and res.output.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
+
+
+def test_simulate_without_disk_space_for_its_csv_exits_3(tmp_path, monkeypatch):
+    # 101 samples of 17 values need at least 3,434 bytes: with 1 KiB free the
+    # run is refused in one line before either file is opened
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: types.SimpleNamespace(free=1024))
+    res = _run(["simulate", "--t-end", "0.01", "--output", str(tmp_path / "r")])
+    assert res.exit_code == 3
+    assert re.fullmatch(r"Error: a trajectory CSV of 101 samples needs at least \d+\.\d GiB;"
+                        r" \d+\.\d GiB free\n", res.output), res.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_non_finite_step_count_exits_3(tmp_path):
